@@ -122,10 +122,13 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # sparse operands such as the power-of-x candidate denominators are
+        # common: skip the zero coefficients of both
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 out[i + j] += a * b
         return Poly(out)
 
@@ -278,12 +281,6 @@ def extended_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         return r0, s0, t0
     scale = 1 / r0.lc
     return r0 * scale, s0 * scale, t0 * scale
-
-
-def poly_lcm(p: Poly, q: Poly) -> Poly:
-    if p.is_zero or q.is_zero:
-        return Poly.zero()
-    return (p * q).divexact(poly_gcd(p, q)).monic()
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:

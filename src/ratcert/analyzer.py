@@ -18,14 +18,13 @@ rational solution the verdict is inconclusive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import RatFunc, squarefree_decompose, residues
 from .planar import (
     PlanarField,
     foliation_derivatives,
     infinity_transform,
-    is_invariant_curve,
 )
 from .risch import (
     RischEquation,
@@ -200,7 +199,8 @@ def check_h1(alpha: RatFunc, interpretation: str = "literal") -> H1Report:
 def check_hk(alpha: RatFunc, beta_k: RatFunc, k: int) -> tuple[bool, RischOutcome]:
     """Order-k obstruction: holds iff the order-k equation has no rational
     solution.  Both deciders run whenever the equation fits the power-pole
-    shape; any disagreement is a fatal internal error."""
+    shape; any disagreement is a fatal internal error.  The outcome carries
+    the order-k equation it decided."""
     eq = build_risch(alpha, beta_k, k)
     general = solve_general(eq)
     outcome = general
@@ -215,7 +215,7 @@ def check_hk(alpha: RatFunc, beta_k: RatFunc, k: int) -> tuple[bool, RischOutcom
         if special.has_rational_solution and special.solution != general.solution:
             raise SolverDisagreementError(f"distinct solutions at order {k}")
         outcome = special
-    return (not outcome.has_rational_solution, outcome)
+    return (not outcome.has_rational_solution, replace(outcome, equation=eq))
 
 
 def analyze(
@@ -239,8 +239,7 @@ def analyze(
         work = infinity_transform(work)
         transformed = work
         chart = "infinity"
-    if not is_invariant_curve(work, phi):
-        raise ValueError("curve y = phi(x) is not invariant for the analysed field")
+    # raises ValueError when the curve is not invariant for the field
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
     h1 = check_h1(alpha, interpretation)
@@ -251,7 +250,7 @@ def analyze(
         verdict = Verdict.all_elementary(k_max)
         for k in range(2, k_max + 1):
             holds, outcome = check_hk(alpha, betas[k - 1], k)
-            orders.append(OrderRecord(k, build_risch(alpha, betas[k - 1], k), outcome))
+            orders.append(OrderRecord(k, outcome.equation, outcome))
             if holds:
                 verdict = Verdict.not_integrable(k)
                 break

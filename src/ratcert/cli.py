@@ -16,6 +16,7 @@ runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,6 @@ from .algebra import RatFunc
 from .analyzer import Certificate, analyze, check_hk
 from .parsing import ParseError, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import DegenerateCurveError, PlanarField, infinity_transform
-from .risch import build_risch
 
 _INPUT_ERRORS = (ParseError, DegenerateCurveError, ValueError, ZeroDivisionError, OSError)
 
@@ -154,7 +154,7 @@ def _cmd_risch(args) -> tuple[int, dict]:
     if args.order < 2:
         raise ValueError("--order must be >= 2")
     _, outcome = check_hk(alpha, beta, args.order)
-    eq = build_risch(alpha, beta, args.order)
+    eq = outcome.equation
     report = {
         "meta": _meta({"command": "risch", "order": args.order}),
         "equation": {"a": eq.a.to_str(), "b": eq.b.to_str(), "order": args.order},
@@ -220,7 +220,8 @@ def _batch_line(line: str) -> dict:
             lets=lets,
         )
         return spec.run().to_dict()
-    except _INPUT_ERRORS + (KeyError, json.JSONDecodeError, TypeError) as exc:
+    except _INPUT_ERRORS + (KeyError, json.JSONDecodeError, TypeError, RecursionError) as exc:
+        # RecursionError: json.loads recurses once per nesting level of a line
         return {"error": str(exc)}
 
 
@@ -242,7 +243,10 @@ def _cmd_batch(args) -> tuple[int, dict]:
     return (0 if failed == 0 else 2), report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``run`` call (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="ratcert",
         description="Certify non-rational-integrability of planar polynomial vector fields.",

@@ -11,7 +11,8 @@ Division is evaluated exactly on rational functions, so "1/2*x + 3" yields
 the polynomial with coefficient 1/2 and ``parse_poly`` rejects any input
 whose value has a nonconstant denominator.  Identifiers must be declared
 variables or let-bound rational constants; anything else is a positioned
-error.
+error.  Parentheses nest at most ``MAX_NESTING`` deep, so hostile input ends
+in a positioned error rather than exhausting the interpreter stack.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class _Token(NamedTuple):
 
 
 _OPS = set("+-*/^()")
+
+# each level of parentheses costs four stack frames (expr, term, factor, base)
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -80,6 +84,7 @@ class _Parser:
     ):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.variables = tuple(variables)
         self.lets = dict(lets or {})
         for name in self.lets:
@@ -166,8 +171,12 @@ class _Parser:
                 return BivarRatFunc(BivarPoly.const(self.lets[tok.text]))
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)

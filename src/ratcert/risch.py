@@ -16,6 +16,10 @@ Two independent deciders are provided:
 Any returned solution is substitution-verified before being released, so a
 ``RationalSolution`` outcome is unconditionally sound; absence relies on the
 bounds and is cross-checked between the two deciders in the test suite.
+The substitution check (``verify_solution``) clears denominators: for
+h = N/D, a = pa/qa and b = pb/qb it compares the polynomials
+(N'*D - N*D')*qa*qb + pa*N*D*qb and pb*qa*D**2, which are equal exactly
+when h' + a*h = b because D, qa and qb are nonzero.  No gcd is taken.
 """
 
 from __future__ import annotations
@@ -64,12 +68,14 @@ class RischEquation:
 class RischOutcome:
     """Decision result.  ``solution`` is None exactly when no rational
     solution exists; ``case`` is the specialized-path label when that solver
-    produced the outcome; ``reason`` explains an absence."""
+    produced the outcome; ``reason`` explains an absence; ``equation`` is the
+    equation decided, when the caller records it (``check_hk`` does)."""
 
     solution: RatFunc | None
     solver: str
     case: str | None = None
     reason: str | None = None
+    equation: RischEquation | None = None
 
     @property
     def has_rational_solution(self) -> bool:
@@ -86,7 +92,13 @@ def build_risch(alpha: RatFunc, beta_k: RatFunc, k: int) -> RischEquation:
 
 
 def verify_solution(eq: RischEquation, h: RatFunc) -> bool:
-    return h.derivative() + eq.a * h == eq.b
+    """True iff h' + a*h = b, compared on cleared denominators (see the
+    module docstring): only polynomial products, no gcd."""
+    n, d = h.num, h.den
+    qa, pa = eq.a.den, eq.a.num
+    qb, pb = eq.b.den, eq.b.num
+    lhs = ((n.derivative() * d - n * d.derivative()) * qa + pa * n * d) * qb
+    return lhs == pb * qa * d * d
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +197,38 @@ def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
 
 
 def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
-    """Solve y' + a*y = b for y = N/den with deg N <= num_degree, exactly."""
+    """Solve y' + a*y = b for y = N/den with deg N <= num_degree, exactly.
+
+    With a = pa/qa and b = pb/qb, multiplying through by den**2*qa*qb turns
+    the equation into sum_i n_i*(x**i*B + i*x**(i-1)*A) = pb*qa*den**2, where
+    A = den*qa*qb and B = (pa*den - den'*qa)*qb.  Row d of the linear system
+    is the coefficient of x**d; column i is written from the coefficients of
+    A and B shifted by i, without a polynomial product per column.
+    """
     if num_degree < 0:
         return None
     qa, pa = a.den, a.num
     qb, pb = b.den, b.num
-    dden = den.derivative()
+    acs = (den * qa * qb).coeffs
+    bcs = ((pa * den - den.derivative() * qa) * qb).coeffs
+    rhs = (pb * qa * den * den).coeffs
+    height = max(len(rhs), len(bcs) + num_degree, len(acs) + num_degree - 1)
+    zero = Fraction(0)
     columns = []
     for i in range(num_degree + 1):
-        xi = Poly.monomial(i)
-        dxi = xi.derivative()
-        columns.append((dxi * den - xi * dden) * qa * qb + pa * xi * den * qb)
-    rhs = pb * qa * den * den
-    rows, vec = _poly_rows(columns, rhs)
+        col = [zero] * height
+        col[i : i + len(bcs)] = bcs
+        if i:
+            for j, c in enumerate(acs):
+                if c:
+                    col[i - 1 + j] += i * c
+        columns.append(col)
+    rows = [list(row) for row in zip(*columns)]
+    # leading terms of a column can cancel: keep no all-zero row above the
+    # highest nonzero coefficient of the columns and the right-hand side
+    while len(rows) > len(rhs) and not any(rows[-1]):
+        rows.pop()
+    vec = list(rhs) + [zero] * (len(rows) - len(rhs))
     sol = solve_linear_system(rows, vec, num_degree + 1)
     if sol is None:
         return None

@@ -25,6 +25,34 @@ fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 polys_st = st.lists(fractions_st, min_size=0, max_size=7).map(Poly)
 
 
+def _schoolbook_product(p: Poly, q: Poly) -> Poly:
+    """Every pair of coefficients, zeros included."""
+    out = [Fraction(0)] * max(0, len(p.coeffs) + len(q.coeffs) - 1)
+    for i in range(len(p.coeffs)):
+        for j in range(len(q.coeffs)):
+            out[i + j] += p.coeffs[i] * q.coeffs[j]
+    return Poly(out)
+
+
+# mostly zero coefficients, the shape of powers of x and shifted columns
+sparse_polys_st = st.lists(
+    st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st), min_size=0, max_size=12
+).map(Poly)
+
+
+class TestPolyMul:
+    @given(sparse_polys_st, sparse_polys_st)
+    @settings(deadline=None, max_examples=200)
+    def test_matches_schoolbook_on_sparse_operands(self, p, q):
+        assert p * q == _schoolbook_product(p, q)
+        assert q * p == _schoolbook_product(q, p)
+
+    def test_powers_of_x(self):
+        assert Poly.monomial(7) * Poly.monomial(5, 3) == Poly.monomial(12, 3)
+        assert (X**3 + 1) * Poly.monomial(4) == Poly.monomial(7) + Poly.monomial(4)
+        assert Poly.monomial(4) * Poly.zero() == Poly.zero()
+
+
 class TestPolyGcd:
     def test_common_linear_factor(self):
         assert poly_gcd(X**2 - 1, X - 1) == X - 1

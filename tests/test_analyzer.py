@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratcert import analyzer, planar
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly, PlanarField, infinity_transform
 from ratcert.analyzer import (
@@ -91,6 +92,35 @@ class TestAnalyze:
         assert len(cert.orders) == 2
         for record in cert.orders:
             assert record.outcome.has_rational_solution
+
+    def test_one_equation_and_one_invariance_check_per_analysis(self, monkeypatch):
+        calls = {"build": 0, "invariant": 0}
+        real_build, real_invariant = analyzer.build_risch, planar.is_invariant_curve
+
+        def build(*args):
+            calls["build"] += 1
+            return real_build(*args)
+
+        def invariant(*args):
+            calls["invariant"] += 1
+            return real_invariant(*args)
+
+        monkeypatch.setattr(analyzer, "build_risch", build)
+        monkeypatch.setattr(planar, "is_invariant_curve", invariant)
+        cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
+        assert len(cert.orders) == 4
+        assert calls == {"build": 4, "invariant": 1}
+        for record in cert.orders:
+            assert record.equation.provenance[0] == record.k
+            assert record.outcome.equation is record.equation
+            assert verify_solution(record.equation, record.outcome.solution)
+
+    def test_specialized_record_keeps_the_order_equation(self):
+        cert = analyze(cubic_example_field(), RatFunc.zero(), 2)
+        (record,) = cert.orders
+        assert record.outcome.solver == "specialized"
+        assert record.equation.provenance[0] == 2
+        assert record.equation.provenance[1].startswith("coefficient")
 
     def test_half_slope_fails_h1(self):
         field = PlanarField(XV**2 - YV, YV * (Fraction(1, 2) * XV + BivarPoly.const(1)))

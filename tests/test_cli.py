@@ -87,6 +87,17 @@ class TestAnalyzeCommand:
         code, _ = run(["analyze", "--p", "1", "--q", "1", "--kmax", "2"])
         assert code == 2
 
+    def test_deep_nesting_is_input_error(self):
+        deep = "(" * 2000 + "x" + ")" * 2000
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "analyze", "--p", deep, "--q", "y"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nested deeper" in proc.stderr
+
     def test_duplicate_variable_names_rejected(self):
         code, _ = run(["analyze", "--p", "x", "--q", "x", "--vars", "x,x", "--kmax", "2"])
         assert code == 2
@@ -158,6 +169,26 @@ class TestBatchCommand:
         lines = outfile.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
 
+    def test_deeply_nested_lines_keep_their_neighbours(self, tmp_path):
+        deep = "(" * 2000 + "x" + ")" * 2000
+        tasks = [
+            json.dumps({"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}),
+            json.dumps({"p": deep, "q": "y"}),
+            "[" * 100000 + "]" * 100000,
+            json.dumps({"p": "x^2-y", "q": "y*(x+1)", "kmax": 2}),
+        ]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 4 and report["failed"] == 2
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert list(lines[1]) == ["error"] and "nested deeper" in lines[1]["error"]
+        assert list(lines[2]) == ["error"] and "recursion" in lines[2]["error"]
+        assert lines[3]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
     def test_missing_input_file(self):
         code, _ = run(["batch", "--input", "/nonexistent/tasks.jsonl"])
         assert code == 2
@@ -171,6 +202,12 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _ = run(["analyze", "--p", "x"])
         assert code == 2
+
+    def test_bad_arguments_leave_the_shared_parser_usable(self, capsys):
+        assert run(["analyze", "--kmax", "two", "--p", "x", "--q", "y"]) == (2, None)
+        code, report = run(["transform", "--p", "z2", "--q", "z1"])
+        assert code == 0 and report["field"] == {"p": "x^2 - 1", "q": "x*y"}
+        assert run(["risch", "--alpha", "1/x"]) == (2, None)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

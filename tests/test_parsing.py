@@ -8,6 +8,7 @@ import pytest
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly
 from ratcert.parsing import (
+    MAX_NESTING,
     ParseError,
     emit_poly,
     parse_lets,
@@ -85,6 +86,23 @@ class TestParseErrors:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse_poly("(x + y")
+
+
+class TestNestingLimit:
+    def test_limit_is_accepted(self):
+        text = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_poly(text) == BivarPoly({(1, 0): 1})
+
+    def test_deep_nesting_is_positioned_error(self):
+        text = "(" * 2000 + "x" + ")" * 2000
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == MAX_NESTING
+
+    def test_limit_counts_open_parentheses_only(self):
+        # siblings do not add up: depth returns to zero after each group
+        text = "+".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 3)
+        assert parse_poly(text) == BivarPoly({(1, 0): 3})
 
 
 class TestParseUnivar:

@@ -3,10 +3,12 @@ power-pole solver, residue normalisation, and their cross-consistency."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratcert import risch
 from ratcert.algebra import Poly, RatFunc
 from ratcert.risch import (
     KaltofenInstance,
@@ -23,6 +25,10 @@ from ratcert.risch import (
 from conftest import rand_poly
 
 X = Poly.x()
+
+small_polys_st = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(Poly)
+nonzero_polys_st = small_polys_st.filter(lambda p: not p.is_zero)
+ratfuncs_st = st.builds(RatFunc, small_polys_st, nonzero_polys_st)
 
 
 def cubic_example_equation(a=1, b=1, c=1) -> RischEquation:
@@ -147,6 +153,98 @@ class TestSolveGeneral:
         out = solve_general(eq)
         assert out.has_rational_solution
         assert verify_solution(eq, out.solution)
+
+
+def _product_system(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
+    """The cleared system with one polynomial product chain per column:
+    column i is ((x**i)'*den - x**i*den')*qa*qb + pa*x**i*den*qb."""
+    columns = []
+    for i in range(num_degree + 1):
+        xi = Poly.monomial(i)
+        columns.append(
+            (xi.derivative() * den - xi * den.derivative()) * a.den * b.den
+            + a.num * xi * den * b.den
+        )
+    rhs = b.num * a.den * den * den
+    height = max([rhs.degree] + [c.degree for c in columns]) + 1
+    rows = [[c.coeff(d) for c in columns] for d in range(height)]
+    return rows, [rhs.coeff(d) for d in range(height)]
+
+
+class TestSolveUndetermined:
+    @given(
+        a=st.none() | ratfuncs_st,
+        b=ratfuncs_st,
+        den_factor=nonzero_polys_st,
+        pole=st.integers(0, 4),
+        num_degree=st.integers(0, 6),
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_shift_built_system_matches_products(self, a, b, den_factor, pole, num_degree):
+        # a = None stands for a = 0, where column deg(den) vanishes identically
+        a = RatFunc.zero() if a is None else a
+        den = den_factor.monic() * Poly.monomial(pole)
+        seen = []
+        real = risch.solve_linear_system
+
+        def record(rows, rhs, ncols):
+            seen.append((rows, rhs, ncols))
+            return real(rows, rhs, ncols)
+
+        with mock.patch.object(risch, "solve_linear_system", record):
+            solve_undetermined(a, b, den, num_degree)
+        rows, rhs, ncols = seen[0]
+        assert (rows, rhs) == _product_system(a, b, den, num_degree)
+        assert ncols == num_degree + 1
+
+    def test_cancelling_top_terms_are_trimmed(self):
+        # a = 0, b = 1/(x**3+1), den = x**2: column 2 is x**2*B + 2*x*A = 0 with
+        # B = -2*x*(x**3+1) and A = x**2*(x**3+1), so the top row is x**5,
+        # one below the degree bound x**6 read off A and B
+        b = RatFunc(1, X**3 + 1)
+        rows, _ = _product_system(RatFunc.zero(), b, Poly.monomial(2), 2)
+        assert len(rows) == 6
+        seen = []
+        real = risch.solve_linear_system
+
+        def record(rows, rhs, ncols):
+            seen.append(rows)
+            return real(rows, rhs, ncols)
+
+        with mock.patch.object(risch, "solve_linear_system", record):
+            solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
+        assert seen == [rows]
+
+
+class TestSubstitutionCheck:
+    @given(a=ratfuncs_st, h=ratfuncs_st, delta=ratfuncs_st, perturb=st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_cleared_check_agrees_with_ratfunc_identity(self, a, h, delta, perturb):
+        eq = RischEquation(a, h.derivative() + a * h)
+        candidate = h + delta if perturb else h
+        oracle = candidate.derivative() + eq.a * candidate == eq.b
+        assert verify_solution(eq, candidate) == oracle
+        assert oracle or perturb
+
+    @given(a=ratfuncs_st, b=ratfuncs_st, h=ratfuncs_st)
+    @settings(deadline=None, max_examples=100)
+    def test_agrees_on_unrelated_right_hand_sides(self, a, b, h):
+        oracle = h.derivative() + a * h == b
+        assert verify_solution(RischEquation(a, b), h) == oracle
+
+    def test_corrupted_elimination_is_caught(self, monkeypatch):
+        eq = RischEquation(RatFunc(X + 1, X**2), RatFunc(2 * X + 2, X**4))
+        assert solve_general(eq).solution == RatFunc(4 * X + 2, X**2)
+        real = risch.solve_linear_system
+
+        def corrupted(rows, rhs, ncols):
+            sol = real(rows, rhs, ncols)
+            sol[0] += 1
+            return sol
+
+        monkeypatch.setattr(risch, "solve_linear_system", corrupted)
+        with pytest.raises(RuntimeError, match="substitution check"):
+            solve_general(eq)
 
 
 class TestSpecializedCases:
