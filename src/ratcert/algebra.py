@@ -2,27 +2,43 @@
 
 Dense polynomials, reduced rational functions, and the classical reduction
 algorithms (GCD, squarefree split, Sylvester resultants, Hermite reduction,
-Rothstein-Trager residue extraction) that every layer above consumes.
+Rothstein-Trager residue extraction) that every layer above consumes, plus
+the one exact linear-system routine (``solve_linear_system``).
 
 Representation notes:
 
-  * coefficients are ``fractions.Fraction`` (exact, arbitrary precision);
-  * ``Poly`` stores a dense coefficient tuple, lowest degree first, with no
-    trailing zeros; the zero polynomial is the empty tuple and has degree -1;
+  * ``Poly`` stores ``content * sum(ints[i] * x**i)``: ``ints`` is a tuple of
+    Python ints, lowest degree first, with no trailing zeros, gcd 1 and a
+    positive leading coefficient; ``content`` is one ``fractions.Fraction``
+    carrying the sign and the scale.  Zero is ``()`` with content 0 and has
+    degree -1.  The form is canonical, so structural equality and hashing
+    are mathematical equality.
+  * Arithmetic runs on the int vectors: a product is an integer convolution
+    times the product of the contents (a product of primitive polynomials is
+    primitive, by Gauss's lemma, so it needs no gcd); a sum brings the two
+    contents to a common denominator and takes one gcd; ``divmod`` and
+    ``poly_gcd`` are pseudo-division and primitive Euclid.  ``Poly.coeffs``
+    builds the ``Fraction`` coefficients on access.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
     denominator, so structural equality is mathematical equality.
+  * Linear systems and determinants are solved by fraction-free integer
+    elimination (Bareiss 1968), see ``solve_linear_system``.
 
-All values are immutable; every operation returns a fresh value, which makes
-everything here safe to share between threads.
+All values are immutable, which makes everything here safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
+
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -33,26 +49,61 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class Poly:
-    """Univariate polynomial over Q, dense, lowest degree first."""
+def _make(ints: tuple[int, ...], content: Fraction) -> "Poly":
+    """A Poly from parts already in canonical form."""
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.content = content
+    return p
 
-    __slots__ = ("coeffs",)
+
+def _from_ints(ints: list[int], content: Fraction) -> "Poly":
+    """content * ints, brought to canonical form (any ints, any content)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints or not content:
+        return _ZERO
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+        content = content * g
+    return _make(tuple(ints), content)
+
+
+class Poly:
+    """Univariate polynomial over Q, dense, lowest degree first, stored as
+    primitive integer coefficients ``ints`` times a rational ``content``
+    (see the module docstring).  Both attributes are read-only by contract."""
+
+    __slots__ = ("ints", "content")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+        if den == 1:
+            ints = [c.numerator for c in cs]
+        else:
+            ints = [c.numerator * (den // c.denominator) for c in cs]
+        p = _from_ints(ints, Fraction(1, den))
+        self.ints = p.ints
+        self.content = p.content
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -60,7 +111,7 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _make((0, 1), _FRACTION_ONE)
 
     @classmethod
     def monomial(cls, deg: int, c=1) -> "Poly":
@@ -71,98 +122,140 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        c = self.content
+        return tuple(c * v for v in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        if 0 <= i < len(self.ints):
+            return self.content * self.ints[i]
+        return _FRACTION_ZERO
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "Poly":
-        other = _poly(other)
-        a, b = self.coeffs, other.coeffs
+    def _add(self, other: "Poly", negate: bool) -> "Poly":
+        ca, cb = self.content, -other.content if negate else other.content
+        if not other.ints:
+            return self
+        if not self.ints:
+            return _make(other.ints, cb)
+        # ca*a + cb*b = (g/q) * (ma*a + mb*b) with q the common denominator
+        da, db = ca.denominator, cb.denominator
+        q = da * db // gcd(da, db)
+        ma = ca.numerator * (q // da)
+        mb = cb.numerator * (q // db)
+        g = gcd(ma, mb)
+        ma //= g
+        mb //= g
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = list(a) if ma == 1 else [ma * v for v in a]
+        for i, v in enumerate(b):
+            if v:
+                out[i] += mb * v
+        return _from_ints(out, Fraction(g, q))
+
+    def __add__(self, other) -> "Poly":
+        return self._add(_poly(other), False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        if not self.ints:
+            return self
+        return _make(self.ints, -self.content)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_poly(other))
+        return self._add(_poly(other), True)
 
     def __rsub__(self, other) -> "Poly":
-        return _poly(other) + (-self)
+        return _poly(other)._add(self, True)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Poly()
-            return Poly(tuple(c * v for v in self.coeffs))
+            if not other or not self.ints:
+                return _ZERO
+            return _make(self.ints, self.content * other)
         other = _poly(other)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
         # sparse operands such as the power-of-x candidate denominators are
         # common: skip the zero coefficients of both
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in right:
-                out[i + j] += a * b
-        return Poly(out)
+        right = [(j, v) for j, v in enumerate(b) if v]
+        for i, u in enumerate(a):
+            if u:
+                for j, v in right:
+                    out[i + j] += u * v
+        return _make(tuple(out), self.content * other.content)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
+        result = _ONE
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
+        """Quotient and remainder over Q, by pseudo-division of the int
+        vectors that scales the partial remainder only when its leading
+        coefficient is not a multiple of the divisor's."""
         other = _poly(other)
-        if other.is_zero:
+        d = other.ints
+        if not d:
             raise ZeroDivisionError("polynomial division by zero")
-        q: list[Fraction] = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlc = other.lc
-        dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            factor = rem[-1] / dlc
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        dd = len(d) - 1
+        if len(self.ints) - 1 < dd:
+            return _ZERO, self
+        rem = list(self.ints)
+        quo = [0] * (len(rem) - dd)
+        lc = d[-1]
+        low = [(i, c) for i, c in enumerate(d[:-1]) if c]
+        # quotient = quo / scale and remainder = rem / scale, on the ints
+        scale = 1
+        for k in range(len(quo) - 1, -1, -1):
+            lead = rem[k + dd]
+            if not lead:
+                continue
+            if lead % lc:
+                s = lc // gcd(lead, lc)
+                rem = [v * s for v in rem[: k + dd + 1]]
+                for j in range(k + 1, len(quo)):
+                    quo[j] *= s
+                scale *= s
+                lead *= s
+            f = lead // lc
+            quo[k] = f
+            rem[k + dd] = 0
+            for i, c in low:
+                rem[k + i] -= f * c
+        content = self.content / scale
+        return _from_ints(quo, content / other.content), _from_ints(rem[:dd], content)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -179,38 +272,55 @@ class Poly:
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        a = self.ints
+        return _from_ints([i * a[i] for i in range(1, len(a))], self.content)
 
     def antiderivative(self) -> "Poly":
-        return Poly((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        a = self.ints
+        if not a:
+            return _ZERO
+        den = lcm(*range(1, len(a) + 1))
+        return _from_ints([0] + [v * (den // (i + 1)) for i, v in enumerate(a)], self.content / den)
 
     def eval(self, v) -> Fraction:
         v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        a = self.ints
+        if not a:
+            return _FRACTION_ZERO
+        p, q = v.numerator, v.denominator
+        acc = 0
+        if q == 1:
+            for c in reversed(a):
+                acc = acc * p + c
+            return self.content * acc
+        # homogeneous Horner: acc = sum a_i * p**i * q**(deg - i)
+        qpow = 1
+        for c in reversed(a):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return self.content * Fraction(acc, qpow // q)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
-        if self.is_zero:
-            return Poly()
-        return Poly((0,) * k + self.coeffs)
+        if not self.ints:
+            return _ZERO
+        return _make((0,) * k + self.ints, self.content)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self.ints:
             return self
-        return self * (1 / self.lc)
+        return _make(self.ints, Fraction(1, self.ints[-1]))
 
     # -- misc ----------------------------------------------------------------
 
     def is_power_of_x(self) -> int | None:
         """Degree k when the polynomial is exactly x**k (monic), else None."""
-        if self.is_zero or self.lc != 1:
+        a = self.ints
+        if not a or a[-1] != 1 or self.content != 1:
             return None
-        if any(c != 0 for c in self.coeffs[:-1]):
+        if any(a[:-1]):
             return None
-        return self.degree
+        return len(a) - 1
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero:
@@ -237,13 +347,17 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.content))
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+_ZERO = _make((), _FRACTION_ZERO)
+_ONE = _make((1,), _FRACTION_ONE)
 
 
 def _poly(value) -> Poly:
@@ -259,12 +373,33 @@ def _poly(value) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _lowest_power(a: Sequence[int]) -> int:
+    """Index of the lowest nonzero coefficient."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0.
+
+    Euclid on the canonical form: every remainder is kept as its primitive
+    int vector times a content, so this is primitive Euclid on the ints and
+    forms no fraction per coefficient."""
+    if p.degree < q.degree:
+        p, q = q, p
+    if q.is_zero:
+        return p.monic()
+    if q.degree == 0:
+        return _ONE
+    for mono, other in ((q, p), (p, q)):
+        if not any(mono.ints[:-1]):
+            # a multiple of x**m, as candidate denominators often are
+            return Poly.monomial(min(mono.degree, _lowest_power(other.ints)))
+    while q.degree > 0:
+        p, q = q, p % q
+    return p.monic() if q.is_zero else _ONE
 
 
 def extended_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -361,30 +496,108 @@ def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in
+    place, over its first ``ncols`` columns; further columns (a right-hand
+    side) are carried along.
+
+    Pivot columns are chosen in increasing order, each pivot being the first
+    row at or below the current rank with a nonzero entry.  Every division is
+    exact: an eliminated entry is a minor of the matrix (Bareiss 1968).  A row
+    with a zero in the pivot column would only be multiplied by the quotient
+    of two consecutive pivots, so that update is deferred: ``level[r]`` counts
+    the pivot steps a row's stored values reflect, and a row is brought up to
+    date only when it is next combined or becomes the pivot row.
+
+    Returns the pivot columns (row i holds the pivot of column pivots[i] and
+    is up to date at level i), the sign of the row permutation, and the last
+    pivot, which is the determinant of the rank x rank minor formed by the
+    pivot rows and columns (1 when the rank is 0).
+    """
+    pivots: list[int] = []
+    history = [1]  # history[t]: pivot of step t (history[0] = 1)
+    level = [0] * len(rows)
+    sign = 1
+    rank = 0
+    for col in range(ncols):
+        piv = rank
+        while piv < len(rows) and not rows[piv][col]:
+            piv += 1
+        if piv == len(rows):
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            level[rank], level[piv] = level[piv], level[rank]
+            sign = -sign
+        prev = history[rank]
+        prow = rows[rank]
+        if level[rank] != rank:
+            prow = rows[rank] = [v * prev // history[level[rank]] for v in prow]
+            level[rank] = rank
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            f = row[col]
+            if not f:
                 continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+            if level[r] != rank:
+                lo = history[level[r]]
+                row = [v * prev // lo for v in row]
+                f = row[col]
+            rows[r] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+            level[r] = rank + 1
+        history.append(p)
+        pivots.append(col)
+        rank += 1
+    return pivots, sign, history[rank]
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (the rows are consumed)."""
+    pivots, sign, last = _echelon(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
+
+
+def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> list[Fraction] | None:
+    """Particular solution of rows * x = rhs (free unknowns set to 0), or
+    None when the system is inconsistent.  Entries are ints or Fractions.
+
+    Each augmented row is scaled by the lcm of its denominators, all-zero
+    rows are dropped, and the integer matrix is brought to echelon form by
+    ``_echelon``.  The pivot columns are the columns independent of all
+    earlier ones, a property of the matrix, so the particular solution is
+    the one Gauss-Jordan elimination over Q gives.  Back-substitution stays
+    in the integers: with d the last pivot, d times each unknown is an
+    integer (Cramer's rule on the pivot minor), so every division is exact.
+    """
+    aug: list[list[int]] = []
+    for row, val in zip(rows, rhs):
+        if not any(row):
+            if val:
+                return None
+            continue
+        cells = [*row, val]
+        den = lcm(*[v.denominator for v in cells])
+        if den == 1:
+            aug.append([v.numerator for v in cells])
+        else:
+            aug.append([v.numerator * (den // v.denominator) for v in cells])
+    pivots, _, d = _echelon(aug, ncols)
+    for row in aug[len(pivots):]:
+        if row[ncols]:
+            return None
+    scaled = [0] * ncols  # d * solution
+    for r in range(len(pivots) - 1, -1, -1):
+        row, col = aug[r], pivots[r]
+        acc = row[ncols] * d
+        for c in pivots[r + 1 :]:
+            if row[c]:
+                acc -= row[c] * scaled[c]
+        scaled[col] = acc // row[col]
+    solution = [_FRACTION_ZERO] * ncols
+    for col in pivots:
+        solution[col] = Fraction(scaled[col], d)
+    return solution
 
 
 def _resultant_std(a: Poly, b: Poly) -> Fraction:
@@ -397,14 +610,15 @@ def _resultant_std(a: Poly, b: Poly) -> Fraction:
     size = m + n
     if size == 0:
         return Fraction(1)
-    acs = list(reversed(a.coeffs))
-    bcs = list(reversed(b.coeffs))
+    # the determinant is linear in each row: take the contents out
+    acs = list(reversed(a.ints))
+    bcs = list(reversed(b.ints))
     rows = []
     for r in range(n):
-        rows.append([Fraction(0)] * r + acs + [Fraction(0)] * (size - m - 1 - r))
+        rows.append([0] * r + acs + [0] * (size - m - 1 - r))
     for r in range(m):
-        rows.append([Fraction(0)] * r + bcs + [Fraction(0)] * (size - n - 1 - r))
-    return _det(rows)
+        rows.append([0] * r + bcs + [0] * (size - n - 1 - r))
+    return a.content**n * b.content**m * _det(rows)
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:
@@ -499,21 +713,11 @@ def _rational_reconstruct(residue: int, modulus: int, num_bound: int, den_bound:
     return Fraction(n, d)
 
 
-def _candidate_rational_roots(ints: list[int]) -> set[Fraction]:
-    """Verified rational roots (without multiplicity) of a primitive integer
-    polynomial with nonzero trailing coefficient."""
-    from math import gcd as igcd
-
-    poly = Poly(ints)
+def _candidate_rational_roots(poly: Poly) -> set[Fraction]:
+    """Verified rational roots (without multiplicity) of a polynomial with
+    nonzero trailing coefficient."""
     square = poly.divexact(poly_gcd(poly, poly.derivative()))
-    denom = 1
-    for c in square.coeffs:
-        denom = denom * c.denominator // igcd(denom, c.denominator)
-    s_ints = [int(c * denom) for c in square.coeffs]
-    content = 0
-    for v in s_ints:
-        content = igcd(content, abs(v))
-    s_ints = [v // content for v in s_ints]
+    s_ints = square.ints
     num_bound = abs(s_ints[0])
     den_bound = abs(s_ints[-1])
     deriv = [c * i for i, c in enumerate(s_ints)][1:]
@@ -563,24 +767,12 @@ def rational_roots(p: Poly) -> tuple[Fraction, ...]:
     if p.is_zero:
         raise ValueError("the zero polynomial has every root")
     roots: list[Fraction] = []
-    k = 0
-    while p.coeff(k) == 0:
-        k += 1
+    k = _lowest_power(p.ints)
     roots.extend([Fraction(0)] * k)
-    work = Poly(p.coeffs[k:])
+    work = _make(p.ints[k:], p.content)
     if work.degree == 0:
         return tuple(sorted(roots))
-    from math import gcd as igcd
-
-    denom = 1
-    for c in work.coeffs:
-        denom = denom * c.denominator // igcd(denom, c.denominator)
-    ints = [int(c * denom) for c in work.coeffs]
-    content = 0
-    for v in ints:
-        content = igcd(content, abs(v))
-    ints = [v // content for v in ints]
-    for cand in sorted(_candidate_rational_roots(ints)):
+    for cand in sorted(_candidate_rational_roots(work)):
         while work.degree >= 1 and work.eval(cand) == 0:
             work = work.divexact(Poly([-cand, 1]))
             roots.append(cand)
@@ -768,6 +960,18 @@ class ResidueReport:
     residue_poly: Poly
     per_factor: tuple[tuple[Poly, Fraction], ...]
     all_integer: bool
+
+    def scaled(self, s) -> "ResidueReport":
+        """The report of s*r from this report of r, for a nonzero rational s:
+        the poles and their factors are the same, every residue is s times
+        the old one, and the residue polynomial is s**deg * R(t/s)."""
+        if not s:
+            raise ValueError("scale factor must be nonzero")
+        per = tuple((q, c * s) for q, c in self.per_factor)
+        top = self.residue_poly.degree
+        rpoly = Poly([c * s ** (top - i) for i, c in enumerate(self.residue_poly.coeffs)])
+        integral = sum(q.degree for q, c in per if c.denominator == 1)
+        return ResidueReport(self.simple_part * s, rpoly, per, integral == top)
 
 
 def residues(r: RatFunc) -> ResidueReport:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .algebra import RatFunc, squarefree_decompose, residues
+from .algebra import RatFunc, ResidueReport, residues, squarefree_decompose
 from .planar import (
     PlanarField,
     foliation_derivatives,
@@ -175,8 +175,13 @@ def _verdict_dict(verdict: Verdict) -> dict:
     return d
 
 
-def check_h1(alpha: RatFunc, interpretation: str = "literal") -> H1Report:
-    """Evaluate the first hypothesis on alpha."""
+def check_h1(
+    alpha: RatFunc,
+    interpretation: str = "literal",
+    alpha_residues: ResidueReport | None = None,
+) -> H1Report:
+    """Evaluate the first hypothesis on alpha.  ``alpha_residues`` is
+    ``residues(alpha)`` when the caller already has it."""
     if interpretation not in INTERPRETATIONS:
         raise ValueError(f"unknown interpretation {interpretation!r}")
     den = alpha.den
@@ -186,7 +191,9 @@ def check_h1(alpha: RatFunc, interpretation: str = "literal") -> H1Report:
         degree_condition = alpha.num.degree <= den.degree
     else:
         degree_condition = alpha.num.degree >= den.degree
-    residues_ok = residues(alpha).all_integer
+    if alpha_residues is None:
+        alpha_residues = residues(alpha)
+    residues_ok = alpha_residues.all_integer
     return H1Report(
         high_pole,
         degree_condition,
@@ -196,13 +203,24 @@ def check_h1(alpha: RatFunc, interpretation: str = "literal") -> H1Report:
     )
 
 
-def check_hk(alpha: RatFunc, beta_k: RatFunc, k: int) -> tuple[bool, RischOutcome]:
+def check_hk(
+    alpha: RatFunc,
+    beta_k: RatFunc,
+    k: int,
+    alpha_residues: ResidueReport | None = None,
+) -> tuple[bool, RischOutcome]:
     """Order-k obstruction: holds iff the order-k equation has no rational
     solution.  Both deciders run whenever the equation fits the power-pole
     shape; any disagreement is a fatal internal error.  The outcome carries
-    the order-k equation it decided."""
+    the order-k equation it decided.
+
+    ``alpha_residues`` is ``residues(alpha)`` when the caller already has it;
+    the residues of the order-k coefficient (k-1)*alpha are alpha's scaled
+    by k-1, so one report serves every order."""
     eq = build_risch(alpha, beta_k, k)
-    general = solve_general(eq)
+    if alpha_residues is None:
+        alpha_residues = residues(alpha)
+    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1))
     outcome = general
     inst = match_kaltofen(eq)
     if inst is not None:
@@ -242,14 +260,15 @@ def analyze(
     # raises ValueError when the curve is not invariant for the field
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
-    h1 = check_h1(alpha, interpretation)
+    alpha_residues = residues(alpha)
+    h1 = check_h1(alpha, interpretation, alpha_residues)
     orders: list[OrderRecord] = []
     if not h1.holds:
         verdict = Verdict.h1_failed()
     else:
         verdict = Verdict.all_elementary(k_max)
         for k in range(2, k_max + 1):
-            holds, outcome = check_hk(alpha, betas[k - 1], k)
+            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues)
             orders.append(OrderRecord(k, outcome.equation, outcome))
             if holds:
                 verdict = Verdict.not_integrable(k)

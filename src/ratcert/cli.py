@@ -207,9 +207,12 @@ def _cmd_transform(args) -> tuple[int, dict]:
 def _batch_line(line: str) -> dict:
     try:
         payload = json.loads(line)
-        lets = {
-            name: Fraction(str(value)) for name, value in (payload.get("lets") or {}).items()
-        }
+        if not isinstance(payload, dict):
+            raise TypeError(f"a batch line must be a JSON object, got {type(payload).__name__}")
+        lets = payload.get("lets") or {}
+        if not isinstance(lets, dict):
+            raise TypeError(f'"lets" must be a JSON object, got {type(lets).__name__}')
+        lets = {name: Fraction(str(value)) for name, value in lets.items()}
         spec = FieldSpec(
             p_text=payload["p"],
             q_text=payload["q"],

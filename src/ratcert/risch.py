@@ -13,6 +13,10 @@ Two independent deciders are provided:
     coefficient of Y to 2 and caps deg Y, leaving a small linear system.
     Outcomes carry the matched case label (1, 2a, 2b, 2c, 2d).
 
+Both deciders solve their linear systems with ``algebra.solve_linear_system``
+(fraction-free integer elimination), called through this module's global of
+that name.
+
 Any returned solution is substitution-verified before being released, so a
 ``RationalSolution`` outcome is unconditionally sound; absence relies on the
 bounds and is cross-checked between the two deciders in the test suite.
@@ -35,6 +39,7 @@ from .algebra import (
     multiplicity,
     poly_gcd,
     residues,
+    solve_linear_system,
     squarefree_decompose,
 )
 
@@ -101,44 +106,6 @@ def verify_solution(eq: RischEquation, h: RatFunc) -> bool:
     return lhs == pb * qa * d * d
 
 
-# ---------------------------------------------------------------------------
-# linear algebra over Q
-# ---------------------------------------------------------------------------
-
-
-def solve_linear_system(
-    rows: list[list[Fraction]], rhs: list[Fraction], ncols: int
-) -> list[Fraction] | None:
-    """Particular solution (free unknowns set to 0) or None when inconsistent."""
-    aug = [row[:] + [val] for row, val in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for r, col in pivots:
-        solution[col] = aug[r][ncols]
-    return solution
-
-
 def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], list[Fraction]]:
     maxdeg = rhs.degree
     for c in columns:
@@ -196,6 +163,15 @@ def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
     return den.degree + max(candidates)
 
 
+def _values(p: Poly) -> list:
+    """The coefficients of p, as ints when its content is an integer."""
+    c = p.content
+    if c.denominator == 1:
+        n = c.numerator
+        return [n * v for v in p.ints]
+    return list(p.coeffs)
+
+
 def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
     """Solve y' + a*y = b for y = N/den with deg N <= num_degree, exactly.
 
@@ -203,20 +179,20 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     the equation into sum_i n_i*(x**i*B + i*x**(i-1)*A) = pb*qa*den**2, where
     A = den*qa*qb and B = (pa*den - den'*qa)*qb.  Row d of the linear system
     is the coefficient of x**d; column i is written from the coefficients of
-    A and B shifted by i, without a polynomial product per column.
+    A and B shifted by i, without a polynomial product per column.  Entries
+    are ints where the contents of A, B and the right-hand side are integers.
     """
     if num_degree < 0:
         return None
     qa, pa = a.den, a.num
     qb, pb = b.den, b.num
-    acs = (den * qa * qb).coeffs
-    bcs = ((pa * den - den.derivative() * qa) * qb).coeffs
-    rhs = (pb * qa * den * den).coeffs
+    acs = _values(den * qa * qb)
+    bcs = _values((pa * den - den.derivative() * qa) * qb)
+    rhs = _values(pb * qa * den * den)
     height = max(len(rhs), len(bcs) + num_degree, len(acs) + num_degree - 1)
-    zero = Fraction(0)
     columns = []
     for i in range(num_degree + 1):
-        col = [zero] * height
+        col = [0] * height
         col[i : i + len(bcs)] = bcs
         if i:
             for j, c in enumerate(acs):
@@ -228,24 +204,31 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     # highest nonzero coefficient of the columns and the right-hand side
     while len(rows) > len(rhs) and not any(rows[-1]):
         rows.pop()
-    vec = list(rhs) + [zero] * (len(rows) - len(rhs))
+    vec = rhs + [0] * (len(rows) - len(rhs))
     sol = solve_linear_system(rows, vec, num_degree + 1)
     if sol is None:
         return None
     return RatFunc(Poly(sol), den)
 
 
-def solve_general(eq: RischEquation, pole_slack: int = 0, degree_slack: int = 0) -> RischOutcome:
+def solve_general(
+    eq: RischEquation,
+    pole_slack: int = 0,
+    degree_slack: int = 0,
+    a_residues: ResidueReport | None = None,
+) -> RischOutcome:
     """Decide existence of a rational solution by pole/degree bounding plus
     undetermined coefficients.
 
     ``pole_slack`` and ``degree_slack`` widen the bounds; they exist so that
     an absence verdict can be re-checked under strictly larger search spaces.
+    ``a_residues`` is the residue report of ``eq.a`` when the caller already
+    has it (``check_hk`` scales alpha's); otherwise it is computed here.
     """
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
-    rep = residues(a) if not a.is_zero else ResidueReport(RatFunc.zero(), Poly.one(), (), True)
+    rep = a_residues if a_residues is not None else residues(a)
     den = _candidate_denominator(a, b, rep, pole_slack)
     bound = _numerator_degree_bound(a, b, den) + degree_slack
     if bound < 0:

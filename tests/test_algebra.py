@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from ratcert.algebra import (
     Poly,
     RatFunc,
+    _det,
     hermite_reduce,
     poly_gcd,
     rational_roots,
     residues,
     resultant,
+    solve_linear_system,
     squarefree_decompose,
 )
 from conftest import make_poly, rand_poly, rand_ratfunc
@@ -309,3 +311,240 @@ class TestCanonicalForms:
             a = rand_ratfunc(rng, 3, 3)
             b = rand_ratfunc(rng, 3, 3)
             assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+# ---------------------------------------------------------------------------
+# the integer-content kernel against schoolbook Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+# mixed denominators, and mostly-zero lists for sparse operands
+mixed_st = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+coeff_lists_st = st.lists(
+    st.one_of(st.just(Fraction(0)), mixed_st, st.integers(-30, 30).map(Fraction)), max_size=9
+)
+sparse_lists_st = st.lists(st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), mixed_st), max_size=12)
+any_lists_st = coeff_lists_st | sparse_lists_st
+
+
+def _trim(cs: list) -> list:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+class TestIntegerKernel:
+    @given(any_lists_st, any_lists_st)
+    @settings(deadline=None, max_examples=120)
+    def test_add_sub_mul(self, a, b):
+        n = max(len(a), len(b))
+        pad_a = a + [Fraction(0)] * (n - len(a))
+        pad_b = b + [Fraction(0)] * (n - len(b))
+        product = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                product[i + j] += u * v
+        p, q = Poly(a), Poly(b)
+        assert (p + q).coeffs == tuple(_trim([u + v for u, v in zip(pad_a, pad_b)]))
+        assert (p - q).coeffs == tuple(_trim([u - v for u, v in zip(pad_a, pad_b)]))
+        assert (p * q).coeffs == tuple(_trim(product))
+        assert (-p).coeffs == tuple(_trim([-u for u in a]))
+
+    @given(any_lists_st, coeff_lists_st.filter(lambda cs: any(cs)))
+    @settings(deadline=None, max_examples=120)
+    def test_divmod_matches_long_division(self, a, b):
+        # schoolbook long division over Q
+        b = _trim(b)
+        rem = _trim(a)
+        quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+        while len(rem) >= len(b):
+            k = len(rem) - len(b)
+            f = rem[-1] / b[-1]
+            quo[k] = f
+            for i, c in enumerate(b):
+                rem[k + i] -= f * c
+            rem = _trim(rem)
+        q, r = divmod(Poly(a), Poly(b))
+        assert q.coeffs == tuple(_trim(quo))
+        assert r.coeffs == tuple(rem)
+
+    @given(any_lists_st, any_lists_st)
+    @settings(deadline=None, max_examples=120)
+    def test_gcd_matches_fraction_euclid(self, a, b):
+        def remainder(x, y):
+            x = _trim(x)
+            while len(x) >= len(y):
+                k = len(x) - len(y)
+                f = x[-1] / y[-1]
+                for i, c in enumerate(y):
+                    x[k + i] -= f * c
+                x = _trim(x)
+            return x
+
+        x, y = _trim(a), _trim(b)
+        while y:
+            x, y = y, remainder(x, y)
+        expected = tuple(c / x[-1] for c in x) if x else ()
+        assert poly_gcd(Poly(a), Poly(b)).coeffs == expected
+
+    @given(any_lists_st, st.fractions(min_value=-7, max_value=7, max_denominator=6))
+    @settings(deadline=None, max_examples=120)
+    def test_calculus_evaluation_and_monic(self, a, v):
+        p = Poly(a)
+        assert p.derivative().coeffs == tuple(_trim([i * c for i, c in enumerate(a)][1:]))
+        assert p.antiderivative().coeffs == tuple(
+            _trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
+        )
+        assert p.eval(v) == sum((c * v**i for i, c in enumerate(a)), Fraction(0))
+        t = _trim(a)
+        assert p.monic().coeffs == (tuple(c / t[-1] for c in t) if t else ())
+
+    @given(any_lists_st, st.fractions(max_denominator=9).filter(bool))
+    @settings(deadline=None, max_examples=120)
+    def test_canonical_form(self, a, s):
+        from math import gcd
+
+        p = Poly(a)
+        assert all(type(v) is int for v in p.ints)
+        assert isinstance(p.content, Fraction)
+        if p.is_zero:
+            assert p.ints == () and p.content == 0
+        else:
+            assert gcd(*p.ints) == 1 and p.ints[-1] > 0
+            assert p.content * p.ints[-1] == _trim(a)[-1]
+        scaled = Poly([c * s for c in a])
+        assert scaled == p * s and hash(scaled) == hash(p * s)
+        assert scaled.ints == p.ints
+        assert Poly([2, 4]) == 2 * Poly([1, 2]) and hash(Poly([2, 4])) == hash(2 * Poly([1, 2]))
+        assert Poly([Fraction(1, 2), 1]) == Poly([1, 2]) * Fraction(1, 2)
+
+    def test_constructor_rejects_inexact_values(self):
+        with pytest.raises(TypeError):
+            Poly([1, 0.5])
+        with pytest.raises(TypeError):
+            Poly(["1"])
+
+
+def _gauss_jordan(rows, rhs, ncols):
+    """Reference: Gauss-Jordan elimination over Fractions, pivot columns in
+    increasing order, free unknowns set to 0."""
+    aug = [[Fraction(v) for v in row] + [Fraction(val)] for row, val in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [v * inv for v in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    if any(aug[r][ncols] != 0 for r in range(rank, len(aug))):
+        return None
+    solution = [Fraction(0)] * ncols
+    for r, col in pivots:
+        solution[col] = aug[r][ncols]
+    return solution
+
+
+small_st = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=5))
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems of every kind: a random matrix of a drawn rank (rows are
+    combinations of a few base rows, some columns repeat), and a right-hand
+    side that is either in the column space or perturbed out of it."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 6))
+    rank = draw(st.integers(0, min(nrows, ncols) if nrows and ncols else 0))
+    base = [draw(st.lists(small_st, min_size=ncols, max_size=ncols)) for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        weights = draw(st.lists(small_st, min_size=rank, max_size=rank))
+        rows.append([sum((w * b[j] for w, b in zip(weights, base)), Fraction(0)) for j in range(ncols)])
+    if ncols > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[dst] = row[src] * 2
+    x0 = draw(st.lists(small_st, min_size=ncols, max_size=ncols))
+    rhs = [sum((r[j] * x0[j] for j in range(ncols)), Fraction(0)) for r in rows]
+    if rhs and draw(st.booleans()):
+        i = draw(st.integers(0, len(rhs) - 1))
+        rhs[i] += draw(small_st)
+    # ints where the value is integral, as callers pass them
+    as_int = draw(st.booleans())
+    cast = (lambda v: v.numerator if v.denominator == 1 else v) if as_int else (lambda v: v)
+    return [[cast(v) for v in row] for row in rows], [cast(v) for v in rhs], ncols
+
+
+class TestSolveLinearSystem:
+    @given(linear_systems())
+    @settings(deadline=None, max_examples=200)
+    def test_same_particular_solution_as_gauss_jordan(self, system):
+        rows, rhs, ncols = system
+        expected = _gauss_jordan(rows, rhs, ncols)
+        got = solve_linear_system([list(r) for r in rows], list(rhs), ncols)
+        assert got == expected
+        if got is not None:
+            assert all(type(v) is Fraction for v in got)
+            for row, val in zip(rows, rhs):
+                assert sum((a * x for a, x in zip(row, got)), Fraction(0)) == val
+
+    def test_rank_deficient_inconsistent_and_overdetermined(self):
+        # x + 2y = 3 twice, plus 2x + 4y = 6: rank 1, y free
+        assert solve_linear_system([[1, 2], [1, 2], [2, 4]], [3, 3, 6], 2) == [3, 0]
+        # the same rows with 2x + 4y = 7: inconsistent
+        assert solve_linear_system([[1, 2], [1, 2], [2, 4]], [3, 3, 7], 2) is None
+        # an all-zero row with a nonzero right-hand side
+        assert solve_linear_system([[0, 0], [1, 0]], [1, 1], 2) is None
+        # over-determined and consistent: x = 1/2, y = -1/3
+        rows = [[2, 0], [0, 3], [Fraction(1, 2), Fraction(3, 2)], [4, -6]]
+        rhs = [1, -1, Fraction(-1, 4), 4]
+        assert solve_linear_system(rows, rhs, 2) == [Fraction(1, 2), Fraction(-1, 3)]
+        assert solve_linear_system([], [], 3) == [0, 0, 0]
+
+
+class TestDeterminant:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6) | st.just(0), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_matches_cofactor_expansion(self, matrix):
+        def cofactor(m):
+            if len(m) == 1:
+                return m[0][0]
+            return sum(
+                (-1) ** j * m[0][j] * cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
+                for j in range(len(m))
+            )
+
+        assert _det([row[:] for row in matrix]) == cofactor(matrix)
+
+    def test_singular_and_permuted(self):
+        assert _det([[1, 2], [2, 4]]) == 0
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+
+
+class TestScaledResidueReport:
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=3)), max_size=3),
+        st.integers(1, 19),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_residues_of_the_scaled_function(self, poles, s):
+        r = RatFunc(1, X**2 + 1)
+        for pt, res in poles:
+            r = r + RatFunc(res, Poly([-pt, 1]))
+        assert residues(r).scaled(s) == residues(s * r)
+        assert residues(r).scaled(Fraction(1, s)) == residues(r / s)

@@ -115,6 +115,26 @@ class TestAnalyze:
             assert record.outcome.equation is record.equation
             assert verify_solution(record.equation, record.outcome.solution)
 
+    def test_one_residue_report_per_analysis(self, monkeypatch):
+        # check_h1 and every order reuse alpha's report, scaled by k-1
+        from ratcert import risch
+
+        calls = []
+        real = analyzer.residues
+
+        def counted(r):
+            calls.append(r)
+            return real(r)
+
+        monkeypatch.setattr(analyzer, "residues", counted)
+        monkeypatch.setattr(risch, "residues", counted)
+        cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
+        assert len(cert.orders) == 4
+        assert len(calls) == 1
+        calls.clear()
+        check_hk(RatFunc(X**2 - X - 1, X**3), RatFunc(1, X**3), 3)
+        assert len(calls) == 1
+
     def test_specialized_record_keeps_the_order_equation(self):
         cert = analyze(cubic_example_field(), RatFunc.zero(), 2)
         (record,) = cert.orders

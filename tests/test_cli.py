@@ -189,6 +189,22 @@ class TestBatchCommand:
         assert list(lines[2]) == ["error"] and "recursion" in lines[2]["error"]
         assert lines[3]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
 
+    def test_lines_that_are_not_objects_become_error_lines(self, tmp_path):
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        tasks = [json.dumps(good), "[1]", '"s"', "null", "3", json.dumps(good), '{"p": "x", "q": "y", "lets": [1]}']
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 7 and report["failed"] == 5
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == lines[5]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        for line, kind in zip(lines[1:5], ("list", "str", "NoneType", "int")):
+            assert line == {"error": f"a batch line must be a JSON object, got {kind}"}
+        assert lines[6] == {"error": '"lets" must be a JSON object, got list'}
+
     def test_missing_input_file(self):
         code, _ = run(["batch", "--input", "/nonexistent/tasks.jsonl"])
         assert code == 2
