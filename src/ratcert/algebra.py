@@ -20,7 +20,16 @@ Representation notes:
     ``poly_gcd`` are pseudo-division and primitive Euclid.  ``Poly.coeffs``
     builds the ``Fraction`` coefficients on access.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
-    denominator, so structural equality is mathematical equality.
+    denominator, so structural equality is mathematical equality.  A
+    product with (or a quotient by) a nonzero rational keeps both
+    properties, so it scales the numerator and takes no gcd.
+  * ``squarefree_decompose`` is Yun's algorithm with an early exit.  At
+    step i, with c the product of the factors q_j (j >= i) still to be
+    found, Yun's d is sum_{j>=i} (j-i)*q_j'*prod_{l!=j} q_l.  So d = s*c'
+    for a rational s exactly when every factor left in c has multiplicity
+    i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
+    the full loop would give.  On a high power such as x**40 the loop
+    ends at its first step instead of after forty.
   * Linear systems and determinants are solved by fraction-free integer
     elimination (Bareiss 1968), see ``solve_linear_system``.
 
@@ -325,21 +334,26 @@ class Poly:
     def to_str(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
+        # coefficient i is n*u/d in lowest terms after dividing by gcd(u, d),
+        # since n/d, the content, is already in lowest terms
+        n, d = self.content.numerator, self.content.denominator
         parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
+        for i in range(len(self.ints) - 1, -1, -1):
+            u = self.ints[i]
+            if not u:
                 continue
-            mag = abs(c)
+            g = gcd(u, d)
+            top, bot = abs(n * u) // g, d // g
+            mag = str(top) if bot == 1 else f"{top}/{bot}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 v = var if i == 1 else f"{var}^{i}"
-                body = v if mag == 1 else f"{mag}*{v}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                body = v if mag == "1" else f"{mag}*{v}"
+            if (n < 0) != (u < 0):
+                parts.append(f" - {body}" if parts else f"-{body}")
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
+                parts.append(f" + {body}" if parts else body)
         return "".join(parts)
 
     def __eq__(self, other) -> bool:
@@ -420,7 +434,9 @@ def extended_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = lc * prod q_i**m_i with q_i monic squarefree,
-    pairwise coprime, and the multiplicities m_i strictly increasing."""
+    pairwise coprime, and the multiplicities m_i strictly increasing.  The
+    loop stops as soon as the factors left share one multiplicity (see the
+    module docstring)."""
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     f = p.monic()
@@ -432,31 +448,26 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
         return [(f, 1)]
     out: list[tuple[Poly, int]] = []
     c = f.divexact(g)
-    d = df.divexact(g) - c.derivative()
+    dc = c.derivative()
+    d = df.divexact(g) - dc
     i = 1
     while c.degree > 0:
+        # d = s*c' exactly when every factor left in c has multiplicity i + s
+        # (see the module docstring): c is then the last entry
+        if d.ints == dc.ints:
+            s = d.content / dc.content
+            if s.denominator == 1 and s > 0:
+                out.append((c, i + s.numerator))
+                break
         h = poly_gcd(c, d)
         if h.degree > 0:
             out.append((h, i))
-        c = c.divexact(h)
-        d = d.divexact(h) - c.derivative()
+            c = c.divexact(h)
+            d = d.divexact(h)
+            dc = c.derivative()
+        d = d - dc
         i += 1
     return out
-
-
-def multiplicity(factor: Poly, p: Poly) -> int:
-    """Largest m with factor**m dividing p (0 when factor does not divide)."""
-    if factor.degree < 1:
-        raise ValueError("multiplicity requires a nonconstant factor")
-    count = 0
-    work = p
-    while not work.is_zero and work.degree >= factor.degree:
-        quo, rem = divmod(work, factor)
-        if not rem.is_zero:
-            break
-        work = quo
-        count += 1
-    return count
 
 
 def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
@@ -838,10 +849,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _ratfunc_parts(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_ratfunc(other))
@@ -850,12 +858,19 @@ class RatFunc:
         return _ratfunc(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar keeps num and den coprime and den monic
+            return _ratfunc_parts(self.num * other, self.den) if other else _RATFUNC_ZERO
         other = _ratfunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by the zero function")
+            return _ratfunc_parts(self.num * (_FRACTION_ONE / other), self.den)
         other = _ratfunc(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
@@ -905,6 +920,18 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_str()})"
+
+
+def _ratfunc_parts(num: Poly, den: Poly) -> RatFunc:
+    """A RatFunc from a numerator and denominator already coprime, with den
+    monic (and 1 when num is zero)."""
+    out = object.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    return out
+
+
+_RATFUNC_ZERO = _ratfunc_parts(_ZERO, _ONE)
 
 
 def _ratfunc(value) -> RatFunc:

@@ -42,6 +42,10 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 REASON_H1_FAILED = "H1Failed"
 REASON_ALL_ELEMENTARY = "AllOrdersElementary"
 
+# highest order an analysis may be asked for: the curve derivatives and the
+# order-k systems grow with k, and k_max 60 already takes a quarter second
+MAX_KMAX = 200
+
 
 class SolverDisagreementError(RuntimeError):
     """The two independent deciders returned different answers."""
@@ -246,6 +250,8 @@ def analyze(
     """Run the full decision procedure and return its certificate."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    if k_max > MAX_KMAX:
+        raise ValueError(f"k_max must be <= {MAX_KMAX}, got {k_max}")
     chart = "original"
     swapped = False
     transformed: PlanarField | None = None

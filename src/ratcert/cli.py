@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from typing import Mapping
 
 from . import __version__
 from .algebra import RatFunc
-from .analyzer import Certificate, analyze, check_hk
+from .analyzer import MAX_KMAX, Certificate, analyze, check_hk
 from .parsing import ParseError, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import DegenerateCurveError, PlanarField, infinity_transform
 
@@ -78,14 +79,19 @@ def _write_json(path: str, report: dict) -> None:
         handle.write("\n")
 
 
-def _spec_from_args(args) -> FieldSpec:
-    variables = tuple(args.vars.split(","))
+def _variables(text: str) -> tuple[str, str]:
+    """The two variable names of a ``--vars`` option."""
+    variables = tuple(text.split(","))
     if (
         len(variables) != 2
         or variables[0] == variables[1]
         or not all(v.isidentifier() for v in variables)
     ):
-        raise ValueError(f"--vars must name two distinct variables, got {args.vars!r}")
+        raise ValueError(f"--vars must name two distinct variables, got {text!r}")
+    return variables
+
+
+def _spec_from_args(args) -> FieldSpec:
     return FieldSpec(
         p_text=args.p,
         q_text=args.q,
@@ -93,7 +99,7 @@ def _spec_from_args(args) -> FieldSpec:
         k_max=args.kmax,
         at_infinity=args.at_infinity,
         interpretation=args.h1,
-        variables=variables,
+        variables=_variables(args.vars),
         lets=parse_lets(args.let),
     )
 
@@ -181,13 +187,7 @@ def _cmd_risch(args) -> tuple[int, dict]:
 
 
 def _cmd_transform(args) -> tuple[int, dict]:
-    variables = tuple(args.vars.split(","))
-    if (
-        len(variables) != 2
-        or variables[0] == variables[1]
-        or not all(v.isidentifier() for v in variables)
-    ):
-        raise ValueError(f"--vars must name two distinct variables, got {args.vars!r}")
+    variables = _variables(args.vars)
     lets = parse_lets(args.let)
     p = parse_poly(args.p, variables, lets)
     q = parse_poly(args.q, variables, lets)
@@ -213,11 +213,15 @@ def _batch_line(line: str) -> dict:
         if not isinstance(lets, dict):
             raise TypeError(f'"lets" must be a JSON object, got {type(lets).__name__}')
         lets = {name: Fraction(str(value)) for name, value in lets.items()}
+        kmax = payload.get("kmax", 2)
+        if isinstance(kmax, float) and not math.isfinite(kmax):
+            # json reads 1e400 as inf, on which int() raises OverflowError
+            raise ValueError(f'"kmax" must be a finite number, got {kmax!r}')
         spec = FieldSpec(
             p_text=payload["p"],
             q_text=payload["q"],
             phi_text=str(payload.get("phi", "0")),
-            k_max=int(payload.get("kmax", 2)),
+            k_max=int(kmax),
             at_infinity=bool(payload.get("at_infinity", False)),
             interpretation=payload.get("h1", "literal"),
             lets=lets,
@@ -260,7 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--p", required=True, help="first component of the field")
     pa.add_argument("--q", required=True, help="second component of the field")
     pa.add_argument("--phi", default="0", help="invariant curve y = phi(x); default 0")
-    pa.add_argument("--kmax", type=int, default=2, help="highest variational order to test")
+    pa.add_argument(
+        "--kmax", type=int, default=2, help=f"highest variational order to test (2..{MAX_KMAX})"
+    )
     pa.add_argument("--at-infinity", action="store_true", help="analyse along the line at infinity")
     pa.add_argument("--h1", choices=("literal", "corrected"), default="literal")
     pa.add_argument("--json", default=None, help="write the canonical JSON report to PATH")

@@ -6,6 +6,11 @@ Two independent deciders are provided:
     finite place, bounds the numerator degree by matching leading behaviour
     at infinity, then settles existence by an exact linear system in the
     unknown numerator coefficients (Rouche-Frobenius rank comparison).
+    The candidate denominator is a product over a coprime refinement of the
+    squarefree factors of den(a), den(b) and the positive-integer-residue
+    factors of a.  The multiplicities of a refinement element in den(a) and
+    den(b) are read from the squarefree splits themselves: the element
+    divides exactly one split factor, whose multiplicity it has, or none.
 
   * ``solve_xk_specialized``: the ad-hoc case analysis for coefficients of
     the shape a = A(x)/x**k, b = (2*A + 2*x**k*B)/x**(2*k) with k > 1 and
@@ -36,8 +41,6 @@ from .algebra import (
     RatFunc,
     ResidueReport,
     coprime_refinement,
-    multiplicity,
-    poly_gcd,
     residues,
     solve_linear_system,
     squarefree_decompose,
@@ -123,22 +126,30 @@ def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], li
 # ---------------------------------------------------------------------------
 
 
+def _multiplicity(e: Poly, split: list[tuple[Poly, int]]) -> int:
+    """Multiplicity of e in the polynomial whose squarefree split is given,
+    for e an element of a coprime refinement of the split's factors: e
+    divides exactly one factor q (multiplicity m) or none (0)."""
+    for q, m in split:
+        if (q % e).is_zero:
+            return m
+    return 0
+
+
 def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: int = 0) -> Poly:
-    base: list[Poly] = []
-    for r in (a, b):
-        if r.den.degree > 0:
-            base.extend(q for q, _ in squarefree_decompose(r.den))
+    split_a, split_b = (squarefree_decompose(r.den) if r.den.degree > 0 else [] for r in (a, b))
+    base = [q for q, _ in split_a + split_b]
     base.extend(q for q, c in rep.per_factor if c.denominator == 1 and c > 0)
     den = Poly.one()
     for e in coprime_refinement(base):
-        ma = multiplicity(e, a.den)
-        mb = multiplicity(e, b.den)
+        ma = _multiplicity(e, split_a)
+        mb = _multiplicity(e, split_b)
         if ma >= 2:
             bound = max(0, mb - ma)
         elif ma == 1:
             rho = 0
             for q, c in rep.per_factor:
-                if c > 0 and c.denominator == 1 and poly_gcd(e, q).degree > 0:
+                if c > 0 and c.denominator == 1 and (q % e).is_zero:
                     rho = int(c)
                     break
             bound = max(0, mb - 1, rho)

@@ -269,6 +269,156 @@ class TestRationalRoots:
         assert rational_roots(p) == tuple(sorted(expected))
 
 
+def _plain_yun(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's loop run to its end: one gcd per multiplicity, no early exit."""
+    f = p.monic()
+    if f.degree == 0:
+        return []
+    df = f.derivative()
+    g = poly_gcd(f, df)
+    c = f.divexact(g)
+    d = df.divexact(g) - c.derivative()
+    out, i = [], 1
+    while c.degree > 0:
+        h = poly_gcd(c, d)
+        if h.degree > 0:
+            out.append((h, i))
+        c = c.divexact(h)
+        d = d.divexact(h) - c.derivative()
+        i += 1
+    return out
+
+
+# pairwise coprime squarefree factors: distinct linear factors, and quadratics
+# without a rational root whose complex roots differ
+_COPRIME_FACTORS = [
+    X,
+    X - 1,
+    X + 2,
+    X - Fraction(1, 3),
+    X**2 + 1,
+    X**2 - 2,
+    X**2 + X + Fraction(5, 2),
+]
+
+
+@st.composite
+def squarefree_products(draw):
+    """(p, factors with multiplicities): p is a non-monic product of up to
+    three coprime factors, each scaled by a rational, with multiplicities up
+    to 40 and gaps such as {1, 5, 40}."""
+    idx = draw(st.lists(st.integers(0, len(_COPRIME_FACTORS) - 1), min_size=1, max_size=3, unique=True))
+    mults = st.sampled_from([1, 2, 3, 4, 5, 7, 12, 40])
+    p = Poly.const(draw(fractions_st.filter(bool)))
+    spec = []
+    for i in idx:
+        m = draw(mults)
+        if _COPRIME_FACTORS[i].degree == 2 and m > 12:
+            m = 12  # keeps the degree (and the reference loop) small
+        scale = draw(st.sampled_from([1, -1, 3, Fraction(2, 5), Fraction(-7, 3)]))
+        p = p * (scale * _COPRIME_FACTORS[i]) ** m
+        spec.append((_COPRIME_FACTORS[i], m))
+    return p, spec
+
+
+class TestSquarefreeEarlyExit:
+    @given(squarefree_products())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_plain_yun_loop(self, drawn):
+        p, spec = drawn
+        got = squarefree_decompose(p)
+        assert got == _plain_yun(p)
+        rebuilt = Poly.const(p.lc)
+        for factor, mult in got:
+            rebuilt = rebuilt * factor**mult
+        assert rebuilt == p
+        assert all(isinstance(m, int) for _, m in got)
+
+    def test_gapped_multiplicities(self):
+        p = 3 * (X - 1) * (2 * X + 4) ** 5 * (X**2 + 1) ** 40
+        assert squarefree_decompose(p) == [(X - 1, 1), (X + 2, 5), (X**2 + 1, 40)]
+        assert squarefree_decompose(p) == _plain_yun(p)
+
+    def test_high_powers_and_shared_multiplicity(self):
+        assert squarefree_decompose(Fraction(-2, 7) * X**40) == [(X, 40)]
+        p = (X * (X - 1)) ** 40 * (X + 2) ** 3
+        assert squarefree_decompose(p) == [(X + 2, 3), (X**2 - X, 40)]
+
+
+class TestRatFuncScalars:
+    @given(
+        polys_st,
+        polys_st.filter(lambda p: not p.is_zero),
+        fractions_st | st.integers(-9, 9),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_scalar_product_and_quotient_match_the_general_ones(self, num, den, s):
+        r = RatFunc(num, den)
+        # RatFunc(s) is not a scalar, so these take the general (gcd) path
+        assert r * s == r * RatFunc(s) == RatFunc(num * s, den)
+        assert s * r == r * s
+        if s:
+            assert r / s == r / RatFunc(s)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                r / s
+        for out in (r * s, r / s if s else r):
+            assert out.den.lc == 1
+            assert poly_gcd(out.num, out.den) == Poly.one() or out.num.is_zero
+
+    def test_zero_scalar_gives_canonical_zero(self):
+        r = RatFunc(X + 1, X**2)
+        assert (r * 0).den == Poly.one() and (r * 0).is_zero
+        assert (0 * r) == RatFunc.zero()
+
+
+def _fraction_to_str(p: Poly, var: str = "x") -> str:
+    """The rendering through one Fraction per coefficient."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p.coeff(i)
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            body = v if mag == 1 else f"{mag}*{v}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts)
+
+
+class TestPolyToStr:
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.fractions(min_value=-40, max_value=40, max_denominator=12),
+                st.integers(-30, 30).map(Fraction),
+                st.sampled_from([Fraction(1), Fraction(-1), Fraction(10**30, 7), Fraction(-3, 10**20)]),
+            ),
+            max_size=9,
+        ),
+        st.sampled_from(["x", "z1", "t"]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_fraction_rendering(self, cs, var):
+        p = Poly(cs)
+        assert p.to_str(var) == _fraction_to_str(p, var)
+
+    def test_examples(self):
+        assert Poly([Fraction(-1, 3), 0, 1, Fraction(7, 5)]).to_str() == "7/5*x^3 + x^2 - 1/3"
+        assert Poly([0, -1]).to_str() == "-x"
+        assert Poly([Fraction(3, 2)]).to_str() == "3/2"
+        assert Poly.zero().to_str() == "0"
+
+
 class TestCanonicalForms:
     def test_reduced_and_monic(self):
         r = RatFunc(2 * X**2 - 2, 4 * X + 4)  # (2x^2-2)/(4x+4) = (x-1)/2

@@ -157,6 +157,10 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(cubic_example_field(), RatFunc.zero(), 1)
 
+    def test_kmax_upper_bound(self):
+        with pytest.raises(ValueError, match=f"k_max must be <= {analyzer.MAX_KMAX}"):
+            analyze(cubic_example_field(), RatFunc.zero(), analyzer.MAX_KMAX + 1)
+
     def test_at_infinity_matches_direct_transform(self):
         tilde = PlanarField(BivarPoly.var(1), BivarPoly.var(0))  # z2 d1 + z1 d2
         direct = analyze(infinity_transform(tilde), RatFunc.zero(), 2)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from ratcert.analyzer import MAX_KMAX
 from ratcert.cli import run
 
 
@@ -102,6 +103,19 @@ class TestAnalyzeCommand:
         code, _ = run(["analyze", "--p", "x", "--q", "x", "--vars", "x,x", "--kmax", "2"])
         assert code == 2
 
+    def test_oversized_kmax_is_input_error(self):
+        # rejected before any work: without the bound this does not finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "analyze", "--p", "x^3-y", "--q", "y",
+             "--kmax", "100000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"k_max must be <= {MAX_KMAX}" in proc.stderr
+
 
 class TestRischCommand:
     def test_linear_profile_solution(self, capsys):
@@ -133,6 +147,11 @@ class TestTransformCommand:
         assert report["field"] == {"p": "x^2 - 1", "q": "x*y"}
         out = capsys.readouterr().out
         assert "p = x^2 - 1" in out and "q = x*y" in out
+
+    def test_duplicate_variable_names_rejected(self, capsys):
+        code, report = run(["transform", "--p", "z1", "--q", "z1", "--vars", "z1,z1"])
+        assert code == 2 and report is None
+        assert "--vars must name two distinct variables" in capsys.readouterr().err
 
 
 class TestBatchCommand:
@@ -204,6 +223,29 @@ class TestBatchCommand:
         for line, kind in zip(lines[1:5], ("list", "str", "NoneType", "int")):
             assert line == {"error": f"a batch line must be a JSON object, got {kind}"}
         assert lines[6] == {"error": '"lets" must be a JSON object, got list'}
+
+    def test_poisoned_kmax_lines_keep_their_neighbours(self, tmp_path):
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        other = {"p": "x^2-y", "q": "y*(x+1)", "kmax": 2}
+        tasks = [
+            json.dumps(good),
+            '{"p": "x^3-y", "q": "y", "kmax": 1e400}',
+            json.dumps(other),
+            '{"p": "x^3-y", "q": "y", "kmax": 100000000000}',
+            json.dumps(good),
+        ]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 5 and report["failed"] == 2
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == lines[4]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert lines[1] == {"error": '"kmax" must be a finite number, got inf'}
+        assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+        assert lines[3] == {"error": f"k_max must be <= {MAX_KMAX}, got 100000000000"}
 
     def test_missing_input_file(self):
         code, _ = run(["batch", "--input", "/nonexistent/tasks.jsonl"])

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratcert import risch
-from ratcert.algebra import Poly, RatFunc
+from ratcert.algebra import (
+    Poly,
+    RatFunc,
+    coprime_refinement,
+    poly_gcd,
+    residues,
+    squarefree_decompose,
+)
 from ratcert.risch import (
     KaltofenInstance,
     NonIntegerResidueError,
@@ -214,6 +221,91 @@ class TestSolveUndetermined:
         with mock.patch.object(risch, "solve_linear_system", record):
             solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
         assert seen == [rows]
+
+
+def _candidate_by_division(a: RatFunc, b: RatFunc, rep, slack: int = 0) -> Poly:
+    """The candidate denominator with each multiplicity counted by dividing
+    the denominator by the refinement element until it no longer divides."""
+
+    def count(e: Poly, p: Poly) -> int:
+        m = 0
+        while p.degree >= e.degree:
+            q, r = divmod(p, e)
+            if not r.is_zero:
+                break
+            p, m = q, m + 1
+        return m
+
+    base = []
+    for r in (a, b):
+        if r.den.degree > 0:
+            base.extend(q for q, _ in squarefree_decompose(r.den))
+    base.extend(q for q, c in rep.per_factor if c.denominator == 1 and c > 0)
+    den = Poly.one()
+    for e in coprime_refinement(base):
+        ma, mb = count(e, a.den), count(e, b.den)
+        if ma >= 2:
+            bound = max(0, mb - ma)
+        elif ma == 1:
+            rho = 0
+            for q, c in rep.per_factor:
+                if c > 0 and c.denominator == 1 and poly_gcd(e, q).degree > 0:
+                    rho = int(c)
+                    break
+            bound = max(0, mb - 1, rho)
+        else:
+            bound = max(0, mb - 1)
+        if slack and (ma or mb):
+            bound += slack
+        den = den * e**bound
+    return den
+
+
+_POLE_FACTORS = [X, X - 1, X + 2, X**2 + 1, X**2 - 2]
+
+
+@st.composite
+def pole_data(draw):
+    """(den, simple) for one coefficient: den a product of pole factors with
+    multiplicities 0..6, simple a sum c*q'/q with integer c (residue c at
+    each root of q)."""
+    den = Poly.one()
+    for q in _POLE_FACTORS:
+        den = den * q ** draw(st.sampled_from([0, 0, 1, 2, 3, 6]))
+    simple = RatFunc.zero()
+    for q in draw(st.lists(st.sampled_from(_POLE_FACTORS), max_size=2, unique=True)):
+        simple = simple + draw(st.integers(-3, 4)) * RatFunc(q.derivative(), q)
+    return den, simple
+
+
+class TestCandidateDenominator:
+    @given(
+        a_data=pole_data(),
+        b_data=pole_data(),
+        a_num=small_polys_st,
+        b_num=nonzero_polys_st,
+        scale=st.integers(1, 19),
+        slack=st.integers(0, 2),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_multiplicities_by_division(self, a_data, b_data, a_num, b_num, scale, slack):
+        a = scale * (RatFunc(a_num, a_data[0]) + a_data[1])
+        b = RatFunc(b_num, b_data[0]) + b_data[1]
+        rep = residues(a)
+        expected = _candidate_by_division(a, b, rep, slack)
+        assert risch._candidate_denominator(a, b, rep, slack) == expected
+        if not slack:
+            assert risch._candidate_denominator(a, b, rep) == expected
+
+    def test_high_powers_of_x(self):
+        # the tower's shape at order 20: a = 19*alpha, b with den x**40
+        a = 19 * RatFunc(X + 1, X**2)
+        b = RatFunc(X**3 + 5, X**40)
+        rep = residues(a)
+        for slack in (0, 2):
+            assert risch._candidate_denominator(a, b, rep, slack) == _candidate_by_division(
+                a, b, rep, slack
+            )
 
 
 class TestSubstitutionCheck:

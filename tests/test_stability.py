@@ -1,0 +1,69 @@
+"""Byte-stability guard: canonical reports of a few fixed cases are pinned.
+
+Each digest is the sha256 of the canonical JSON report without its ``meta``
+block (which names the tool version), and of the text printed on stdout.
+The digests were recorded before the polynomial printer, the squarefree split
+and the scalar ``RatFunc`` products were rewritten for speed, so any change
+to a certificate byte shows here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from ratcert.cli import run
+
+RISCH_ALPHA = "(3/2*x^2 - x + 5)/x^3 + 2/(x - 1)"
+# beta = h' + 2*alpha*h for h = (7/5*x^3 + x^2 - 1/3)/(x^2*(x - 1)^2)
+RISCH_BETA = (
+    "(42/5*x^6 - 17/5*x^5 + 59/5*x^4 - 3*x^3 - 9*x^2 - 4*x + 10/3)"
+    "/(x^8 - 3*x^7 + 3*x^6 - x^5)"
+)
+
+# name: (argv, sha256 of the canonical report, sha256 of stdout)
+PINNED = {
+    "tower-kmax-20": (
+        ["analyze", "--p", "x^2 - (67/89)*y", "--q", "y*(x + 1)", "--kmax", "20"],
+        "4902053307642445cf501bab84d768b4f47d572375cd7a391e2ee402174a78f8",
+        "70fea6c59da3d93355e904835f55d1f33cff4994c5cf7498948172a7445149a3",
+    ),
+    "cubic-k2": (
+        ["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)", "--kmax", "2"],
+        "36d79eb0356464ea8ab520aeaa6fda35bf3bea76e44b0b8df7eca1818dfe0160",
+        "4136ab74562b6011ac07d11f3fa738b8d3af516dcfa24f488a61d9c8621c8c9b",
+    ),
+    "cubic-at-infinity": (
+        [
+            "analyze",
+            "--p", "3/2*x^3 - 5/3*x^2*y + x*y^2 - 2*x^2",
+            "--q", "3/2*x^2*y - 5/3*x*y^2 + x^2 - 2*x*y",
+            "--at-infinity", "--kmax", "3",
+        ],
+        "51d25890ca7d7847fd31009889293e1ccd506dadc90b3d326b822135b75f3677",
+        "ad895d614382868b43e691d6b4b29db1f9b167b456b67495f236a3924f6f4134",
+    ),
+    "risch-order-3": (
+        ["risch", "--alpha", RISCH_ALPHA, "--beta", RISCH_BETA, "--order", "3"],
+        "857c46bc4d926c6de9686311d2de6fa2ff9732fd8ed82aafdeb30bd8f02c6a5e",
+        "7e2fbdb7ce373eb82872e6b4d854d5bed05030019c446fbe81389734c818f4a7",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_bytes_are_pinned(name):
+    argv, report_sha, stdout_sha = PINNED[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code, report = run(argv)
+    assert code == 0
+    report.pop("meta")
+    assert _sha(json.dumps(report, sort_keys=True, separators=(",", ":"))) == report_sha
+    assert _sha(out.getvalue()) == stdout_sha
