@@ -30,6 +30,10 @@ Representation notes:
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
     the full loop would give.  On a high power such as x**40 the loop
     ends at its first step instead of after forty.
+  * ``hermite_reduce`` splits the denominator once and lowers each
+    multiple factor one power at a time against that split (Bronstein's
+    quadratic Hermite reduction); only its two results are reduced
+    ``RatFunc``s, not the value after every pass.
   * Linear systems and determinants are solved by fraction-free integer
     elimination (Bareiss 1968), see ``solve_linear_system``.
 
@@ -220,6 +224,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        a = self.ints
+        if a and not any(a[:-1]):
+            # c*x**k: its ints are (0, ..., 0, 1), so the power is direct
+            return _make((0,) * ((len(a) - 1) * n) + (1,), self.content**n)
         result = _ONE
         base = self
         while n:
@@ -947,27 +955,48 @@ def _ratfunc(value) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
+def _hermite(a: Poly, d: Poly) -> tuple[Poly, Poly, Poly, Poly]:
+    """Hermite reduction of a proper a/d, d monic, from one squarefree split
+    of d (Bronstein, Symbolic Integration I, sec. 2.2, quadratic version).
+
+    Returns (hn, hd, a', d') with a/d = (hn/hd)' + a'/d', d' squarefree and
+    hn/hd proper.  For each factor v of multiplicity i >= 2, with
+    u = d/v**i, step j = i-1, ..., 1 solves b*u*v' + c*v = -a/j with
+    deg b < deg v; then a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with
+    a_new = -j*c - u*b'.  The inverse of u*v' modulo v serves every step."""
+    hn, hd = Poly.zero(), Poly.one()
+    for v, i in squarefree_decompose(d):
+        if i < 2:
+            continue
+        u = d.divexact(v**i)
+        uv = u * v.derivative()
+        _, inv, _ = extended_gcd(uv, v)
+        num, vpow = Poly.zero(), Poly.one()  # sum of b*v**(i-1-j), v**(i-1-j)
+        for j in range(i - 1, 0, -1):
+            rhs = a * Fraction(-1, j)
+            b = (rhs * inv) % v
+            c = (rhs - b * uv).divexact(v)
+            num = num + b * vpow
+            vpow = vpow * v
+            a = c * -j - u * b.derivative()
+        # h gains num/v**(i-1); the factors of the split are pairwise coprime
+        hn, hd = hn * vpow + num * hd, hd * vpow
+        d = u * v
+    return hn, hd, a, d
+
+
 def hermite_reduce(r: RatFunc) -> tuple[RatFunc, RatFunc]:
     """Split r = h' + g where g has only simple poles and a squarefree
     denominator.  The polynomial part of r is absorbed into h, so the
-    residues of r are exactly the residues of g."""
+    residues of r are exactly the residues of g.  Both parts are unique:
+    g is proper, and h is a polynomial without constant term plus a proper
+    fraction."""
     poly_part, frac = r.split_polynomial_part()
-    h = RatFunc(poly_part.antiderivative())
-    while True:
-        if frac.is_zero:
-            break
-        dec = squarefree_decompose(frac.den)
-        if not dec or dec[-1][1] == 1:
-            break
-        v, m = dec[-1]
-        u = frac.den.divexact(v**m)
-        g1, s0, _ = extended_gcd(u * v.derivative(), v)
-        assert g1 == Poly.one()
-        s = (frac.num * s0) % v
-        t = (frac.num - s * u * v.derivative()).divexact(v)
-        h = h + RatFunc(-s, (m - 1) * v ** (m - 1))
-        frac = RatFunc(t * (m - 1) + u * s.derivative(), (m - 1) * (u * v ** (m - 1)))
-    return h, frac
+    integral = poly_part.antiderivative()
+    if frac.is_zero:
+        return RatFunc(integral), frac
+    hn, hd, a, d = _hermite(frac.num, frac.den)
+    return RatFunc(integral * hd + hn, hd), RatFunc(a, d)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,12 @@ class Certificate:
         return d
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
+
+
+def canonical_json(report: dict) -> str:
+    """The one canonical JSON form of a report: sorted keys, no spaces."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def _outcome_dict(outcome: RischOutcome) -> dict:

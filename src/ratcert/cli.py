@@ -28,7 +28,7 @@ from typing import Mapping
 
 from . import __version__
 from .algebra import RatFunc
-from .analyzer import MAX_KMAX, Certificate, analyze, check_hk
+from .analyzer import MAX_KMAX, Certificate, analyze, canonical_json, check_hk
 from .parsing import ParseError, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import DegenerateCurveError, PlanarField, infinity_transform
 
@@ -65,17 +65,13 @@ class FieldSpec:
         )
 
 
-def _canonical(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
 def _meta(options: dict) -> dict:
     return {"tool": "ratcert", "version": __version__, "options": options}
 
 
 def _write_json(path: str, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_canonical(report))
+        handle.write(canonical_json(report))
         handle.write("\n")
 
 
@@ -240,7 +236,7 @@ def _cmd_batch(args) -> tuple[int, dict]:
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for result in results:
-            sink.write(_canonical(result))
+            sink.write(canonical_json(result))
             sink.write("\n")
     finally:
         if sink is not sys.stdout:

@@ -7,12 +7,20 @@ Grammar (no floating literals, no implicit multiplication):
     factor := base ('^' uint)?
     base   := ident | uint | '(' expr ')'
 
-Division is evaluated exactly on rational functions, so "1/2*x + 3" yields
-the polynomial with coefficient 1/2 and ``parse_poly`` rejects any input
-whose value has a nonconstant denominator.  Identifiers must be declared
-variables or let-bound rational constants; anything else is a positioned
-error.  Parentheses nest at most ``MAX_NESTING`` deep, so hostile input ends
-in a positioned error rather than exhausting the interpreter stack.
+Values stay ``BivarPoly`` (rows of integer-kernel polynomials) through
+``+ - * ^`` and through ``/`` by a nonzero constant, so "1/2*x + 3" is the
+polynomial with coefficient 1/2 and is never a fraction.  A value becomes a
+``BivarRatFunc`` only below a ``/`` by a nonconstant, and is then combined
+exactly as a rational function; ``parse_poly`` rejects a value whose
+(monomial-stripped, unreduced) denominator is not constant, so "x^2/x" is
+accepted and "(x^2-1)/(x-1)" is not.  Identifiers must be declared variables
+or let-bound rational constants; anything else is a positioned error.
+
+Input size is bounded, and every bound ends in a positioned ``ParseError``
+before any work is done: parentheses nest at most ``MAX_NESTING`` deep (so
+hostile input cannot exhaust the interpreter stack), an exponent is at most
+``MAX_DEGREE``, and no power or product may produce a numerator or
+denominator of total degree above ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import Poly, RatFunc
-from .planar import BivarPoly, BivarRatFunc
+from .planar import BivarPoly, BivarRatFunc, _bivar_rf
 
 
 class ParseError(ValueError):
@@ -41,6 +49,8 @@ _OPS = set("+-*/^()")
 
 # each level of parentheses costs four stack frames (expr, term, factor, base)
 MAX_NESTING = 100
+# largest exponent, and largest total degree of a numerator or denominator
+MAX_DEGREE = 200
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -75,6 +85,56 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _int(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:
+        # digits int() does not read (such as superscripts), or too many
+        raise ParseError(f"bad integer literal {tok.text[:20]!r}", tok.pos) from None
+
+
+def _degrees(value: BivarPoly | BivarRatFunc) -> tuple[int, int]:
+    """Total degrees of a value's numerator and denominator (0 for zero)."""
+    if isinstance(value, BivarPoly):
+        return max(value.total_degree, 0), 0
+    return max(value.num.total_degree, 0), value.den.total_degree
+
+
+def _bound(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds the limit {MAX_DEGREE}", pos)
+
+
+def _combine(
+    op: str, a: BivarPoly | BivarRatFunc, b: BivarPoly | BivarRatFunc, pos: int
+) -> BivarPoly | BivarRatFunc:
+    """a op b for a binary operator; ``pos`` is the operator's position."""
+    if op == "/" and b.is_zero:
+        raise ParseError("division by zero", pos)
+    if isinstance(a, BivarPoly) and isinstance(b, BivarPoly):
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            _bound(max(a.total_degree + b.total_degree, 0), pos)
+            return a * b
+        if b.total_degree == 0:
+            return a * (1 / b.coeff(0, 0))
+    # a rational operand, or a division by a nonconstant: bound the degrees
+    # of the products that form the unreduced result
+    na, da = _degrees(a)
+    nb, db = _degrees(b)
+    if op == "*":
+        _bound(max(na + nb, da + db), pos)
+        return _bivar_rf(a) * b
+    if op == "/":
+        _bound(max(na + db, da + nb), pos)
+        return _bivar_rf(a) / b
+    _bound(max(na + db, nb + da, da + db), pos)
+    return _bivar_rf(a) + b if op == "+" else _bivar_rf(a) - b
+
+
 class _Parser:
     def __init__(
         self,
@@ -105,14 +165,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
         self.advance()
 
-    def parse(self) -> BivarRatFunc:
+    def parse(self) -> BivarPoly | BivarRatFunc:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "END":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
         return value
 
-    def expr(self) -> BivarRatFunc:
+    def expr(self) -> BivarPoly | BivarRatFunc:
         tok = self.peek()
         negate = False
         if tok.kind == "OP" and tok.text in "+-":
@@ -125,28 +185,21 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
+                value = _combine(tok.text, value, self.term(), tok.pos)
             else:
                 return value
 
-    def term(self) -> BivarRatFunc:
+    def term(self) -> BivarPoly | BivarRatFunc:
         value = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "*/":
                 self.advance()
-                rhs = self.factor()
-                if tok.text == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", tok.pos)
-                    value = value / rhs
+                value = _combine(tok.text, value, self.factor(), tok.pos)
             else:
                 return value
 
-    def factor(self) -> BivarRatFunc:
+    def factor(self) -> BivarPoly | BivarRatFunc:
         value = self.base()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
@@ -155,20 +208,27 @@ class _Parser:
             if etok.kind != "INT":
                 raise ParseError("exponent must be an unsigned integer", etok.pos)
             self.advance()
-            value = BivarRatFunc(value.num ** int(etok.text), value.den ** int(etok.text))
+            n = _int(etok)
+            if n > MAX_DEGREE:
+                raise ParseError(f"exponent {n} exceeds the limit {MAX_DEGREE}", etok.pos)
+            _bound(n * max(_degrees(value)), tok.pos)
+            if isinstance(value, BivarPoly):
+                value = value**n
+            else:
+                value = BivarRatFunc(value.num**n, value.den**n)
         return value
 
-    def base(self) -> BivarRatFunc:
+    def base(self) -> BivarPoly | BivarRatFunc:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return BivarRatFunc(BivarPoly.const(int(tok.text)))
+            return BivarPoly.const(_int(tok))
         if tok.kind == "IDENT":
             self.advance()
             if tok.text in self.variables:
-                return BivarRatFunc(BivarPoly.var(self.variables.index(tok.text)))
+                return BivarPoly.var(self.variables.index(tok.text))
             if tok.text in self.lets:
-                return BivarRatFunc(BivarPoly.const(self.lets[tok.text]))
+                return BivarPoly.const(self.lets[tok.text])
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "OP" and tok.text == "(":
             if self.depth == MAX_NESTING:
@@ -182,14 +242,20 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
 
 
+def _parse(
+    text: str, variables: Sequence[str], lets: Mapping[str, Fraction] | None
+) -> BivarPoly | BivarRatFunc:
+    if len(variables) != 2 or variables[0] == variables[1]:
+        raise ValueError("exactly two distinct variable names are required")
+    return _Parser(text, variables, lets).parse()
+
+
 def parse_rational(
     text: str,
     variables: Sequence[str] = ("x", "y"),
     lets: Mapping[str, Fraction] | None = None,
 ) -> BivarRatFunc:
-    if len(variables) != 2 or variables[0] == variables[1]:
-        raise ValueError("exactly two distinct variable names are required")
-    return _Parser(text, variables, lets).parse()
+    return _bivar_rf(_parse(text, variables, lets))
 
 
 def parse_poly(
@@ -198,31 +264,27 @@ def parse_poly(
     lets: Mapping[str, Fraction] | None = None,
 ) -> BivarPoly:
     """Parse a polynomial; rejects values with a nonconstant denominator."""
-    value = parse_rational(text, variables, lets)
+    value = _parse(text, variables, lets)
+    if isinstance(value, BivarPoly):
+        return value
     if value.den.total_degree > 0:
         raise ParseError("expression is not a polynomial", len(text))
-    scale = value.den.coeff(0, 0)
-    return value.num * (1 / scale)
+    return value.num * (1 / value.den.coeff(0, 0))
 
 
 def _to_univar(p: BivarPoly, position_hint: int) -> Poly:
-    if any(j for _, j in p.terms):
+    if p.rows.keys() - {0}:
         raise ParseError("expected a univariate expression", position_hint)
-    out: dict[int, Fraction] = {i: c for (i, _), c in p.terms.items()}
-    if not out:
-        return Poly.zero()
-    coeffs = [Fraction(0)] * (max(out) + 1)
-    for i, c in out.items():
-        coeffs[i] = c
-    return Poly(coeffs)
+    return p.rows.get(0, Poly.zero())
 
 
 def parse_univar_ratfunc(
     text: str, var: str = "x", lets: Mapping[str, Fraction] | None = None
 ) -> RatFunc:
     """Parse a univariate rational function such as "(x+1)/x^2"."""
-    dummy = var + "__second"
-    value = parse_rational(text, (var, dummy), lets)
+    value = _parse(text, (var, var + "__second"), lets)
+    if isinstance(value, BivarPoly):
+        return RatFunc(_to_univar(value, 0))
     return RatFunc(_to_univar(value.num, 0), _to_univar(value.den, 0))
 
 

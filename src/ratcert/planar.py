@@ -1,184 +1,223 @@
 """Planar polynomial vector fields over Q.
 
-Bivariate polynomials are sparse maps (deg_first, deg_second) -> Fraction.
-The two variables are positional: a field (p, q) read in the finite chart
-uses (x, y), a field about to be pushed through the infinity chart uses
-(z1, z2).  Names only matter when parsing or printing.
+A bivariate polynomial is stored by rows: ``BivarPoly.rows`` maps each power
+j of the second variable to its coefficient, a nonzero ``algebra.Poly`` in
+the first variable.  Products and sums therefore run on the integer kernel
+of ``algebra`` (int convolutions times one rational content per row); the
+``(i, j) -> Fraction`` view ``BivarPoly.terms`` is built on access.  The two
+variables are positional: a field (p, q) read in the finite chart uses
+(x, y), a field about to be pushed through the infinity chart uses (z1, z2).
+Names only matter when parsing or printing.
 
 This module carries the chart change that moves the line at infinity to
 y = 0, invariant-curve verification, the extraction of the variational
 coefficients along a curve y = phi(x), and the Darboux-type first-integral
 check X(R) + R*X(S) = 0.
+
+The variational coefficients come from one Taylor series.  With phi = n/d
+and D the degree of the field in y, the polynomials
+
+    F_m = d**D * [eta**m] F(x, n/d + eta)
+        = sum_{j >= m} C(j, m) * F_j(x) * n**(j-m) * d**(D-j+m)
+
+(F = P, Q; F_j the rows) give Q(x, phi+eta)/P(x, phi+eta) = sum s_j*eta**j
+with s_j = N_j / P_0**(j+1), where
+
+    N_j = Q_j*P_0**j - sum_{i=1..j} P_i*N_{j-i}*P_0**(i-1),
+
+and beta_j, the j-th y-derivative of Q/P on the curve, is j!*s_j.  The
+invariance test is the m = 0 case on cleared denominators:
+Q(x, phi) = phi' * P(x, phi) exactly when Q_0*d**2 = (n'*d - n*d')*P_0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _as_fraction
+from .algebra import Poly, RatFunc, _lowest_power, _make
 
 
 class DegenerateCurveError(ValueError):
     """The graph parametrisation y = phi(x) degenerates: P(x, phi(x)) = 0."""
 
 
-class BivarPoly:
-    """Sparse bivariate polynomial over Q."""
+def _from_rows(rows: dict[int, Poly]) -> "BivarPoly":
+    """A BivarPoly from rows that are all nonzero."""
+    out = object.__new__(BivarPoly)
+    out.rows = rows
+    return out
 
-    __slots__ = ("terms",)
+
+class BivarPoly:
+    """Bivariate polynomial over Q, stored by rows (see the module
+    docstring).  ``rows`` is read-only by contract."""
+
+    __slots__ = ("rows",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        out: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    out[(int(i), int(j))] = c
-        self.terms = out
+        grouped: dict[int, dict[int, object]] = {}
+        for (i, j), c in (terms or {}).items():
+            i, j = int(i), int(j)
+            if i < 0 or j < 0:
+                raise ValueError("exponents must be nonnegative")
+            grouped.setdefault(j, {})[i] = c
+        rows: dict[int, Poly] = {}
+        for j, cs in grouped.items():
+            coeffs: list[object] = [0] * (max(cs) + 1)
+            for i, c in cs.items():
+                coeffs[i] = c
+            row = Poly(coeffs)
+            if row.ints:
+                rows[j] = row
+        self.rows = rows
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "BivarPoly":
-        return cls()
+        return _from_rows({})
 
     @classmethod
     def const(cls, c) -> "BivarPoly":
-        return cls({(0, 0): c})
+        row = Poly.const(c)
+        return _from_rows({0: row} if row.ints else {})
 
     @classmethod
     def var(cls, index: int) -> "BivarPoly":
         if index == 0:
-            return cls({(1, 0): 1})
+            return _from_rows({0: Poly.x()})
         if index == 1:
-            return cls({(0, 1): 1})
+            return _from_rows({1: Poly.one()})
         raise ValueError("variable index must be 0 or 1")
 
     @classmethod
     def from_univar(cls, p: Poly, index: int) -> "BivarPoly":
+        if p.is_zero:
+            return _from_rows({})
         if index == 0:
-            return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
-        return cls({(0, i): c for i, c in enumerate(p.coeffs)})
+            return _from_rows({0: p})
+        return _from_rows({j: Poly.const(c) for j, c in enumerate(p.coeffs) if c})
 
     # -- queries -------------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero coefficients keyed by (power of first, power of
+        second), built on access."""
+        out: dict[tuple[int, int], Fraction] = {}
+        for j, row in self.rows.items():
+            c = row.content
+            for i, v in enumerate(row.ints):
+                if v:
+                    out[(i, j)] = c * v
+        return out
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     @property
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
+        return max((j + row.degree for j, row in self.rows.items()), default=-1)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        row = self.rows.get(j)
+        return row.coeff(i) if row is not None else Fraction(0)
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(key[index] for key in self.terms)
+        if index == 1:
+            return max(self.rows, default=-1)
+        return max((row.degree for row in self.rows.values()), default=-1)
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _add(self, other: "BivarPoly", negate: bool) -> "BivarPoly":
+        rows = dict(self.rows)
+        for j, r in other.rows.items():
+            mine = rows.get(j)
+            if mine is None:
+                rows[j] = -r if negate else r
+                continue
+            s = mine - r if negate else mine + r
+            if s.ints:
+                rows[j] = s
+            else:
+                del rows[j]
+        return _from_rows(rows)
+
     def __add__(self, other) -> "BivarPoly":
-        other = _bivar(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivarPoly(out)
+        return self._add(_bivar(other), False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -c for k, c in self.terms.items()})
+        return _from_rows({j: -r for j, r in self.rows.items()})
 
     def __sub__(self, other) -> "BivarPoly":
-        return self + (-_bivar(other))
+        return self._add(_bivar(other), True)
 
     def __rsub__(self, other) -> "BivarPoly":
-        return _bivar(other) + (-self)
+        return _bivar(other)._add(self, True)
 
     def __mul__(self, other) -> "BivarPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BivarPoly({k: c * v for k, v in self.terms.items()})
+            if not other:
+                return _from_rows({})
+            return _from_rows({j: r * other for j, r in self.rows.items()})
         other = _bivar(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivarPoly(out)
+        out: dict[int, Poly] = {}
+        for j1, r1 in self.rows.items():
+            for j2, r2 in other.rows.items():
+                j = j1 + j2
+                prod = r1 * r2
+                acc = out.get(j)
+                out[j] = prod if acc is None else acc + prod
+        return _from_rows({j: r for j, r in out.items() if r.ints})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BivarPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = BivarPoly.const(1)
+        if n == 0:
+            return BivarPoly.const(1)
+        if len(self.rows) == 1:
+            # a single row, monomials such as x**7 included: one Poly power
+            ((j, row),) = self.rows.items()
+            return _from_rows({j * n: row**n})
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- calculus and substitution -------------------------------------------
 
     def diff(self, index: int) -> "BivarPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if index == 0 and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + c * i
-            elif index == 1 and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + c * j
-        return BivarPoly(out)
-
-    def eval(self, a, b) -> Fraction:
-        a, b = _as_fraction(a), _as_fraction(b)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * a**i * b**j
-        return total
+        if index == 0:
+            rows = {j: r.derivative() for j, r in self.rows.items() if r.degree > 0}
+        else:
+            rows = {j - 1: r * j for j, r in self.rows.items() if j > 0}
+        return _from_rows(rows)
 
     def rows_by_second(self) -> dict[int, Poly]:
         """Coefficients in the second variable: {j: poly in the first var}."""
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (i, j), c in self.terms.items():
-            rows.setdefault(j, {})[i] = c
-        out: dict[int, Poly] = {}
-        for j, cs in rows.items():
-            coeffs = [Fraction(0)] * (max(cs) + 1)
-            for i, c in cs.items():
-                coeffs[i] = c
-            out[j] = Poly(coeffs)
-        return out
-
-    def subst_second(self, phi: RatFunc) -> RatFunc:
-        """p(x, phi(x)) as a univariate rational function."""
-        rows = self.rows_by_second()
-        if not rows:
-            return RatFunc.zero()
-        acc = RatFunc.zero()
-        for j in range(max(rows), -1, -1):
-            acc = acc * phi + RatFunc(rows.get(j, Poly.zero()))
-        return acc
+        return dict(self.rows)
 
     def at_first_one(self) -> Poly:
         """p(1, t) as a univariate polynomial in the second variable."""
-        out: dict[int, Fraction] = {}
-        for (_, j), c in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + c
-        if not out:
+        if not self.rows:
             return Poly.zero()
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for j, c in out.items():
-            coeffs[j] = c
+        coeffs = [Fraction(0)] * (max(self.rows) + 1)
+        for j, row in self.rows.items():
+            coeffs[j] = row.content * sum(row.ints)
         return Poly(coeffs)
 
     def swap_vars(self) -> "BivarPoly":
@@ -186,12 +225,9 @@ class BivarPoly:
 
     def divexact_first(self) -> "BivarPoly":
         """Exact division by the first variable."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                raise ValueError("polynomial is not divisible by the first variable")
-            out[(i - 1, j)] = c
-        return BivarPoly(out)
+        if any(r.ints[0] for r in self.rows.values()):
+            raise ValueError("polynomial is not divisible by the first variable")
+        return _from_rows({j: _make(r.ints[1:], r.content) for j, r in self.rows.items()})
 
     def projective_clear(self, n: int) -> "BivarPoly":
         """z1**n * p(z2/z1, 1/z1) as a polynomial in (z1, z2).
@@ -203,21 +239,24 @@ class BivarPoly:
             e = n - i - j
             if e < 0:
                 raise ValueError("clearing exponent below total degree")
-            key = (e, i)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[(e, i)] = c
         return BivarPoly(out)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(i + j == degree for i, j in self.terms)
+        # row j must be a single monomial of degree degree - j
+        return all(
+            r.degree == degree - j and not any(r.ints[:-1]) for j, r in self.rows.items()
+        )
 
     def to_str(self, variables: tuple[str, str] = ("x", "y")) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         vx, vy = variables
-        keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1]))
+        keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1]))
         parts: list[str] = []
         for i, j in keys:
-            c = self.terms[(i, j)]
+            c = terms[(i, j)]
             mag = abs(c)
             factors = []
             if i:
@@ -241,10 +280,10 @@ class BivarPoly:
             other = BivarPoly.const(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self.rows.items()))
 
     def __repr__(self):
         return f"BivarPoly({self.to_str()})"
@@ -258,12 +297,18 @@ def _bivar(value) -> BivarPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to BivarPoly")
 
 
+def _lowered(p: BivarPoly, i: int, j: int) -> BivarPoly:
+    """p / (first**i * second**j), for a monomial that divides p."""
+    return _from_rows({k - j: _make(r.ints[i:], r.content) for k, r in p.rows.items()})
+
+
 class BivarRatFunc:
     """Bivariate rational function, lightly normalised.
 
     Full bivariate gcd reduction is deliberately avoided: common monomial
-    factors are stripped and the denominator is scaled to a unit leading
-    coefficient, while equality testing goes through cross-multiplication.
+    factors are stripped and the denominator is scaled by its coefficient at
+    the largest (i, j) key, while equality testing goes through
+    cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -276,16 +321,16 @@ class BivarRatFunc:
         if num.is_zero:
             self.num, self.den = BivarPoly.zero(), BivarPoly.const(1)
             return
-        i_min = min(
-            min(i for i, _ in num.terms), min(i for i, _ in den.terms)
-        )
-        j_min = min(
-            min(j for _, j in num.terms), min(j for _, j in den.terms)
-        )
+        rows = (*num.rows.values(), *den.rows.values())
+        i_min = min(_lowest_power(r.ints) for r in rows)
+        j_min = min(min(num.rows), min(den.rows))
         if i_min or j_min:
-            num = BivarPoly({(i - i_min, j - j_min): c for (i, j), c in num.terms.items()})
-            den = BivarPoly({(i - i_min, j - j_min): c for (i, j), c in den.terms.items()})
-        lead = den.terms[max(den.terms)]
+            num = _lowered(num, i_min, j_min)
+            den = _lowered(den, i_min, j_min)
+        # the largest key (i, j): highest power of the first variable, then
+        # of the second
+        top = den.degree_in(0)
+        lead = den.rows[max(j for j, r in den.rows.items() if r.degree == top)].lc
         if lead != 1:
             inv = 1 / lead
             num = num * inv
@@ -320,18 +365,6 @@ class BivarRatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
         return BivarRatFunc(self.num * other.den, self.den * other.num)
-
-    def diff(self, index: int) -> "BivarRatFunc":
-        return BivarRatFunc(
-            self.num.diff(index) * self.den - self.num * self.den.diff(index),
-            self.den * self.den,
-        )
-
-    def subst_second(self, phi: RatFunc) -> RatFunc:
-        den = self.den.subst_second(phi)
-        if den.is_zero:
-            raise ZeroDivisionError("denominator vanishes identically on the curve")
-        return self.num.subst_second(phi) / den
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, BivarPoly)):
@@ -379,9 +412,6 @@ class PlanarField:
             f.den * f.den,
         )
 
-    def foliation(self) -> BivarRatFunc:
-        return BivarRatFunc(self.q, self.p)
-
     def swap_roles(self) -> "PlanarField":
         """Interchange the two variables and the two components."""
         return PlanarField(self.q.swap_vars(), self.p.swap_vars())
@@ -407,10 +437,10 @@ def homogeneous_parts(p: BivarPoly) -> list[BivarPoly]:
     return [BivarPoly(d) for d in parts]
 
 
-def _padded_parts(p: BivarPoly, n: int) -> list[BivarPoly]:
-    parts = homogeneous_parts(p)
-    parts.extend(BivarPoly.zero() for _ in range(n + 1 - len(parts)))
-    return parts
+def _part_at_one(p: BivarPoly, degree: int) -> Poly:
+    """P_degree(1, t): the homogeneous part of the given degree with the
+    first variable set to 1, as a polynomial in the second."""
+    return Poly([p.coeff(degree - b, b) for b in range(degree + 1)])
 
 
 def infinity_transform(field: PlanarField) -> PlanarField:
@@ -421,20 +451,21 @@ def infinity_transform(field: PlanarField) -> PlanarField:
 
         p(x, y) = sum_i y**(N-i) * (x*P_i(1, x) - Q_i(1, x))
         q(x, y) = y * sum_i y**(N-i) * P_i(1, x)
+
+    so row N-i of p is x*P_i(1, x) - Q_i(1, x) and row N-i+1 of q is
+    P_i(1, x).
     """
     n = field.degree
-    parts_p = _padded_parts(field.p, n)
-    parts_q = _padded_parts(field.q, n)
-    x = BivarPoly.var(0)
-    y = BivarPoly.var(1)
-    p_out = BivarPoly.zero()
-    q_inner = BivarPoly.zero()
+    p_rows: dict[int, Poly] = {}
+    q_rows: dict[int, Poly] = {}
     for i in range(n + 1):
-        pi = BivarPoly.from_univar(parts_p[i].at_first_one(), 0)
-        qi = BivarPoly.from_univar(parts_q[i].at_first_one(), 0)
-        p_out = p_out + y ** (n - i) * (x * pi - qi)
-        q_inner = q_inner + y ** (n - i) * pi
-    return PlanarField(p_out, y * q_inner)
+        pi = _part_at_one(field.p, i)
+        row = pi.shift(1) - _part_at_one(field.q, i)
+        if row.ints:
+            p_rows[n - i] = row
+        if pi.ints:
+            q_rows[n - i + 1] = pi
+    return PlanarField(_from_rows(p_rows), _from_rows(q_rows))
 
 
 def family_from_P(parts: Sequence[BivarPoly], n: int, k: int) -> PlanarField:
@@ -457,7 +488,7 @@ def family_from_P(parts: Sequence[BivarPoly], n: int, k: int) -> PlanarField:
     if not parts[0].is_zero:
         raise ValueError("part 0 must vanish")
     for i in range(1, n + 1):
-        if any(key[0] == 0 for key in parts[i].terms):
+        if any(r.ints[0] for r in parts[i].rows.values()):
             raise ValueError(f"part {i} must vanish on the line z1 = 0")
     z1 = BivarPoly.var(0)
     z2 = BivarPoly.var(1)
@@ -478,33 +509,73 @@ def family_from_P(parts: Sequence[BivarPoly], n: int, k: int) -> PlanarField:
     return PlanarField(p_total, q_total)
 
 
+def _taylor_rows(f: BivarPoly, n: Poly, d: Poly, top: int, count: int) -> list[Poly]:
+    """[F_0, ..., F_{count-1}] with F_m = d**top * [eta**m] f(x, n/d + eta),
+    for top at least the degree of f in y (see the module docstring)."""
+    npow = [Poly.one()]
+    dpow = [Poly.one()]
+    for _ in range(top):
+        npow.append(npow[-1] * n)
+        dpow.append(dpow[-1] * d)
+    unit_den = d.degree == 0  # d is monic: phi is a polynomial
+    out = [Poly.zero()] * count
+    for j, row in f.rows.items():
+        for m in range(min(j, count - 1) + 1):
+            k = j - m  # the power of n
+            if k and n.is_zero:
+                continue
+            term = row
+            if k:
+                term = term * npow[k] * comb(j, k)
+            if not unit_den:
+                term = term * dpow[top - k]
+            out[m] = out[m] + term
+    return out
+
+
+def _y_degree(field: PlanarField) -> int:
+    return max(field.p.degree_in(1), field.q.degree_in(1))
+
+
 def is_invariant_curve(field: PlanarField, phi: RatFunc) -> bool:
-    """Exact identity Q(x, phi) - phi' * P(x, phi) = 0."""
-    p_on = field.p.subst_second(phi)
-    if p_on.is_zero:
+    """Exact identity Q(x, phi) - phi' * P(x, phi) = 0, tested on cleared
+    denominators as Q_0*d**2 == (n'*d - n*d')*P_0 (see the module
+    docstring)."""
+    n, d = phi.num, phi.den
+    top = _y_degree(field)
+    (p0,) = _taylor_rows(field.p, n, d, top, 1)
+    if p0.is_zero:
         raise DegenerateCurveError("P vanishes identically on the curve y = phi(x)")
-    return (field.q.subst_second(phi) - phi.derivative() * p_on).is_zero
+    (q0,) = _taylor_rows(field.q, n, d, top, 1)
+    return q0 * d * d == (n.derivative() * d - n * d.derivative()) * p0
 
 
 def foliation_derivatives(field: PlanarField, phi: RatFunc, count: int) -> list[RatFunc]:
     """[beta_1, ..., beta_count] with beta_j the j-th y-derivative of the
-    foliation slope Q/P restricted to the curve y = phi(x)."""
+    foliation slope Q/P restricted to the curve y = phi(x), read off the
+    Taylor series of Q/P in y - phi (see the module docstring): one gcd per
+    beta."""
     if count < 1:
         raise ValueError("need at least one derivative")
     if not is_invariant_curve(field, phi):
         raise ValueError("curve y = phi(x) is not invariant for the field")
-    den = field.p
-    den_on = den.subst_second(phi)
-    num = field.q
+    top = _y_degree(field)
+    orders = min(count, top) + 1
+    ps = _taylor_rows(field.p, phi.num, phi.den, top, orders)
+    qs = _taylor_rows(field.q, phi.num, phi.den, top, orders)
+    p0 = ps[0]
+    p0_pows = [Poly.one(), p0]  # p0_pows[i] = P_0**i
+    nums = [qs[0]]  # nums[j] = N_j
     betas: list[RatFunc] = []
-    current = num
-    power = 1
-    den_on_pows = den_on
-    for _ in range(count):
-        current = current.diff(1) * den - power * current * den.diff(1)
-        power += 1
-        den_on_pows = den_on_pows * den_on
-        betas.append(current.subst_second(phi) / den_on_pows)
+    factorial = 1
+    for j in range(1, count + 1):
+        acc = qs[j] * p0_pows[j] if j < orders else Poly.zero()
+        for i in range(1, min(j, orders - 1) + 1):
+            acc = acc - ps[i] * nums[j - i] * p0_pows[i - 1]
+        nums.append(acc)
+        p0_pows.append(p0_pows[-1] * p0)
+        factorial *= j
+        betas.append(RatFunc(acc * factorial, p0_pows[j + 1]))
     return betas
 
 
@@ -516,13 +587,11 @@ def lve2_coefficients_from_parts(field: PlanarField) -> tuple[RatFunc, RatFunc]:
         beta  = 2*(P_N*Q_{N-1} - P_{N-1}*Q_N)(1,x) / (x*P_N(1,x) - Q_N(1,x))**2
     """
     n = field.degree
-    parts_p = _padded_parts(field.p, n)
-    parts_q = _padded_parts(field.q, n)
-    pn = parts_p[n].at_first_one()
-    qn = parts_q[n].at_first_one()
-    pn1 = parts_p[n - 1].at_first_one() if n >= 1 else Poly.zero()
-    qn1 = parts_q[n - 1].at_first_one() if n >= 1 else Poly.zero()
-    den = Poly.x() * pn - qn
+    pn = _part_at_one(field.p, n)
+    qn = _part_at_one(field.q, n)
+    pn1 = _part_at_one(field.p, n - 1) if n >= 1 else Poly.zero()
+    qn1 = _part_at_one(field.q, n - 1) if n >= 1 else Poly.zero()
+    den = pn.shift(1) - qn
     if den.is_zero:
         raise ValueError("x*P_N(1,x) - Q_N(1,x) vanishes identically")
     alpha = RatFunc(pn, den)

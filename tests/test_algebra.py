@@ -11,6 +11,7 @@ from ratcert.algebra import (
     Poly,
     RatFunc,
     _det,
+    extended_gcd,
     hermite_reduce,
     poly_gcd,
     rational_roots,
@@ -698,3 +699,55 @@ class TestScaledResidueReport:
             r = r + RatFunc(res, Poly([-pt, 1]))
         assert residues(r).scaled(s) == residues(s * r)
         assert residues(r).scaled(Fraction(1, s)) == residues(r / s)
+
+
+def _hermite_by_passes(r: RatFunc) -> tuple[RatFunc, RatFunc]:
+    """Hermite reduction one pole order at a time, re-splitting the reduced
+    denominator on every pass: the highest-multiplicity factor v**m is
+    lowered to v**(m-1) by solving s*u*v' = num modulo v."""
+    poly_part, frac = r.split_polynomial_part()
+    h = RatFunc(poly_part.antiderivative())
+    while not frac.is_zero:
+        dec = squarefree_decompose(frac.den)
+        if not dec or dec[-1][1] == 1:
+            break
+        v, m = dec[-1]
+        u = frac.den.divexact(v**m)
+        _, s0, _ = extended_gcd(u * v.derivative(), v)
+        s = (frac.num * s0) % v
+        t = (frac.num - s * u * v.derivative()).divexact(v)
+        h = h + RatFunc(-s, (m - 1) * v ** (m - 1))
+        frac = RatFunc(t * (m - 1) + u * s.derivative(), (m - 1) * (u * v ** (m - 1)))
+    return h, frac
+
+
+factor_st = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(Poly).filter(
+    lambda p: p.degree >= 1
+)
+
+
+class TestHermiteOneSplit:
+    @given(
+        num=st.lists(fractions_st, max_size=9).map(Poly),
+        factors=st.lists(st.tuples(factor_st, st.integers(1, 4)), min_size=1, max_size=3),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_equals_pass_by_pass_reduction(self, num, factors):
+        den = Poly.one()
+        for f, m in factors:
+            den = den * f**m
+        r = RatFunc(num, den)
+        assert hermite_reduce(r) == _hermite_by_passes(r)
+
+    @given(num=st.lists(fractions_st, max_size=12).map(Poly), k=st.integers(1, 8))
+    @settings(deadline=None, max_examples=60)
+    def test_power_of_x_denominators(self, num, k):
+        r = RatFunc(num, Poly.monomial(k))
+        assert hermite_reduce(r) == _hermite_by_passes(r)
+
+    def test_residue_report_unchanged(self):
+        x = Poly.x()
+        r = RatFunc(3 * x**4 + x - 7, x**3 * (x - 1) ** 2 * (x**2 + 1))
+        h, g = _hermite_by_passes(r)
+        assert residues(r).simple_part == g
+        assert hermite_reduce(r) == (h, g)

@@ -6,6 +6,7 @@ import sys
 
 from ratcert.analyzer import MAX_KMAX
 from ratcert.cli import run
+from ratcert.parsing import MAX_DEGREE
 
 
 def read_json(path):
@@ -275,3 +276,45 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "x^2 - 1" in proc.stdout
+
+
+class TestInputSizeBound:
+    def test_high_degree_is_input_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "transform",
+             "--p", "(z1^2 + z2 + 1)^101", "--q", "z1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"total degree 202 exceeds the limit {MAX_DEGREE} (at position 15)" in proc.stderr
+
+    def test_power_sixty_transforms(self, capsys):
+        code, report = run(["transform", "--p", "(z1+z2+1)^60", "--q", "z1"])
+        assert code == 0
+        assert report["input"]["p"].startswith("z1^60 + 60*z1^59*z2")
+        assert report["field"]["p"].startswith("x^61 + 60*x^60*y + 1770*x^59*y^2")
+        assert report["field"]["q"].startswith("x^60*y + 60*x^59*y^2")
+
+    def test_batch_line_over_the_bound_keeps_its_neighbours(self, tmp_path):
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        other = {"p": "x^2 - y", "q": "y*(x + 1)", "kmax": 2}
+        tasks = [
+            json.dumps(good),
+            json.dumps({"p": "x^3 - y", "q": "y*x^150*x^60", "kmax": 2}),
+            json.dumps(other),
+        ]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 3 and report["failed"] == 1
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert lines[1] == {
+            "error": f"total degree 211 exceeds the limit {MAX_DEGREE} (at position 7)"
+        }
+        assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratcert.algebra import Poly, RatFunc
-from ratcert.planar import BivarPoly
+from ratcert.planar import BivarPoly, BivarRatFunc
 from ratcert.parsing import (
+    MAX_DEGREE,
     MAX_NESTING,
     ParseError,
     emit_poly,
@@ -173,3 +175,205 @@ class TestEmission:
         got = parse_rational("(x^2 - 1)/(x*y + 2)")
         assert got.num == BivarPoly({(2, 0): 1, (0, 0): -1})
         assert got.den == BivarPoly({(1, 1): 1, (0, 0): 2})
+
+
+# ---------------------------------------------------------------------------
+# the polynomial-first parser against a BivarRatFunc-at-every-node evaluator
+# ---------------------------------------------------------------------------
+
+LETS = {"a": Fraction(-2, 3)}
+leaves_st = st.sampled_from(["x", "y", "0", "1", "2", "3", "a"])
+trees_st = st.recursive(
+    leaves_st,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 4)),
+        st.tuples(st.just("neg"), sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _render(tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "neg":
+        return f"(-({_render(tree[1])}))"
+    if tree[0] == "^":
+        return f"({_render(tree[1])})^{tree[2]}"
+    return f"({_render(tree[1])}){tree[0]}({_render(tree[2])})"
+
+
+class _Rejected(Exception):
+    pass
+
+
+def _bounded(num_degree: int, den_degree: int) -> None:
+    if max(num_degree, den_degree) > MAX_DEGREE:
+        raise _Rejected
+
+
+def _degrees(r: BivarRatFunc) -> tuple[int, int]:
+    return max(r.num.total_degree, 0), r.den.total_degree
+
+
+def _reference(tree) -> BivarRatFunc:
+    """Every node a BivarRatFunc, as the parser once evaluated; products
+    whose unreduced numerator or denominator would pass MAX_DEGREE, and
+    division by zero, reject."""
+    if isinstance(tree, str):
+        if tree in ("x", "y"):
+            return BivarRatFunc(BivarPoly.var("xy".index(tree)))
+        return BivarRatFunc(BivarPoly.const(LETS[tree] if tree == "a" else int(tree)))
+    if tree[0] == "neg":
+        return -_reference(tree[1])
+    if tree[0] == "^":
+        base, n = _reference(tree[1]), tree[2]
+        _bounded(n * max(_degrees(base)), 0)
+        return BivarRatFunc(base.num**n, base.den**n)
+    lhs, rhs = _reference(tree[1]), _reference(tree[2])
+    (na, da), (nb, db) = _degrees(lhs), _degrees(rhs)
+    op = tree[0]
+    if op == "*":
+        _bounded(na + nb, da + db)
+        return lhs * rhs
+    if op == "/":
+        if rhs.is_zero:
+            raise _Rejected
+        _bounded(na + db, da + nb)
+        return lhs / rhs
+    _bounded(max(na + db, nb + da), da + db)
+    return lhs + rhs if op == "+" else lhs - rhs
+
+
+def _reference_poly(tree) -> BivarPoly:
+    value = _reference(tree)
+    if value.den.total_degree > 0:
+        raise _Rejected
+    return value.num * (1 / value.den.coeff(0, 0))
+
+
+class TestPolynomialFirstParser:
+    @given(tree=trees_st)
+    @settings(deadline=None, max_examples=300)
+    def test_parse_rational_equals_reference(self, tree):
+        text = _render(tree)
+        try:
+            expected = _reference(tree)
+        except _Rejected:
+            with pytest.raises(ParseError):
+                parse_rational(text, lets=LETS)
+            return
+        got = parse_rational(text, lets=LETS)
+        # the same normalisation, so the same numerator and denominator
+        assert got.num.terms == expected.num.terms
+        assert got.den.terms == expected.den.terms
+
+    @given(tree=trees_st)
+    @settings(deadline=None, max_examples=300)
+    def test_parse_poly_equals_reference(self, tree):
+        text = _render(tree)
+        try:
+            expected = _reference_poly(tree)
+        except _Rejected:
+            with pytest.raises(ParseError):
+                parse_poly(text, lets=LETS)
+            return
+        assert parse_poly(text, lets=LETS).terms == expected.terms
+
+    @given(tree=trees_st)
+    @settings(deadline=None, max_examples=200)
+    def test_parse_univar_equals_reference(self, tree):
+        text = _render(tree).replace("y", "x")
+        tree_x = _replace_y(tree)
+        try:
+            expected = _reference(tree_x)
+        except _Rejected:
+            with pytest.raises(ParseError):
+                parse_univar_ratfunc(text, lets=LETS)
+            return
+        got = parse_univar_ratfunc(text, lets=LETS)
+        num = Poly([expected.num.coeff(i, 0) for i in range(expected.num.total_degree + 1)])
+        den = Poly([expected.den.coeff(i, 0) for i in range(expected.den.total_degree + 1)])
+        assert got == RatFunc(num, den)
+
+    def test_normalisation_decides_acceptance(self):
+        # the common monomial is stripped, no other common factor is
+        assert parse_poly("x^2/x") == BivarPoly.var(0)
+        assert parse_poly("x^3*y/(x*y)") == BivarPoly({(2, 0): 1})
+        with pytest.raises(ParseError, match="not a polynomial"):
+            parse_poly("(x^2-1)/(x-1)")
+        with pytest.raises(ParseError, match="not a polynomial"):
+            parse_poly("(x^2-1)/(x-1)", ("x", "y"))
+
+    def test_division_by_constants_stays_polynomial(self):
+        assert parse_poly("x/2 + y/(1/3)") == BivarPoly({(1, 0): Fraction(1, 2), (0, 1): 3})
+        assert parse_poly("(x/x)/(2/4)") == BivarPoly.const(2)
+        assert parse_rational("x/(2*a)", lets=LETS).den == BivarPoly.const(1)
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_poly("x/(y - y)")
+
+
+def _replace_y(tree):
+    if isinstance(tree, str):
+        return "x" if tree == "y" else tree
+    return (tree[0], *(_replace_y(t) if not isinstance(t, int) else t for t in tree[1:]))
+
+
+class TestDegreeBound:
+    def test_bound_is_inclusive(self):
+        assert parse_poly(f"x^{MAX_DEGREE}") == BivarPoly({(MAX_DEGREE, 0): 1})
+        assert parse_poly(f"x^100*y^{MAX_DEGREE - 100}").total_degree == MAX_DEGREE
+
+    def test_large_exponent_is_positioned_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly(f"1 + x^{MAX_DEGREE + 1}")
+        assert info.value.position == 6
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly("2^99999999999")
+
+    def test_power_bound_checked_before_computing(self):
+        text = "(x^2 + y + 1)^101*2"
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == text.index(")^") + 1
+        assert "total degree 202" in info.value.message
+        with pytest.raises(ParseError):
+            parse_poly("((x^20)^20)^20")
+
+    def test_product_bound_checked_before_computing(self):
+        text = "x^150*y^51"
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == text.index("*")
+        with pytest.raises(ParseError):
+            parse_univar_ratfunc("1/x^150 + 1/(x+1)^60")
+        with pytest.raises(ParseError):
+            parse_univar_ratfunc("1/(x+1)^101 * 1/(x-1)^100")
+
+    def test_bad_integer_literals_are_parse_errors(self):
+        with pytest.raises(ParseError):
+            parse_poly("x^\u00b2")
+        with pytest.raises(ParseError):
+            parse_poly("9" * 5000 + "*x")
+
+
+grammar_text_st = st.text(alphabet="xy0123456789+-*/^() a_", max_size=40)
+
+
+class TestArbitraryText:
+    @given(text=grammar_text_st)
+    @settings(deadline=None, max_examples=400)
+    def test_parse_poly_returns_or_raises_parse_error(self, text):
+        try:
+            parse_poly(text, lets=LETS)
+        except ParseError:
+            pass
+
+    @given(text=grammar_text_st)
+    @settings(deadline=None, max_examples=400)
+    def test_parse_univar_returns_or_raises_parse_error(self, text):
+        try:
+            parse_univar_ratfunc(text, lets=LETS)
+        except ParseError:
+            pass

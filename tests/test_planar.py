@@ -2,6 +2,7 @@
 variational coefficients, Darboux verification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,3 +329,238 @@ class TestFieldEquivalence:
 
     def test_different_foliation(self):
         assert not fields_equivalent(PlanarField(XV, YV), PlanarField(YV, XV))
+
+
+# ---------------------------------------------------------------------------
+# the row form of BivarPoly against plain (i, j) -> Fraction dictionaries
+# ---------------------------------------------------------------------------
+
+small_fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+term_dicts_st = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), small_fractions_st, max_size=7
+)
+
+
+def _clean(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def _dict_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return _clean(out)
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _clean(out)
+
+
+def _dict_pow(a: dict, n: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _dict_mul(out, a)
+    return out
+
+
+def _dict_infinity_transform(p: dict, q: dict) -> tuple[dict, dict]:
+    """The chart change read term by term: c*z1^a*z2^b in P_i (i = a + b)
+    adds c*x^b to P_i(1, x), which the transform multiplies by y^(N-i)."""
+    n = max(a + b for a, b in [*p, *q])
+    p_out: dict = {}
+    q_out: dict = {}
+    for (a, b), c in p.items():
+        e = n - a - b
+        p_out[(b + 1, e)] = p_out.get((b + 1, e), 0) + c
+        q_out[(b, e + 1)] = q_out.get((b, e + 1), 0) + c
+    for (a, b), c in q.items():
+        e = n - a - b
+        p_out[(b, e)] = p_out.get((b, e), 0) - c
+    return _clean(p_out), _clean(q_out)
+
+
+
+class TestRowKernel:
+    @given(a=term_dicts_st, b=term_dicts_st, n=st.integers(0, 4), s=small_fractions_st)
+    @settings(deadline=None, max_examples=150)
+    def test_arithmetic_matches_dict_reference(self, a, b, n, s):
+        pa, pb = BivarPoly(a), BivarPoly(b)
+        assert pa.terms == _clean(a)
+        assert (pa + pb).terms == _dict_add(a, b)
+        assert (pa - pb).terms == _dict_add(a, b, -1)
+        assert (-pa).terms == _dict_add({}, a, -1)
+        assert (pa * pb).terms == _dict_mul(a, b)
+        assert (pa * s).terms == _clean({k: c * s for k, c in a.items()})
+        assert (pa**n).terms == _dict_pow(a, n)
+        assert pa.total_degree == max((i + j for i, j in _clean(a)), default=-1)
+
+    @given(a=term_dicts_st, b=term_dicts_st)
+    @settings(deadline=None, max_examples=100)
+    def test_equality_hash_and_queries(self, a, b):
+        pa, pb = BivarPoly(a), BivarPoly(b)
+        assert (pa == pb) == (_clean(a) == _clean(b))
+        assert pa == BivarPoly(_clean(a)) and hash(pa) == hash(BivarPoly(_clean(a)))
+        for key in [(0, 0), (1, 2), (4, 4), (5, 0)]:
+            assert pa.coeff(*key) == a.get(key, 0)
+        assert pa.swap_vars().terms == {(j, i): c for (i, j), c in _clean(a).items()}
+        diff_x = _clean({(i - 1, j): c * i for (i, j), c in a.items() if i})
+        diff_y = _clean({(i, j - 1): c * j for (i, j), c in a.items() if j})
+        assert pa.diff(0).terms == diff_x and pa.diff(1).terms == diff_y
+        at_one: dict = {}
+        for (_, j), c in a.items():
+            at_one[j] = at_one.get(j, 0) + c
+        top = max(at_one, default=-1)
+        assert pa.at_first_one() == Poly([at_one.get(j, 0) for j in range(top + 1)])
+
+    @given(p=term_dicts_st, q=term_dicts_st)
+    @settings(deadline=None, max_examples=120)
+    def test_infinity_transform_matches_dict_reference(self, p, q):
+        p, q = _clean(p), _clean(q)
+        if not p and not q:
+            return
+        out = infinity_transform(PlanarField(BivarPoly(p), BivarPoly(q)))
+        expected_p, expected_q = _dict_infinity_transform(p, q)
+        assert out.p.terms == expected_p
+        assert out.q.terms == expected_q
+
+    @given(num=term_dicts_st, den=term_dicts_st)
+    @settings(deadline=None, max_examples=120)
+    def test_rational_normalisation_matches_dict_reference(self, num, den):
+        num, den = _clean(num), _clean(den)
+        if not den:
+            return
+        r = BivarRatFunc(BivarPoly(num), BivarPoly(den))
+        if not num:
+            assert r.num.is_zero and r.den == BivarPoly.const(1)
+            return
+        # strip the common monomial, then scale by the coefficient of the
+        # denominator at its largest (i, j) key
+        i0 = min(i for i, _ in [*num, *den])
+        j0 = min(j for _, j in [*num, *den])
+        num = {(i - i0, j - j0): c for (i, j), c in num.items()}
+        den = {(i - i0, j - j0): c for (i, j), c in den.items()}
+        lead = den[max(den)]
+        assert r.num.terms == {k: c / lead for k, c in num.items()}
+        assert r.den.terms == {k: c / lead for k, c in den.items()}
+
+    def test_single_row_powers_are_direct(self):
+        assert (XV**7).terms == {(7, 0): 1}
+        assert ((3 * XV**2 * YV) ** 4).terms == {(8, 4): 81}
+        assert ((XV + 1) ** 3).terms == {(3, 0): 1, (2, 0): 3, (1, 0): 3, (0, 0): 1}
+
+    def test_large_power_in_rows(self):
+        from math import factorial
+
+        p = (XV + YV + 1) ** 60
+        assert p.coeff(20, 20) == factorial(60) // factorial(20) ** 3
+        assert p.total_degree == 60 and len(p.terms) == 61 * 62 // 2
+
+    def test_constructor_rejects_inexact_and_negative(self):
+        with pytest.raises(TypeError):
+            BivarPoly({(1, 0): 0.5})
+        with pytest.raises(ValueError):
+            BivarPoly({(-1, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# series betas against the y-derivative recursion
+# ---------------------------------------------------------------------------
+
+
+def _subst(f: BivarPoly, phi: RatFunc) -> RatFunc:
+    """f(x, phi(x)) by Horner in y over the rows."""
+    rows = f.rows_by_second()
+    acc = RatFunc.zero()
+    for j in range(max(rows, default=0), -1, -1):
+        acc = acc * phi + RatFunc(rows.get(j, Poly.zero()))
+    return acc
+
+
+def _derivative_betas(field: PlanarField, phi: RatFunc, count: int) -> list[RatFunc]:
+    """beta_j = (d/dy)^j (Q/P) on y = phi: with D_j = d^j/dy^j(Q/P)*P^(j+1),
+    D_j = D_{j-1,y}*P - j*D_{j-1}*P_y, restricted to the curve."""
+    p_on = _subst(field.p, phi)
+    current = field.q
+    out = []
+    for j in range(1, count + 1):
+        current = current.diff(1) * field.p - j * current * field.p.diff(1)
+        out.append(_subst(current, phi) / p_on ** (j + 1))
+    return out
+
+
+def _invariant_reference(field: PlanarField, phi: RatFunc) -> bool:
+    p_on = _subst(field.p, phi)
+    if p_on.is_zero:
+        raise DegenerateCurveError("P vanishes")
+    return (_subst(field.q, phi) - phi.derivative() * p_on).is_zero
+
+
+bivar_st = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=4
+).map(BivarPoly)
+univar_st = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
+
+
+def _field_through(phi: RatFunc, a: BivarPoly, b: BivarPoly, c: BivarPoly) -> PlanarField:
+    """A field with y = n/d invariant: with F = d*y - n, P = d^2*A + F*C and
+    Q = (n'*d - n*d')*A + F*B give Q(x, phi) = phi'*P(x, phi)."""
+    n, d = phi.num, phi.den
+    f = BivarPoly.from_univar(d, 0) * BivarPoly.var(1) - BivarPoly.from_univar(n, 0)
+    p = BivarPoly.from_univar(d * d, 0) * a + f * c
+    q = BivarPoly.from_univar(n.derivative() * d - n * d.derivative(), 0) * a + f * b
+    return PlanarField(p, q)
+
+
+class TestSeriesBetas:
+    @given(
+        n=univar_st,
+        d=univar_st.filter(lambda p: not p.is_zero),
+        rational=st.booleans(),
+        a=bivar_st,
+        b=bivar_st,
+        c=bivar_st,
+        count=st.integers(1, 4),
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_series_equals_derivative_recursion(self, n, d, rational, a, b, c, count):
+        phi = RatFunc(n, d) if rational else RatFunc(n)
+        if a.is_zero and c.is_zero:
+            return
+        field = _field_through(phi, a, b, c)
+        try:
+            assert is_invariant_curve(field, phi)
+        except DegenerateCurveError:
+            return
+        assert foliation_derivatives(field, phi, count) == _derivative_betas(field, phi, count)
+
+    @given(p=bivar_st, q=bivar_st, n=univar_st, d=univar_st.filter(lambda p: not p.is_zero))
+    @settings(deadline=None, max_examples=150)
+    def test_invariance_on_cleared_denominators(self, p, q, n, d):
+        if p.is_zero and q.is_zero:
+            return
+        field, phi = PlanarField(p, q), RatFunc(n, d)
+        try:
+            expected = _invariant_reference(field, phi)
+        except DegenerateCurveError:
+            with pytest.raises(DegenerateCurveError):
+                is_invariant_curve(field, phi)
+            return
+        assert is_invariant_curve(field, phi) == expected
+
+    def test_rational_curve_example(self):
+        # y = 1/x is invariant for x d/dx - y d/dy (slope -y/x)
+        field = PlanarField(XV, -YV)
+        phi = RatFunc(1, X)
+        assert is_invariant_curve(field, phi)
+        assert foliation_derivatives(field, phi, 3) == _derivative_betas(field, phi, 3)
+        assert foliation_derivatives(field, phi, 1) == [RatFunc(-1, X)]
+
+    def test_not_invariant_message_kept(self):
+        field = PlanarField(XV, YV + 1)
+        with pytest.raises(ValueError, match="not invariant"):
+            foliation_derivatives(field, RatFunc(X), 2)
