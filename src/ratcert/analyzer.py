@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .algebra import RatFunc, ResidueReport, residues, squarefree_decompose
+from .algebra import Poly, RatFunc, ResidueReport, residues
 from .planar import (
     PlanarField,
     foliation_derivatives,
@@ -30,6 +30,7 @@ from .risch import (
     RischEquation,
     RischOutcome,
     build_risch,
+    denominator_split,
     match_kaltofen,
     solve_general,
     solve_xk_specialized,
@@ -42,8 +43,9 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 REASON_H1_FAILED = "H1Failed"
 REASON_ALL_ELEMENTARY = "AllOrdersElementary"
 
-# highest order an analysis may be asked for: the curve derivatives and the
-# order-k systems grow with k, and k_max 60 already takes a quarter second
+# highest order an analysis may be asked for: the betas and the order-k
+# solutions grow with k, and on the tower field (x^2 - 67/89*y, y*(x + 1))
+# k_max 200 takes about 1.4 s of analysis and prints 18 MB
 MAX_KMAX = 200
 
 
@@ -188,13 +190,15 @@ def check_h1(
     alpha: RatFunc,
     interpretation: str = "literal",
     alpha_residues: ResidueReport | None = None,
+    alpha_split: list[tuple[Poly, int]] | None = None,
 ) -> H1Report:
     """Evaluate the first hypothesis on alpha.  ``alpha_residues`` is
-    ``residues(alpha)`` when the caller already has it."""
+    ``residues(alpha)`` and ``alpha_split`` the squarefree split of alpha's
+    denominator, when the caller already has them."""
     if interpretation not in INTERPRETATIONS:
         raise ValueError(f"unknown interpretation {interpretation!r}")
     den = alpha.den
-    factors = squarefree_decompose(den) if den.degree > 0 else []
+    factors = alpha_split if alpha_split is not None else denominator_split(alpha)
     high_pole = any(m >= 2 for _, m in factors)
     if interpretation == "literal":
         degree_condition = alpha.num.degree <= den.degree
@@ -217,19 +221,22 @@ def check_hk(
     beta_k: RatFunc,
     k: int,
     alpha_residues: ResidueReport | None = None,
+    alpha_split: list[tuple[Poly, int]] | None = None,
 ) -> tuple[bool, RischOutcome]:
     """Order-k obstruction: holds iff the order-k equation has no rational
     solution.  Both deciders run whenever the equation fits the power-pole
     shape; any disagreement is a fatal internal error.  The outcome carries
     the order-k equation it decided.
 
-    ``alpha_residues`` is ``residues(alpha)`` when the caller already has it;
-    the residues of the order-k coefficient (k-1)*alpha are alpha's scaled
-    by k-1, so one report serves every order."""
+    ``alpha_residues`` is ``residues(alpha)`` and ``alpha_split`` the
+    squarefree split of alpha's denominator, when the caller already has
+    them.  The residues of the order-k coefficient (k-1)*alpha are alpha's
+    scaled by k-1 and its denominator is alpha's, so one report and one
+    split serve every order."""
     eq = build_risch(alpha, beta_k, k)
     if alpha_residues is None:
         alpha_residues = residues(alpha)
-    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1))
+    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1), a_split=alpha_split)
     outcome = general
     inst = match_kaltofen(eq)
     if inst is not None:
@@ -272,14 +279,15 @@ def analyze(
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
     alpha_residues = residues(alpha)
-    h1 = check_h1(alpha, interpretation, alpha_residues)
+    alpha_split = denominator_split(alpha)
+    h1 = check_h1(alpha, interpretation, alpha_residues, alpha_split)
     orders: list[OrderRecord] = []
     if not h1.holds:
         verdict = Verdict.h1_failed()
     else:
         verdict = Verdict.all_elementary(k_max)
         for k in range(2, k_max + 1):
-            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues)
+            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues, alpha_split)
             orders.append(OrderRecord(k, outcome.equation, outcome))
             if holds:
                 verdict = Verdict.not_integrable(k)

@@ -8,9 +8,10 @@ Subcommands:
   batch      run independent analyses, one JSON object per input line
 
 Exit codes: 0 when a verdict or result was produced (including an explicit
-inconclusive verdict), 2 on input errors.  JSON reports are canonical: keys
-sorted, rationals rendered as exact "num/den" strings, byte-identical across
-runs.
+inconclusive verdict), 2 on input errors, 3 when a batch line met an
+internal error (its output line has ``"kind": "internal"``; the other lines
+are still written).  JSON reports are canonical: keys sorted, rationals
+rendered as exact "num/den" strings, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -100,31 +101,32 @@ def _spec_from_args(args) -> FieldSpec:
     )
 
 
-def _print_certificate(cert: Certificate, out) -> None:
-    h1 = cert.h1
-    print(f"chart: {cert.chart}" + (" (roles swapped)" if cert.swapped else ""), file=out)
+def _print_certificate(report: dict, out) -> None:
+    """The text form of an analysis, rendered from its report dict, so each
+    rational function is formatted once."""
+    h1 = report["h1"]
+    print(f"chart: {report['chart']}" + (" (roles swapped)" if report["swapped"] else ""), file=out)
     print(
-        f"h1: holds={h1.holds} (pole>1={h1.has_high_order_finite_pole} "
-        f"degree={h1.degree_condition} residues_integer={h1.residues_all_integer} "
-        f"interpretation={h1.interpretation})",
+        f"h1: holds={h1['holds']} (pole>1={h1['has_high_order_finite_pole']} "
+        f"degree={h1['degree_condition']} residues_integer={h1['residues_all_integer']} "
+        f"interpretation={h1['interpretation']})",
         file=out,
     )
-    for rec in cert.orders:
-        o = rec.outcome
-        if o.has_rational_solution:
-            detail = f"y = {o.solution.to_str()}"
+    for order in report["orders"]:
+        o = order["outcome"]
+        if "solution" in o:
+            detail = f"y = {o['solution']}"
         else:
-            detail = o.reason or "no rational solution"
-        extra = f", case {o.case}" if o.case else ""
-        status = "RationalSolution" if o.has_rational_solution else "NoRationalSolution"
-        print(f"k={rec.k}: {status} [{o.solver}{extra}] {detail}", file=out)
-    v = cert.verdict
-    if v.k is not None:
-        print(f"verdict: {v.status} (k={v.k})", file=out)
-    elif v.k_max is not None:
-        print(f"verdict: {v.status} ({v.reason}, k_max={v.k_max})", file=out)
+            detail = o.get("reason", "no rational solution")
+        extra = f", case {o['case']}" if "case" in o else ""
+        print(f"k={order['k']}: {o['status']} [{o['solver']}{extra}] {detail}", file=out)
+    v = report["verdict"]
+    if "k" in v:
+        print(f"verdict: {v['status']} (k={v['k']})", file=out)
+    elif "k_max" in v:
+        print(f"verdict: {v['status']} ({v['reason']}, k_max={v['k_max']})", file=out)
     else:
-        print(f"verdict: {v.status} ({v.reason})", file=out)
+        print(f"verdict: {v['status']} ({v['reason']})", file=out)
 
 
 def _cmd_analyze(args) -> tuple[int, dict]:
@@ -142,7 +144,7 @@ def _cmd_analyze(args) -> tuple[int, dict]:
             "vars": list(spec.variables),
         }
     )
-    _print_certificate(cert, sys.stdout)
+    _print_certificate(report, sys.stdout)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
         _write_json(args.json, report)
@@ -166,8 +168,9 @@ def _cmd_risch(args) -> tuple[int, dict]:
         },
     }
     if outcome.solution is not None:
-        report["outcome"]["solution"] = outcome.solution.to_str()
-        print(f"RationalSolution: y = {outcome.solution.to_str()} [{outcome.solver}]")
+        solution = outcome.solution.to_str()
+        report["outcome"]["solution"] = solution
+        print(f"RationalSolution: y = {solution} [{outcome.solver}]")
     else:
         detail = outcome.reason or ""
         case = f", case {outcome.case}" if outcome.case else ""
@@ -226,6 +229,10 @@ def _batch_line(line: str) -> dict:
     except _INPUT_ERRORS + (KeyError, json.JSONDecodeError, TypeError, RecursionError) as exc:
         # RecursionError: json.loads recurses once per nesting level of a line
         return {"error": str(exc)}
+    except Exception as exc:
+        # a fault of the program on this line, such as a decider disagreement
+        # or a failed substitution check: the other lines still get results
+        return {"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}
 
 
 def _cmd_batch(args) -> tuple[int, dict]:
@@ -242,8 +249,14 @@ def _cmd_batch(args) -> tuple[int, dict]:
         if sink is not sys.stdout:
             sink.close()
     failed = sum(1 for r in results if "error" in r)
-    report = {"meta": _meta({"command": "batch"}), "lines": len(results), "failed": failed}
-    return (0 if failed == 0 else 2), report
+    internal = sum(1 for r in results if r.get("kind") == "internal")
+    report = {
+        "meta": _meta({"command": "batch"}),
+        "lines": len(results),
+        "failed": failed,
+        "internal": internal,
+    }
+    return (3 if internal else 2 if failed else 0), report
 
 
 @functools.cache

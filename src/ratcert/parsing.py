@@ -19,8 +19,11 @@ or let-bound rational constants; anything else is a positioned error.
 Input size is bounded, and every bound ends in a positioned ``ParseError``
 before any work is done: parentheses nest at most ``MAX_NESTING`` deep (so
 hostile input cannot exhaust the interpreter stack), an exponent is at most
-``MAX_DEGREE``, and no power or product may produce a numerator or
-denominator of total degree above ``MAX_DEGREE``.
+``MAX_DEGREE``, no power or product may produce a numerator or denominator
+of total degree above ``MAX_DEGREE``, and no power of a constant or product
+of two constants may produce a numerator or denominator of more than
+``MAX_COEFF_BITS`` bits (estimated before the arithmetic as n*bits for a
+power and as the sum of the two sizes for a product).
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100
 # largest exponent, and largest total degree of a numerator or denominator
 MAX_DEGREE = 200
+# largest bit length of the numerator or denominator of a constant that a
+# power or a product of constants may produce: far below the 4300 decimal
+# digits (about 14284 bits) that Python turns into a string, so every
+# coefficient of an accepted input can be printed
+MAX_COEFF_BITS = 4096
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -105,6 +113,19 @@ def _bound(degree: int, pos: int) -> None:
         raise ParseError(f"total degree {degree} exceeds the limit {MAX_DEGREE}", pos)
 
 
+def _constant_bits(value: BivarPoly) -> int:
+    """Bit length of the larger of a constant's numerator and denominator."""
+    c = value.coeff(0, 0)
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
+def _bound_bits(bits: int, pos: int) -> None:
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(
+            f"constant of up to {bits} bits exceeds the limit of {MAX_COEFF_BITS} bits", pos
+        )
+
+
 def _combine(
     op: str, a: BivarPoly | BivarRatFunc, b: BivarPoly | BivarRatFunc, pos: int
 ) -> BivarPoly | BivarRatFunc:
@@ -116,10 +137,15 @@ def _combine(
             return a + b
         if op == "-":
             return a - b
+        deg_a, deg_b = a.total_degree, b.total_degree
+        if deg_a <= 0 and deg_b <= 0:
+            # a product or quotient of constants: bound the unreduced
+            # numerator and denominator of the result
+            _bound_bits(_constant_bits(a) + _constant_bits(b), pos)
         if op == "*":
-            _bound(max(a.total_degree + b.total_degree, 0), pos)
+            _bound(max(deg_a + deg_b, 0), pos)
             return a * b
-        if b.total_degree == 0:
+        if deg_b == 0:
             return a * (1 / b.coeff(0, 0))
     # a rational operand, or a division by a nonconstant: bound the degrees
     # of the products that form the unreduced result
@@ -211,8 +237,11 @@ class _Parser:
             n = _int(etok)
             if n > MAX_DEGREE:
                 raise ParseError(f"exponent {n} exceeds the limit {MAX_DEGREE}", etok.pos)
-            _bound(n * max(_degrees(value)), tok.pos)
+            degree = max(_degrees(value))
+            _bound(n * degree, tok.pos)
             if isinstance(value, BivarPoly):
+                if degree == 0:
+                    _bound_bits(n * _constant_bits(value), tok.pos)
                 value = value**n
             else:
                 value = BivarRatFunc(value.num**n, value.den**n)

@@ -4,8 +4,8 @@ Two independent deciders are provided:
 
   * ``solve_general``: bounds the pole order of any rational solution at each
     finite place, bounds the numerator degree by matching leading behaviour
-    at infinity, then settles existence by an exact linear system in the
-    unknown numerator coefficients (Rouche-Frobenius rank comparison).
+    at infinity, then settles existence by solving for the unknown numerator
+    coefficients exactly, from the top down (``solve_undetermined``).
     The candidate denominator is a product over a coprime refinement of the
     squarefree factors of den(a), den(b) and the positive-integer-residue
     factors of a.  The multiplicities of a refinement element in den(a) and
@@ -15,12 +15,32 @@ Two independent deciders are provided:
   * ``solve_xk_specialized``: the ad-hoc case analysis for coefficients of
     the shape a = A(x)/x**k, b = (2*A + 2*x**k*B)/x**(2*k) with k > 1 and
     deg A < k.  Clearing denominators with y = Y/x**k pins the constant
-    coefficient of Y to 2 and caps deg Y, leaving a small linear system.
+    coefficient of Y to 2 and caps deg Y, leaving a small linear system,
+    solved with ``algebra.solve_linear_system`` (fraction-free integer
+    elimination) through this module's global of that name.
     Outcomes carry the matched case label (1, 2a, 2b, 2c, 2d).
 
-Both deciders solve their linear systems with ``algebra.solve_linear_system``
-(fraction-free integer elimination), called through this module's global of
-that name.
+The top-down recurrence is the polynomial step of the Risch differential
+equation (Bronstein, Symbolic Integration I, ch. 6, the no-cancellation
+cases of SPDE; Abramov 1989).  With y = N/den the equation becomes
+N'*A + N*B = R, so the coefficients n_0..n_n of N solve
+sum_i n_i*col_i = R with col_i = x**i*B + i*x**(i-1)*A.  Column i has degree
+at most i + s, with s = max(deg B, deg A - 1), and its coefficient there is
+lc_i = B[s] + i*A[s+1], which vanishes for at most one i, called rho
+(s = -1 when A is constant and B = 0, as for a = 0 with b and den
+polynomial: column 0 is then zero and rho = 0).  So for i = n..0, row i + s
+of what is left of R fixes n_i = r[i+s]/lc_i, and n_i*col_i is subtracted.
+At rho the row fixes nothing: n_rho is a parameter t, and the residual is
+carried as r0 + t*r1.  The rows that fix no unknown (above n + s, row
+rho + s and below s) must vanish at the end; they pin t, show that no
+solution exists, or vanish for every t.  In the last case t is set to 0,
+which is the particular solution elimination gives (pivot columns taken in
+increasing order, free unknowns 0): every column but rho has a nonzero
+coefficient in a row where the columns below it have none, so the kernel is
+at most one-dimensional, a kernel vector has its highest nonzero entry at
+rho, and when the kernel is not zero rho is the one column that is not a
+pivot.  All of this runs on ints, with one common denominator for the
+residual and one per n_i.
 
 Any returned solution is substitution-verified before being released, so a
 ``RationalSolution`` outcome is unconditionally sound; absence relies on the
@@ -35,11 +55,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     Poly,
     RatFunc,
     ResidueReport,
+    _from_ints,
     coprime_refinement,
     residues,
     solve_linear_system,
@@ -136,8 +158,22 @@ def _multiplicity(e: Poly, split: list[tuple[Poly, int]]) -> int:
     return 0
 
 
-def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: int = 0) -> Poly:
-    split_a, split_b = (squarefree_decompose(r.den) if r.den.degree > 0 else [] for r in (a, b))
+def denominator_split(r: RatFunc) -> list[tuple[Poly, int]]:
+    """The squarefree split of den(r), with no call for a constant one."""
+    return squarefree_decompose(r.den) if r.den.degree > 0 else []
+
+
+def _candidate_denominator(
+    a: RatFunc,
+    b: RatFunc,
+    rep: ResidueReport,
+    slack: int = 0,
+    split_a: list[tuple[Poly, int]] | None = None,
+) -> Poly:
+    """``split_a`` is the squarefree split of den(a) when the caller has it."""
+    if split_a is None:
+        split_a = denominator_split(a)
+    split_b = denominator_split(b)
     base = [q for q, _ in split_a + split_b]
     base.extend(q for q, c in rep.per_factor if c.denominator == 1 and c > 0)
     den = Poly.one()
@@ -174,52 +210,119 @@ def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
     return den.degree + max(candidates)
 
 
-def _values(p: Poly) -> list:
-    """The coefficients of p, as ints when its content is an integer."""
-    c = p.content
-    if c.denominator == 1:
-        n = c.numerator
-        return [n * v for v in p.ints]
-    return list(p.coeffs)
+def _int_terms(p: Poly, scale: int) -> list[tuple[int, int]]:
+    """The nonzero coefficients of scale*ints(p), as (power, value) pairs."""
+    return [(j, scale * v) for j, v in enumerate(p.ints) if v]
 
 
 def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
     """Solve y' + a*y = b for y = N/den with deg N <= num_degree, exactly.
 
     With a = pa/qa and b = pb/qb, multiplying through by den**2*qa*qb turns
-    the equation into sum_i n_i*(x**i*B + i*x**(i-1)*A) = pb*qa*den**2, where
-    A = den*qa*qb and B = (pa*den - den'*qa)*qb.  Row d of the linear system
-    is the coefficient of x**d; column i is written from the coefficients of
-    A and B shifted by i, without a polynomial product per column.  Entries
-    are ints where the contents of A, B and the right-hand side are integers.
+    the equation into N'*A + N*B = R with A = den*qa*qb,
+    B = (pa*den - den'*qa)*qb and R = pb*qa*den**2, that is
+    sum_i n_i*col_i = R with col_i = x**i*B + i*x**(i-1)*A.  A, B and R are
+    scaled by one common integer read off their contents, which leaves the
+    solution unchanged, and the system is solved from the top down (see the
+    module docstring): n_i is read off row i + s of an int residual, which
+    then loses n_i*col_i, touching only the nonzero coefficients of A and B.
+    A non-exact division scales the residual and a running denominator by
+    lc_i/g only.  At rho, where lc_rho = 0, n_rho is a parameter t carried
+    as a second residual; the rows that fix no unknown pin t, leave it free
+    (t = 0), or show that no solution exists.  With t = 0 the solution is
+    the particular one that elimination with increasing pivot columns gives.
     """
     if num_degree < 0:
         return None
     qa, pa = a.den, a.num
     qb, pb = b.den, b.num
-    acs = _values(den * qa * qb)
-    bcs = _values((pa * den - den.derivative() * qa) * qb)
-    rhs = _values(pb * qa * den * den)
-    height = max(len(rhs), len(bcs) + num_degree, len(acs) + num_degree - 1)
-    columns = []
-    for i in range(num_degree + 1):
-        col = [0] * height
-        col[i : i + len(bcs)] = bcs
-        if i:
-            for j, c in enumerate(acs):
-                if c:
-                    col[i - 1 + j] += i * c
-        columns.append(col)
-    rows = [list(row) for row in zip(*columns)]
-    # leading terms of a column can cancel: keep no all-zero row above the
-    # highest nonzero coefficient of the columns and the right-hand side
-    while len(rows) > len(rhs) and not any(rows[-1]):
-        rows.pop()
-    vec = rhs + [0] * (len(rows) - len(rhs))
-    sol = solve_linear_system(rows, vec, num_degree + 1)
-    if sol is None:
+    A = den * qa * qb
+    B = (pa * den - den.derivative() * qa) * qb
+    R = pb * qa * den * den
+    s = max(B.degree, A.degree - 1)
+    top = num_degree + s
+    if R.degree > top:
+        # no column reaches the top rows of R
         return None
-    return RatFunc(Poly(sol), den)
+    # one integer scale for the three: each content times l/g is an integer
+    contents = (A.content, B.content, R.content)
+    l = lcm(*(c.denominator for c in contents))
+    sa, sb, sr = (c.numerator * (l // c.denominator) for c in contents)
+    g = gcd(sa, sb, sr)
+    a_terms = _int_terms(A, sa // g)
+    b_terms = _int_terms(B, sb // g)
+    r0 = [sr // g * v for v in R.ints] + [0] * (top - R.degree)
+    lead_b = b_terms[-1][1] if b_terms and B.degree == s else 0
+    lead_a = a_terms[-1][1] if A.degree == s + 1 else 0
+    rho = None
+    if lead_a and lead_b % lead_a == 0 and 0 <= -lead_b // lead_a <= num_degree:
+        rho = -lead_b // lead_a
+    # true residual = (r0 + t*r1)/sigma and n_i = (q0 + t*q1)/sigma_i.  Rows
+    # below `live` are untouched by every column so far and hold R at scale
+    # 1; a column reaches them from the top, so each is brought to sigma once
+    low = min([j for j, _ in b_terms] + [j - 1 for j, _ in a_terms])
+    live = top + 1
+    r1: list[int] | None = None
+    sigma = 1
+    found = []
+    for i in range(num_degree, -1, -1):
+        d = i + s
+        lo = max(i + low, 0)
+        if lo < live:
+            if sigma != 1:
+                r0[lo:live] = [sigma * v for v in r0[lo:live]]
+            live = lo
+        if i == rho:
+            r1 = [0] * len(r0)
+            for j, v in b_terms:
+                r1[i + j] -= sigma * v
+            if i:
+                for j, v in a_terms:
+                    r1[i + j - 1] -= sigma * i * v
+            continue
+        lc = lead_b + i * lead_a
+        lead0 = r0[d]
+        lead1 = r1[d] if r1 is not None else 0
+        m = abs(lc) // gcd(lead0, lead1, lc)
+        if m != 1:
+            # rows above d are zero, apart from row rho + s of r0, which is
+            # only tested for zero (col_rho is zero there: lc_rho = 0)
+            r0[live : d + 1] = [m * v for v in r0[live : d + 1]]
+            if r1 is not None:
+                r1[live : d + 1] = [m * v for v in r1[live : d + 1]]
+            sigma *= m
+            lead0 *= m
+            lead1 *= m
+        q0 = lead0 // lc
+        q1 = lead1 // lc
+        found.append((i, q0, q1, sigma))
+        for r, q in ((r0, q0), (r1, q1)):
+            if q:
+                for j, v in b_terms:
+                    r[i + j] -= q * v
+                if i:
+                    for j, v in a_terms:
+                        r[i + j - 1] -= q * i * v
+    # what is left is the rows that fix no unknown: r1 is zero below `live`
+    # and at rho + s, where alone r0 may be at an older scale, and a zero
+    # test does not depend on the scale
+    tp, tq = 0, 1  # t = tp/tq
+    if r1 is None:
+        if any(r0):
+            return None
+    else:
+        for v0, v1 in zip(r0, r1):
+            if v1:
+                tp, tq = -v0, v1
+                break
+        if any(v0 * tq + tp * v1 for v0, v1 in zip(r0, r1)):
+            return None
+    nums = [0] * (num_degree + 1)
+    for i, q0, q1, sig in found:
+        nums[i] = (q0 * tq + tp * q1) * (sigma // sig)
+    if rho is not None:
+        nums[rho] = tp * sigma
+    return RatFunc(_from_ints(nums, Fraction(1, tq * sigma)), den)
 
 
 def solve_general(
@@ -227,20 +330,23 @@ def solve_general(
     pole_slack: int = 0,
     degree_slack: int = 0,
     a_residues: ResidueReport | None = None,
+    a_split: list[tuple[Poly, int]] | None = None,
 ) -> RischOutcome:
     """Decide existence of a rational solution by pole/degree bounding plus
     undetermined coefficients.
 
     ``pole_slack`` and ``degree_slack`` widen the bounds; they exist so that
     an absence verdict can be re-checked under strictly larger search spaces.
-    ``a_residues`` is the residue report of ``eq.a`` when the caller already
-    has it (``check_hk`` scales alpha's); otherwise it is computed here.
+    ``a_residues`` is the residue report of ``eq.a`` and ``a_split`` the
+    squarefree split of its denominator, when the caller already has them
+    (``check_hk`` derives both from alpha's, since (k-1)*alpha keeps alpha's
+    denominator); otherwise they are computed here.
     """
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
     rep = a_residues if a_residues is not None else residues(a)
-    den = _candidate_denominator(a, b, rep, pole_slack)
+    den = _candidate_denominator(a, b, rep, pole_slack, a_split)
     bound = _numerator_degree_bound(a, b, den) + degree_slack
     if bound < 0:
         return RischOutcome(None, "general", reason=REASON_POLE_BOUND)

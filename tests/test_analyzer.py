@@ -135,6 +135,30 @@ class TestAnalyze:
         check_hk(RatFunc(X**2 - X - 1, X**3), RatFunc(1, X**3), 3)
         assert len(calls) == 1
 
+    def test_one_split_of_alpha_per_analysis(self, monkeypatch):
+        # (k-1)*alpha keeps alpha's denominator, so every order gets the
+        # split that check_h1 uses, made once
+        from ratcert import risch
+
+        dens, splits = [], []
+        real_split, real_general = risch.squarefree_decompose, analyzer.solve_general
+
+        def split(p):
+            dens.append(p)
+            return real_split(p)
+
+        def general(eq, **kwargs):
+            splits.append(kwargs["a_split"])
+            return real_general(eq, **kwargs)
+
+        monkeypatch.setattr(risch, "squarefree_decompose", split)
+        monkeypatch.setattr(analyzer, "solve_general", general)
+        cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
+        alpha_den = cert.orders[0].equation.a.den
+        assert alpha_den == X**2
+        assert dens.count(alpha_den) == 1
+        assert splits == [real_split(alpha_den)] * 4
+
     def test_specialized_record_keeps_the_order_equation(self):
         cert = analyze(cubic_example_field(), RatFunc.zero(), 2)
         (record,) = cert.orders

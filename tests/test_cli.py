@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
-from ratcert.analyzer import MAX_KMAX
+from ratcert import analyzer
+from ratcert.algebra import Poly, RatFunc
+from ratcert.analyzer import MAX_KMAX, SolverDisagreementError
 from ratcert.cli import run
-from ratcert.parsing import MAX_DEGREE
+from ratcert.parsing import MAX_COEFF_BITS, MAX_DEGREE
 
 
 def read_json(path):
@@ -166,9 +168,11 @@ class TestBatchCommand:
         infile.write_text("\n".join(json.dumps(t) for t in tasks) + "\n", encoding="utf-8")
         outfile = tmp_path / "out.jsonl"
         code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
-        assert code == 2  # one line failed
+        assert code == 2  # one line failed, on its input
+        assert report["failed"] == 1 and report["internal"] == 0
         lines = outfile.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(tasks)
+        assert lines[2] == '{"error":"unexpected end of input (at position 4)"}'
         first = json.loads(lines[0])
         assert first["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
         second = json.loads(lines[1])
@@ -248,6 +252,33 @@ class TestBatchCommand:
         assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
         assert lines[3] == {"error": f"k_max must be <= {MAX_KMAX}, got 100000000000"}
 
+    def test_internal_error_keeps_its_neighbours(self, tmp_path, monkeypatch):
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        other = {"p": "x^2-y", "q": "y*(x+1)", "kmax": 2}
+        # alpha of the middle line's field along y = 0
+        poisoned = RatFunc(Poly([1, 1]), Poly([0, 0, 1]))
+        real = analyzer.solve_general
+
+        def decider(eq, **kwargs):
+            if eq.a == poisoned:
+                raise SolverDisagreementError("existence disagreement at order 2")
+            return real(eq, **kwargs)
+
+        monkeypatch.setattr(analyzer, "solve_general", decider)
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(json.dumps(t) for t in (good, other, good)) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile), "--jobs", "2"])
+        assert code == 3
+        assert report["lines"] == 3 and report["failed"] == 1 and report["internal"] == 1
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == lines[2]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert lines[1] == {
+            "error": "SolverDisagreementError: existence disagreement at order 2",
+            "kind": "internal",
+        }
+
     def test_missing_input_file(self):
         code, _ = run(["batch", "--input", "/nonexistent/tasks.jsonl"])
         assert code == 2
@@ -290,6 +321,21 @@ class TestInputSizeBound:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"total degree 202 exceeds the limit {MAX_DEGREE} (at position 15)" in proc.stderr
+
+    def test_huge_constant_is_input_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "analyze",
+             "--p", "x^3 - (9^200)^200*y", "--q", "y"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert (
+            f"constant of up to 126800 bits exceeds the limit of {MAX_COEFF_BITS} bits"
+            " (at position 13)" in proc.stderr
+        )
 
     def test_power_sixty_transforms(self, capsys):
         code, report = run(["transform", "--p", "(z1+z2+1)^60", "--q", "z1"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly, BivarRatFunc
 from ratcert.parsing import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     ParseError,
@@ -356,6 +357,36 @@ class TestDegreeBound:
             parse_poly("x^\u00b2")
         with pytest.raises(ParseError):
             parse_poly("9" * 5000 + "*x")
+
+
+class TestCoefficientBound:
+    def test_constants_within_the_bound_print(self):
+        assert len(str(-(1 << MAX_COEFF_BITS))) < 4300
+
+    def test_power_of_a_constant_checked_before_computing(self):
+        text = "z1 + ((9^200)^200)^200*z2"
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, ("z1", "z2"))
+        assert info.value.position == text.index(")^") + 1
+        assert info.value.message == (
+            f"constant of up to 126800 bits exceeds the limit of {MAX_COEFF_BITS} bits"
+        )
+
+    def test_power_just_under_and_over_the_bound(self):
+        # 2^200 has 201 bits, so (2^200)^20 is estimated at 4020 bits
+        assert parse_poly("(2^200)^20*x") == BivarPoly({(1, 0): 2**4000})
+        with pytest.raises(ParseError) as info:
+            parse_poly("(2^200)^21*x")
+        assert info.value.position == 7
+
+    def test_product_and_quotient_of_constants(self):
+        text = "(9^200)^4*(9^200)^4*y"
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == text.index("*")
+        with pytest.raises(ParseError):
+            parse_poly("x + (9^200)^4/(7^200)^5")
+        assert parse_poly("(9^200)^2*(9^200)^2*x") == BivarPoly({(1, 0): 9**800})
 
 
 grammar_text_st = st.text(alphabet="xy0123456789+-*/^() a_", max_size=40)

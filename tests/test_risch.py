@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ratcert import risch
 from ratcert.algebra import (
@@ -15,6 +15,7 @@ from ratcert.algebra import (
     coprime_refinement,
     poly_gcd,
     residues,
+    solve_linear_system,
     squarefree_decompose,
 )
 from ratcert.risch import (
@@ -178,7 +179,52 @@ def _product_system(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
     return rows, [rhs.coeff(d) for d in range(height)]
 
 
+def _eliminated(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
+    """The particular solution elimination gives on the product-built
+    system: pivot columns in increasing order, free unknowns set to 0."""
+    rows, rhs = _product_system(a, b, den, num_degree)
+    sol = solve_linear_system(rows, rhs, num_degree + 1)
+    return None if sol is None else RatFunc(Poly(sol), den)
+
+
+def _no_elimination(*args):
+    raise AssertionError("the general decider must not eliminate")
+
+
+@st.composite
+def undetermined_equations(draw):
+    """(a, b) for the recurrence-against-elimination property.  The kinds
+    reach the recurrence's branches: a = -c*u'/u has the homogeneous
+    solution u**c, so the parameter at rho is free; a = lam/(x - r) + e/x**2
+    with lam a negative integer makes lc_rho vanish while the homogeneous
+    solution (x - r)**(-lam)*exp(e/x) is not rational, so the parameter is
+    pinned or the system inconsistent; a = 0 with polynomial b gives
+    s = -1."""
+    kind = draw(st.sampled_from(["generic", "log-derivative", "pinned", "zero"]))
+    if kind == "generic":
+        a = draw(ratfuncs_st)
+    elif kind == "log-derivative":
+        u = draw(nonzero_polys_st.filter(lambda p: p.degree > 0))
+        a = -draw(st.integers(1, 3)) * RatFunc(u.derivative(), u)
+    elif kind == "pinned":
+        lam = -draw(st.integers(1, 4))
+        a = RatFunc(lam, X - draw(st.integers(-2, 2))) + RatFunc(draw(st.integers(1, 3)), X**2)
+    else:
+        a = RatFunc.zero()
+    if kind == "zero" and draw(st.booleans()):
+        b = RatFunc(draw(nonzero_polys_st))
+    elif draw(st.booleans()):
+        h = draw(ratfuncs_st)
+        b = h.derivative() + a * h
+    else:
+        b = draw(ratfuncs_st)
+    return a, b
+
+
 class TestSolveUndetermined:
+    """The top-down recurrence gives the solution that elimination gives on
+    the product-built system, and never calls the elimination."""
+
     @given(
         a=st.none() | ratfuncs_st,
         b=ratfuncs_st,
@@ -191,36 +237,49 @@ class TestSolveUndetermined:
         # a = None stands for a = 0, where column deg(den) vanishes identically
         a = RatFunc.zero() if a is None else a
         den = den_factor.monic() * Poly.monomial(pole)
-        seen = []
-        real = risch.solve_linear_system
-
-        def record(rows, rhs, ncols):
-            seen.append((rows, rhs, ncols))
-            return real(rows, rhs, ncols)
-
-        with mock.patch.object(risch, "solve_linear_system", record):
-            solve_undetermined(a, b, den, num_degree)
-        rows, rhs, ncols = seen[0]
-        assert (rows, rhs) == _product_system(a, b, den, num_degree)
-        assert ncols == num_degree + 1
+        with mock.patch.object(risch, "solve_linear_system", _no_elimination):
+            got = solve_undetermined(a, b, den, num_degree)
+        assert got == _eliminated(a, b, den, num_degree)
 
     def test_cancelling_top_terms_are_trimmed(self):
         # a = 0, b = 1/(x**3+1), den = x**2: column 2 is x**2*B + 2*x*A = 0 with
-        # B = -2*x*(x**3+1) and A = x**2*(x**3+1), so the top row is x**5,
-        # one below the degree bound x**6 read off A and B
+        # B = -2*x*(x**3+1) and A = x**2*(x**3+1): lc_2 = B[4] + 2*A[5]
+        # vanishes, so the top row x**6 read off A and B fixes no unknown and
+        # the product-built system stops at x**5
         b = RatFunc(1, X**3 + 1)
         rows, _ = _product_system(RatFunc.zero(), b, Poly.monomial(2), 2)
-        assert len(rows) == 6
-        seen = []
-        real = risch.solve_linear_system
+        assert len(rows) == 6 and not any(row[2] for row in rows)
+        with mock.patch.object(risch, "solve_linear_system", _no_elimination):
+            got = solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
+        assert got == _eliminated(RatFunc.zero(), b, Poly.monomial(2), 2)
 
-        def record(rows, rhs, ncols):
-            seen.append(rows)
-            return real(rows, rhs, ncols)
+    @given(eq=undetermined_equations(), pole_slack=st.integers(0, 3), degree_slack=st.integers(0, 3))
+    @settings(deadline=None, max_examples=150)
+    def test_recurrence_matches_elimination(self, eq, pole_slack, degree_slack):
+        a, b = eq
+        assume(not b.is_zero)  # solve_general settles b = 0 before any bound
+        den = risch._candidate_denominator(a, b, residues(a), pole_slack)
+        bound = risch._numerator_degree_bound(a, b, den) + degree_slack
+        got = solve_undetermined(a, b, den, bound)
+        assert got == _eliminated(a, b, den, bound)
+        if got is not None:
+            assert verify_solution(RischEquation(a, b), got)
 
-        with mock.patch.object(risch, "solve_linear_system", record):
-            solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
-        assert seen == [rows]
+    def test_free_parameter_is_set_to_zero(self):
+        # a = -2/x: x**2 solves the homogeneous equation, so n_2 is free and,
+        # as in elimination, set to 0; b = 1 gives y = -x + t*x**2
+        got = solve_undetermined(RatFunc(-2, X), RatFunc.one(), Poly.one(), 3)
+        assert got == RatFunc(-X)
+        assert got == _eliminated(RatFunc(-2, X), RatFunc.one(), Poly.one(), 3)
+
+    def test_pinned_parameter(self):
+        # with a = -2/x + 1/x**2 and den = x, lc_i = i - 3 vanishes at 3, but
+        # the homogeneous solution x**2*exp(1/x) is not rational: the rows
+        # that fix no unknown pin n_3 to the planted solution's 1
+        a = RatFunc(-2, X) + RatFunc(1, X**2)
+        h = RatFunc(X**3 + 3 * X - 1, X)
+        b = h.derivative() + a * h
+        assert solve_undetermined(a, b, X, 4) == h == _eliminated(a, b, X, 4)
 
 
 def _candidate_by_division(a: RatFunc, b: RatFunc, rep, slack: int = 0) -> Poly:
@@ -327,14 +386,13 @@ class TestSubstitutionCheck:
     def test_corrupted_elimination_is_caught(self, monkeypatch):
         eq = RischEquation(RatFunc(X + 1, X**2), RatFunc(2 * X + 2, X**4))
         assert solve_general(eq).solution == RatFunc(4 * X + 2, X**2)
-        real = risch.solve_linear_system
+        real = risch.solve_undetermined
 
-        def corrupted(rows, rhs, ncols):
-            sol = real(rows, rhs, ncols)
-            sol[0] += 1
-            return sol
+        def corrupted(a, b, den, num_degree):
+            sol = real(a, b, den, num_degree)
+            return RatFunc(sol.num + 1, sol.den)
 
-        monkeypatch.setattr(risch, "solve_linear_system", corrupted)
+        monkeypatch.setattr(risch, "solve_undetermined", corrupted)
         with pytest.raises(RuntimeError, match="substitution check"):
             solve_general(eq)
 
