@@ -7,18 +7,20 @@ the one exact linear-system routine (``solve_linear_system``).
 
 Representation notes:
 
-  * ``Poly`` stores ``content * sum(ints[i] * x**i)``: ``ints`` is a tuple of
+  * ``Poly`` stores ``(cn/cd) * sum(ints[i] * x**i)``: ``ints`` is a tuple of
     Python ints, lowest degree first, with no trailing zeros, gcd 1 and a
-    positive leading coefficient; ``content`` is one ``fractions.Fraction``
-    carrying the sign and the scale.  Zero is ``()`` with content 0 and has
-    degree -1.  The form is canonical, so structural equality and hashing
-    are mathematical equality.
-  * Arithmetic runs on the int vectors: a product is an integer convolution
-    times the product of the contents (a product of primitive polynomials is
-    primitive, by Gauss's lemma, so it needs no gcd); a sum brings the two
-    contents to a common denominator and takes one gcd; ``divmod`` and
-    ``poly_gcd`` are pseudo-division and primitive Euclid.  ``Poly.coeffs``
-    builds the ``Fraction`` coefficients on access.
+    positive leading coefficient; the content is the int pair ``cn``/``cd``
+    in lowest terms with ``cd > 0``, carrying the sign and the scale.  Zero
+    is ``()`` with content 0/1 and has degree -1.  The form is canonical, so
+    structural equality and hashing are mathematical equality.
+  * Arithmetic runs on ints only: a product is an integer convolution times
+    the product of the two contents, taken with cross gcds (a product of
+    primitive polynomials is primitive, by Gauss's lemma, so it needs no
+    further gcd); a sum brings the two contents to a common denominator and
+    takes one gcd; ``divmod`` and ``poly_gcd`` are pseudo-division and
+    primitive Euclid.  A ``fractions.Fraction`` is built only where a
+    rational leaves the kernel: ``coeffs``, ``coeff``, ``lc``, ``content``,
+    ``eval``, resultants, roots and residues.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
     denominator, so structural equality is mathematical equality.  A
     product with (or a quotient by) a nonzero rational keeps both
@@ -51,7 +53,6 @@ from typing import Iterable, Sequence
 Rat = Fraction
 
 _FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -62,51 +63,100 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _make(ints: tuple[int, ...], content: Fraction) -> "Poly":
+def _scalar(value) -> tuple[int, int]:
+    """An int or Fraction as a reduced pair (n, d), d > 0."""
+    if isinstance(value, int):
+        return value, 1
+    return value.numerator, value.denominator
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d (d nonzero) as a reduced pair with a positive denominator."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _pair_mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad) * (bn/bd) for two reduced pairs: the cross gcds leave the
+    product reduced."""
+    g = gcd(an, bd)
+    h = gcd(bn, ad)
+    if g != 1:
+        an //= g
+        bd //= g
+    if h != 1:
+        bn //= h
+        ad //= h
+    return an * bn, ad * bd
+
+
+def _make(ints: tuple[int, ...], cn: int, cd: int) -> "Poly":
     """A Poly from parts already in canonical form."""
     p = object.__new__(Poly)
     p.ints = ints
-    p.content = content
+    p.cn = cn
+    p.cd = cd
     return p
 
 
-def _from_ints(ints: list[int], content: Fraction) -> "Poly":
-    """content * ints, brought to canonical form (any ints, any content)."""
+def _from_ints(ints: list[int], cn: int, cd: int) -> "Poly":
+    """(cn/cd) * ints, brought to canonical form (any ints, any pair with
+    cd nonzero)."""
     while ints and not ints[-1]:
         ints.pop()
-    if not ints or not content:
+    if not ints or not cn:
         return _ZERO
     g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-        content = content * g
-    return _make(tuple(ints), content)
+        cn *= g
+    cn, cd = _ratio(cn, cd)
+    return _make(tuple(ints), cn, cd)
+
+
+def _inverse_lc(p: "Poly") -> tuple[int, int]:
+    """1/lc(p) as a reduced pair, for p nonzero.  lc(p) = cn*lead/cd, and
+    cd/(cn*lead) is not in lowest terms when lead and cd share a factor."""
+    return _ratio(p.cd, p.cn * p.ints[-1])
+
+
+def _times(p: "Poly", n: int, d: int) -> "Poly":
+    """p * (n/d) for a reduced pair, d > 0."""
+    if not n or not p.ints:
+        return _ZERO
+    return _make(p.ints, *_pair_mul(p.cn, p.cd, n, d))
 
 
 class Poly:
     """Univariate polynomial over Q, dense, lowest degree first, stored as
-    primitive integer coefficients ``ints`` times a rational ``content``
-    (see the module docstring).  Both attributes are read-only by contract."""
+    primitive integer coefficients ``ints`` times a rational content
+    ``cn/cd`` (see the module docstring).  All attributes are read-only by
+    contract."""
 
-    __slots__ = ("ints", "content")
+    __slots__ = ("ints", "cn", "cd")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         den = 1
         for c in cs:
+            if isinstance(c, int):
+                continue
             if isinstance(c, Fraction):
                 den = lcm(den, c.denominator)
-            elif not isinstance(c, int):
+            else:
                 raise TypeError(f"expected an exact rational, got {type(c).__name__}")
         if den == 1:
             ints = [c.numerator for c in cs]
         else:
             ints = [c.numerator * (den // c.denominator) for c in cs]
-        p = _from_ints(ints, Fraction(1, den))
+        p = _from_ints(ints, 1, den)
         self.ints = p.ints
-        self.content = p.content
+        self.cn = p.cn
+        self.cd = p.cd
 
     # -- constructors ------------------------------------------------------
 
@@ -124,7 +174,7 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return _make((0, 1), _FRACTION_ONE)
+        return _make((0, 1), 1, 1)
 
     @classmethod
     def monomial(cls, deg: int, c=1) -> "Poly":
@@ -135,10 +185,15 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def content(self) -> Fraction:
+        """The content cn/cd as a Fraction, built on access."""
+        return Fraction(self.cn, self.cd)
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first."""
-        c = self.content
-        return tuple(c * v for v in self.ints)
+        cn, cd = self.cn, self.cd
+        return tuple(Fraction(cn * v, cd) for v in self.ints)
 
     @property
     def degree(self) -> int:
@@ -152,26 +207,26 @@ class Poly:
     def lc(self) -> Fraction:
         if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.ints[-1]
+        return Fraction(self.cn * self.ints[-1], self.cd)
 
     def coeff(self, i: int) -> Fraction:
         if 0 <= i < len(self.ints):
-            return self.content * self.ints[i]
+            return Fraction(self.cn * self.ints[i], self.cd)
         return _FRACTION_ZERO
 
     # -- arithmetic --------------------------------------------------------
 
     def _add(self, other: "Poly", negate: bool) -> "Poly":
-        ca, cb = self.content, -other.content if negate else other.content
         if not other.ints:
             return self
+        bn = -other.cn if negate else other.cn
         if not self.ints:
-            return _make(other.ints, cb)
+            return _make(other.ints, bn, other.cd)
         # ca*a + cb*b = (g/q) * (ma*a + mb*b) with q the common denominator
-        da, db = ca.denominator, cb.denominator
+        da, db = self.cd, other.cd
         q = da * db // gcd(da, db)
-        ma = ca.numerator * (q // da)
-        mb = cb.numerator * (q // db)
+        ma = self.cn * (q // da)
+        mb = bn * (q // db)
         g = gcd(ma, mb)
         ma //= g
         mb //= g
@@ -182,7 +237,7 @@ class Poly:
         for i, v in enumerate(b):
             if v:
                 out[i] += mb * v
-        return _from_ints(out, Fraction(g, q))
+        return _from_ints(out, g, q)
 
     def __add__(self, other) -> "Poly":
         return self._add(_poly(other), False)
@@ -192,7 +247,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         if not self.ints:
             return self
-        return _make(self.ints, -self.content)
+        return _make(self.ints, -self.cn, self.cd)
 
     def __sub__(self, other) -> "Poly":
         return self._add(_poly(other), True)
@@ -201,11 +256,11 @@ class Poly:
         return _poly(other)._add(self, True)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other or not self.ints:
-                return _ZERO
-            return _make(self.ints, self.content * other)
-        other = _poly(other)
+        # Poly first: an isinstance test against Fraction, an ABC, is slow
+        if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return _times(self, *_scalar(other))
+            other = _poly(other)
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
@@ -217,7 +272,7 @@ class Poly:
             if u:
                 for j, v in right:
                     out[i + j] += u * v
-        return _make(tuple(out), self.content * other.content)
+        return _make(tuple(out), *_pair_mul(self.cn, self.cd, other.cn, other.cd))
 
     __rmul__ = __mul__
 
@@ -227,7 +282,8 @@ class Poly:
         a = self.ints
         if a and not any(a[:-1]):
             # c*x**k: its ints are (0, ..., 0, 1), so the power is direct
-            return _make((0,) * ((len(a) - 1) * n) + (1,), self.content**n)
+            # (powers of coprime ints stay coprime)
+            return _make((0,) * ((len(a) - 1) * n) + (1,), self.cn**n, self.cd**n)
         result = _ONE
         base = self
         while n:
@@ -271,8 +327,11 @@ class Poly:
             rem[k + dd] = 0
             for i, c in low:
                 rem[k + i] -= f * c
-        content = self.content / scale
-        return _from_ints(quo, content / other.content), _from_ints(rem[:dd], content)
+        cn, cd = self.cn, self.cd * scale
+        return (
+            _from_ints(quo, cn * other.cd, cd * other.cn),
+            _from_ints(rem[:dd], cn, cd),
+        )
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -290,14 +349,16 @@ class Poly:
 
     def derivative(self) -> "Poly":
         a = self.ints
-        return _from_ints([i * a[i] for i in range(1, len(a))], self.content)
+        return _from_ints([i * a[i] for i in range(1, len(a))], self.cn, self.cd)
 
     def antiderivative(self) -> "Poly":
         a = self.ints
         if not a:
             return _ZERO
         den = lcm(*range(1, len(a) + 1))
-        return _from_ints([0] + [v * (den // (i + 1)) for i, v in enumerate(a)], self.content / den)
+        return _from_ints(
+            [0] + [v * (den // (i + 1)) for i, v in enumerate(a)], self.cn, self.cd * den
+        )
 
     def eval(self, v) -> Fraction:
         v = _as_fraction(v)
@@ -309,31 +370,31 @@ class Poly:
         if q == 1:
             for c in reversed(a):
                 acc = acc * p + c
-            return self.content * acc
+            return Fraction(self.cn * acc, self.cd)
         # homogeneous Horner: acc = sum a_i * p**i * q**(deg - i)
         qpow = 1
         for c in reversed(a):
             acc = acc * p + c * qpow
             qpow *= q
-        return self.content * Fraction(acc, qpow // q)
+        return Fraction(self.cn * acc, self.cd * (qpow // q))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if not self.ints:
             return _ZERO
-        return _make((0,) * k + self.ints, self.content)
+        return _make((0,) * k + self.ints, self.cn, self.cd)
 
     def monic(self) -> "Poly":
         if not self.ints:
             return self
-        return _make(self.ints, Fraction(1, self.ints[-1]))
+        return _make(self.ints, 1, self.ints[-1])
 
     # -- misc ----------------------------------------------------------------
 
     def is_power_of_x(self) -> int | None:
         """Degree k when the polynomial is exactly x**k (monic), else None."""
         a = self.ints
-        if not a or a[-1] != 1 or self.content != 1:
+        if not a or a[-1] != 1 or self.cn != 1 or self.cd != 1:
             return None
         if any(a[:-1]):
             return None
@@ -344,7 +405,7 @@ class Poly:
             return "0"
         # coefficient i is n*u/d in lowest terms after dividing by gcd(u, d),
         # since n/d, the content, is already in lowest terms
-        n, d = self.content.numerator, self.content.denominator
+        n, d = self.cn, self.cd
         parts: list[str] = []
         for i in range(len(self.ints) - 1, -1, -1):
             u = self.ints[i]
@@ -365,21 +426,21 @@ class Poly:
         return "".join(parts)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ints == other.ints and self.content == other.content
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        return self.ints == other.ints and self.cn == other.cn and self.cd == other.cd
 
     def __hash__(self):
-        return hash((self.ints, self.content))
+        return hash((self.ints, self.cn, self.cd))
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
 
 
-_ZERO = _make((), _FRACTION_ZERO)
-_ONE = _make((1,), _FRACTION_ONE)
+_ZERO = _make((), 0, 1)
+_ONE = _make((1,), 1, 1)
 
 
 def _poly(value) -> Poly:
@@ -436,8 +497,8 @@ def extended_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quo * t1
     if r0.is_zero:
         return r0, s0, t0
-    scale = 1 / r0.lc
-    return r0 * scale, s0 * scale, t0 * scale
+    n, d = _inverse_lc(r0)
+    return r0.monic(), _times(s0, n, d), _times(t0, n, d)
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
@@ -463,9 +524,9 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
         # d = s*c' exactly when every factor left in c has multiplicity i + s
         # (see the module docstring): c is then the last entry
         if d.ints == dc.ints:
-            s = d.content / dc.content
-            if s.denominator == 1 and s > 0:
-                out.append((c, i + s.numerator))
+            s, r = divmod(d.cn * dc.cd, d.cd * dc.cn)
+            if not r and s > 0:
+                out.append((c, i + s))
                 break
         h = poly_gcd(c, d)
         if h.degree > 0:
@@ -637,7 +698,7 @@ def _resultant_std(a: Poly, b: Poly) -> Fraction:
         rows.append([0] * r + acs + [0] * (size - m - 1 - r))
     for r in range(m):
         rows.append([0] * r + bcs + [0] * (size - n - 1 - r))
-    return a.content**n * b.content**m * _det(rows)
+    return Fraction(a.cn**n * b.cn**m * _det(rows), a.cd**n * b.cd**m)
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:
@@ -788,12 +849,15 @@ def rational_roots(p: Poly) -> tuple[Fraction, ...]:
     roots: list[Fraction] = []
     k = _lowest_power(p.ints)
     roots.extend([Fraction(0)] * k)
-    work = _make(p.ints[k:], p.content)
+    work = _make(p.ints[k:], p.cn, p.cd)
     if work.degree == 0:
         return tuple(sorted(roots))
     for cand in sorted(_candidate_rational_roots(work)):
+        # x - n/d is (1/d) * (d*x - n), already canonical
+        n, d = cand.numerator, cand.denominator
+        linear = _make((-n, d), 1, d)
         while work.degree >= 1 and work.eval(cand) == 0:
-            work = work.divexact(Poly([-cand, 1]))
+            work = work.divexact(linear)
             roots.append(cand)
     return tuple(sorted(roots))
 
@@ -820,9 +884,8 @@ class RatFunc:
         if g.degree > 0:
             num = num.divexact(g)
             den = den.divexact(g)
-        scale = 1 / den.lc
-        self.num = num * scale
-        self.den = den * scale
+        self.num = _times(num, *_inverse_lc(den))
+        self.den = den.monic()
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -866,19 +929,21 @@ class RatFunc:
         return _ratfunc(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc) and isinstance(other, (int, Fraction)):
             # a nonzero scalar keeps num and den coprime and den monic
-            return _ratfunc_parts(self.num * other, self.den) if other else _RATFUNC_ZERO
+            n, d = _scalar(other)
+            return _ratfunc_parts(_times(self.num, n, d), self.den) if n else _RATFUNC_ZERO
         other = _ratfunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if not isinstance(other, RatFunc) and isinstance(other, (int, Fraction)):
+            n, d = _scalar(other)
+            if not n:
                 raise ZeroDivisionError("division by the zero function")
-            return _ratfunc_parts(self.num * (_FRACTION_ONE / other), self.den)
+            return _ratfunc_parts(_times(self.num, *_ratio(d, n)), self.den)
         other = _ratfunc(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
@@ -917,10 +982,10 @@ class RatFunc:
         return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFunc(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Poly)):
+                return NotImplemented
+            other = RatFunc(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -973,7 +1038,7 @@ def _hermite(a: Poly, d: Poly) -> tuple[Poly, Poly, Poly, Poly]:
         _, inv, _ = extended_gcd(uv, v)
         num, vpow = Poly.zero(), Poly.one()  # sum of b*v**(i-1-j), v**(i-1-j)
         for j in range(i - 1, 0, -1):
-            rhs = a * Fraction(-1, j)
+            rhs = _times(a, -1, j)
             b = (rhs * inv) % v
             c = (rhs - b * uv).divexact(v)
             num = num + b * vpow

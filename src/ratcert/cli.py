@@ -8,10 +8,12 @@ Subcommands:
   batch      run independent analyses, one JSON object per input line
 
 Exit codes: 0 when a verdict or result was produced (including an explicit
-inconclusive verdict), 2 on input errors, 3 when a batch line met an
-internal error (its output line has ``"kind": "internal"``; the other lines
-are still written).  JSON reports are canonical: keys sorted, rationals
-rendered as exact "num/den" strings, byte-identical across runs.
+inconclusive verdict), 2 on input errors, 3 on an internal error: a
+single-line command prints one ``error: internal: <Type>: <message>`` line
+on stderr, and a batch line that meets one gets an output line with
+``"kind": "internal"`` while the other lines are still written.  JSON
+reports are canonical: keys sorted, rationals rendered as exact "num/den"
+strings, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Mapping
 
 from . import __version__
 from .algebra import RatFunc
-from .analyzer import MAX_KMAX, Certificate, analyze, canonical_json, check_hk
+from .analyzer import MAX_KMAX, Certificate, _outcome_dict, analyze, canonical_json, check_hk
 from .parsing import ParseError, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import DegenerateCurveError, PlanarField, infinity_transform
 
@@ -159,27 +161,19 @@ def _cmd_risch(args) -> tuple[int, dict]:
         raise ValueError("--order must be >= 2")
     _, outcome = check_hk(alpha, beta, args.order)
     eq = outcome.equation
+    o = _outcome_dict(outcome)
     report = {
         "meta": _meta({"command": "risch", "order": args.order}),
         "equation": {"a": eq.a.to_str(), "b": eq.b.to_str(), "order": args.order},
-        "outcome": {
-            "status": "RationalSolution" if outcome.has_rational_solution else "NoRationalSolution",
-            "solver": outcome.solver,
-        },
+        "outcome": o,
     }
-    if outcome.solution is not None:
-        solution = outcome.solution.to_str()
-        report["outcome"]["solution"] = solution
-        print(f"RationalSolution: y = {solution} [{outcome.solver}]")
+    if "solution" in o:
+        print(f"RationalSolution: y = {o['solution']} [{o['solver']}]")
+        if "case" in o:
+            print(f"case: {o['case']}")
     else:
-        detail = outcome.reason or ""
-        case = f", case {outcome.case}" if outcome.case else ""
-        report["outcome"]["reason"] = outcome.reason
-        print(f"NoRationalSolution [{outcome.solver}{case}] {detail}")
-    if outcome.case is not None:
-        report["outcome"]["case"] = outcome.case
-        if outcome.has_rational_solution:
-            print(f"case: {outcome.case}")
+        case = f", case {o['case']}" if "case" in o else ""
+        print(f"NoRationalSolution [{o['solver']}{case}] {o.get('reason', '')}")
     if args.json:
         _write_json(args.json, report)
     return 0, report
@@ -319,6 +313,11 @@ def run(argv=None) -> tuple[int, dict | None]:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except Exception as exc:
+        # a fault of the program, such as a decider disagreement or a failed
+        # substitution check: one line, the exit code batch uses for it
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3, None
 
 
 def main(argv=None) -> int:

@@ -20,10 +20,12 @@ Input size is bounded, and every bound ends in a positioned ``ParseError``
 before any work is done: parentheses nest at most ``MAX_NESTING`` deep (so
 hostile input cannot exhaust the interpreter stack), an exponent is at most
 ``MAX_DEGREE``, no power or product may produce a numerator or denominator
-of total degree above ``MAX_DEGREE``, and no power of a constant or product
-of two constants may produce a numerator or denominator of more than
-``MAX_COEFF_BITS`` bits (estimated before the arithmetic as n*bits for a
-power and as the sum of the two sizes for a product).
+of total degree above ``MAX_DEGREE``, and no power or product may produce a
+coefficient whose numerator or denominator has more than ``MAX_COEFF_BITS``
+bits.  That size is estimated before the arithmetic, from the largest
+numerator or denominator among the operands' coefficients: n*bits for a
+power, and the sum of the two sizes for a product, a quotient or a sum of
+rational functions (whose terms are cross products).
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100
 # largest exponent, and largest total degree of a numerator or denominator
 MAX_DEGREE = 200
-# largest bit length of the numerator or denominator of a constant that a
-# power or a product of constants may produce: far below the 4300 decimal
-# digits (about 14284 bits) that Python turns into a string, so every
-# coefficient of an accepted input can be printed
+# largest bit length of the numerator or denominator of a coefficient that
+# a power or a product may produce: far below the 4300 decimal digits (about
+# 14284 bits) that Python turns into a string, so every coefficient of an
+# accepted input can be printed
 MAX_COEFF_BITS = 4096
 
 
@@ -113,16 +115,27 @@ def _bound(degree: int, pos: int) -> None:
         raise ParseError(f"total degree {degree} exceeds the limit {MAX_DEGREE}", pos)
 
 
-def _constant_bits(value: BivarPoly) -> int:
-    """Bit length of the larger of a constant's numerator and denominator."""
-    c = value.coeff(0, 0)
-    return max(c.numerator.bit_length(), c.denominator.bit_length())
+def _bits(value: BivarPoly | BivarRatFunc) -> int:
+    """Bit length of the largest numerator or denominator among a value's
+    coefficients (of its numerator and denominator, for a rational value),
+    read off each row's content cn/cd and its largest int v: cn*v has
+    bits(cn) + bits(v) - 1 bits or one more, and a constant's row is (1,),
+    so for a constant this is exact."""
+    if isinstance(value, BivarRatFunc):
+        return max(_bits(value.num), _bits(value.den))
+    out = 0
+    for r in value.rows.values():
+        big = max(max(r.ints), -min(r.ints))
+        out = max(out, r.cn.bit_length() + big.bit_length() - 1, r.cd.bit_length())
+    return out
 
 
-def _bound_bits(bits: int, pos: int) -> None:
+def _bound_bits(bits: int, pos: int, *operands: BivarPoly | BivarRatFunc) -> None:
     if bits > MAX_COEFF_BITS:
+        constant = all(isinstance(v, BivarPoly) and v.total_degree <= 0 for v in operands)
+        what = "constant" if constant else "coefficient"
         raise ParseError(
-            f"constant of up to {bits} bits exceeds the limit of {MAX_COEFF_BITS} bits", pos
+            f"{what} of up to {bits} bits exceeds the limit of {MAX_COEFF_BITS} bits", pos
         )
 
 
@@ -132,16 +145,17 @@ def _combine(
     """a op b for a binary operator; ``pos`` is the operator's position."""
     if op == "/" and b.is_zero:
         raise ParseError("division by zero", pos)
-    if isinstance(a, BivarPoly) and isinstance(b, BivarPoly):
+    polys = isinstance(a, BivarPoly) and isinstance(b, BivarPoly)
+    if op in "*/" or not polys:
+        # every coefficient of the result is a sum of products of one
+        # coefficient of each operand (cross products, for rational values)
+        _bound_bits(_bits(a) + _bits(b), pos, a, b)
+    if polys:
         if op == "+":
             return a + b
         if op == "-":
             return a - b
         deg_a, deg_b = a.total_degree, b.total_degree
-        if deg_a <= 0 and deg_b <= 0:
-            # a product or quotient of constants: bound the unreduced
-            # numerator and denominator of the result
-            _bound_bits(_constant_bits(a) + _constant_bits(b), pos)
         if op == "*":
             _bound(max(deg_a + deg_b, 0), pos)
             return a * b
@@ -239,9 +253,8 @@ class _Parser:
                 raise ParseError(f"exponent {n} exceeds the limit {MAX_DEGREE}", etok.pos)
             degree = max(_degrees(value))
             _bound(n * degree, tok.pos)
+            _bound_bits(n * _bits(value), tok.pos, value)
             if isinstance(value, BivarPoly):
-                if degree == 0:
-                    _bound_bits(n * _constant_bits(value), tok.pos)
                 value = value**n
             else:
                 value = BivarRatFunc(value.num**n, value.den**n)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _lowest_power, _make
+from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _times
 
 
 class DegenerateCurveError(ValueError):
@@ -109,10 +109,10 @@ class BivarPoly:
         second), built on access."""
         out: dict[tuple[int, int], Fraction] = {}
         for j, row in self.rows.items():
-            c = row.content
+            cn, cd = row.cn, row.cd
             for i, v in enumerate(row.ints):
                 if v:
-                    out[(i, j)] = c * v
+                    out[(i, j)] = Fraction(cn * v, cd)
         return out
 
     @property
@@ -217,7 +217,7 @@ class BivarPoly:
             return Poly.zero()
         coeffs = [Fraction(0)] * (max(self.rows) + 1)
         for j, row in self.rows.items():
-            coeffs[j] = row.content * sum(row.ints)
+            coeffs[j] = Fraction(row.cn * sum(row.ints), row.cd)
         return Poly(coeffs)
 
     def swap_vars(self) -> "BivarPoly":
@@ -227,7 +227,7 @@ class BivarPoly:
         """Exact division by the first variable."""
         if any(r.ints[0] for r in self.rows.values()):
             raise ValueError("polynomial is not divisible by the first variable")
-        return _from_rows({j: _make(r.ints[1:], r.content) for j, r in self.rows.items()})
+        return _from_rows({j: _make(r.ints[1:], r.cn, r.cd) for j, r in self.rows.items()})
 
     def projective_clear(self, n: int) -> "BivarPoly":
         """z1**n * p(z2/z1, 1/z1) as a polynomial in (z1, z2).
@@ -299,7 +299,7 @@ def _bivar(value) -> BivarPoly:
 
 def _lowered(p: BivarPoly, i: int, j: int) -> BivarPoly:
     """p / (first**i * second**j), for a monomial that divides p."""
-    return _from_rows({k - j: _make(r.ints[i:], r.content) for k, r in p.rows.items()})
+    return _from_rows({k - j: _make(r.ints[i:], r.cn, r.cd) for k, r in p.rows.items()})
 
 
 class BivarRatFunc:
@@ -330,11 +330,11 @@ class BivarRatFunc:
         # the largest key (i, j): highest power of the first variable, then
         # of the second
         top = den.degree_in(0)
-        lead = den.rows[max(j for j, r in den.rows.items() if r.degree == top)].lc
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
+        lead = den.rows[max(j for j, r in den.rows.items() if r.degree == top)]
+        n, d = _inverse_lc(lead)
+        if n != 1 or d != 1:
+            num = _from_rows({j: _times(r, n, d) for j, r in num.rows.items()})
+            den = _from_rows({j: _times(r, n, d) for j, r in den.rows.items()})
         self.num = num
         self.den = den
 

@@ -245,9 +245,8 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
         # no column reaches the top rows of R
         return None
     # one integer scale for the three: each content times l/g is an integer
-    contents = (A.content, B.content, R.content)
-    l = lcm(*(c.denominator for c in contents))
-    sa, sb, sr = (c.numerator * (l // c.denominator) for c in contents)
+    l = lcm(A.cd, B.cd, R.cd)
+    sa, sb, sr = (p.cn * (l // p.cd) for p in (A, B, R))
     g = gcd(sa, sb, sr)
     a_terms = _int_terms(A, sa // g)
     b_terms = _int_terms(B, sb // g)
@@ -322,7 +321,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
         nums[i] = (q0 * tq + tp * q1) * (sigma // sig)
     if rho is not None:
         nums[rho] = tp * sigma
-    return RatFunc(_from_ints(nums, Fraction(1, tq * sigma)), den)
+    return RatFunc(_from_ints(nums, 1, tq * sigma), den)
 
 
 def solve_general(

@@ -575,6 +575,106 @@ class TestIntegerKernel:
         with pytest.raises(TypeError):
             Poly(["1"])
 
+    @given(
+        any_lists_st,
+        any_lists_st,
+        mixed_st.filter(bool),
+        st.integers(0, 4),
+        st.integers(0, 3),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_every_result_is_canonical(self, a, b, s, n, k):
+        p, q = Poly(a), Poly(b)
+        ta, tb = _trim(a), _trim(b)
+        # (result, schoolbook Fraction coefficients)
+        cases = [
+            (p + q, [u + v for u, v in _padded(ta, tb)]),
+            (p - q, [u - v for u, v in _padded(ta, tb)]),
+            (p * q, _fraction_product(ta, tb)),
+            (p**n, _fraction_power(ta, n)),
+            (p.derivative(), [i * c for i, c in enumerate(ta)][1:]),
+            (p.antiderivative(), [Fraction(0)] + [c / (i + 1) for i, c in enumerate(ta)]),
+            (p.monic(), [c / ta[-1] for c in ta] if ta else []),
+            (p.shift(k), [Fraction(0)] * k + ta if ta else []),
+            (p * s, [c * s for c in ta]),
+            (-p, [-c for c in ta]),
+        ]
+        if tb:
+            got_quo, got_rem = divmod(p, q)
+            quo, rem = _fraction_divmod(ta, tb)
+            cases += [(got_quo, quo), (got_rem, rem)]
+        for got, expected in cases:
+            _assert_canonical(got)
+            assert got.coeffs == tuple(_trim(expected))
+            twin = Poly(expected)
+            assert got == twin and hash(got) == hash(twin)
+        if tb:
+            # the reduced form of a/b and its scalar multiples
+            r = RatFunc(p, q)
+            _assert_canonical_ratfunc(r)
+            num, den = list(r.num.coeffs), list(r.den.coeffs)
+            assert _trim(_fraction_product(num, tb)) == _trim(_fraction_product(ta, den))
+            for scaled, factor in ((r * s, s), (s * r, s), (r / s, 1 / s)):
+                _assert_canonical_ratfunc(scaled)
+                assert scaled.den == r.den
+                assert scaled.num.coeffs == tuple(c * factor for c in r.num.coeffs)
+
+
+def _padded(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return list(zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))))
+
+
+def _fraction_product(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _fraction_power(a: list, n: int) -> list:
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = _fraction_product(out, a)
+    return out
+
+
+def _fraction_divmod(a: list, b: list) -> tuple[list, list]:
+    """Schoolbook long division over Q (b trimmed and nonzero)."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        quo[k] = f
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+        rem = _trim(rem)
+    return quo, rem
+
+
+def _assert_canonical(p: Poly) -> None:
+    """Primitive ints with a positive lead, content cn/cd in lowest terms
+    with cd > 0, and zero as ((), 0, 1)."""
+    from math import gcd
+
+    assert all(type(v) is int for v in p.ints)
+    assert type(p.cn) is int and type(p.cd) is int
+    if not p.ints:
+        assert (p.ints, p.cn, p.cd) == ((), 0, 1)
+        return
+    assert p.cn != 0 and p.cd > 0 and gcd(p.cn, p.cd) == 1
+    assert gcd(*p.ints) == 1 and p.ints[-1] > 0
+
+
+def _assert_canonical_ratfunc(r: RatFunc) -> None:
+    """Canonical parts, a monic denominator coprime to the numerator."""
+    _assert_canonical(r.num)
+    _assert_canonical(r.den)
+    assert r.den.lc == 1
+    assert poly_gcd(r.num, r.den) == Poly.one() or (r.num.is_zero and r.den == Poly.one())
+
 
 def _gauss_jordan(rows, rhs, ncols):
     """Reference: Gauss-Jordan elimination over Fractions, pivot columns in

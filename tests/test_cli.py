@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, canonical JSON, batch mode."""
 
+import functools
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
-from ratcert import analyzer
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ratcert import analyzer, cli
 from ratcert.algebra import Poly, RatFunc
 from ratcert.analyzer import MAX_KMAX, SolverDisagreementError
 from ratcert.cli import run
@@ -157,6 +163,35 @@ class TestTransformCommand:
         assert "--vars must name two distinct variables" in capsys.readouterr().err
 
 
+# distinct valid cubic lines, and one line of each poisoned kind
+_CUBIC_LETS = {
+    "cubic-0": {"a": "1", "b": "1", "c": "1"},
+    "cubic-1": {"a": "-2", "b": "1/3", "c": "5/2"},
+    "cubic-2": {"a": "3/2", "b": "-1", "c": "0"},
+}
+_CUBIC = {"p": "x^3-y", "q": "y*(x^2-c*x-b-a*y)", "kmax": 2}
+_BATCH_LINES = {
+    **{name: json.dumps({**_CUBIC, "lets": lets}) for name, lets in _CUBIC_LETS.items()},
+    "poison-not-object": "[1]",
+    "poison-bad-json": '{"p": "x^3-y", "q": ',
+    "poison-huge-kmax": '{"p": "x^3-y", "q": "y", "kmax": 1e400}',
+    "poison-deep": json.dumps({"p": "(" * 2000 + "x" + ")" * 2000, "q": "y"}),
+}
+
+
+@functools.cache
+def _analyze_report(name: str) -> dict:
+    """The report of ``analyze`` on a valid line's field, without its meta
+    block: what the batch line must hold."""
+    argv = ["analyze", "--p", _CUBIC["p"], "--q", _CUBIC["q"], "--kmax", "2"]
+    for let, value in _CUBIC_LETS[name].items():
+        argv += ["--let", f"{let}={value}"]
+    code, report = run(argv)
+    assert code == 0
+    report.pop("meta")
+    return report
+
+
 class TestBatchCommand:
     def test_line_counts_and_errors(self, tmp_path):
         tasks = [
@@ -283,6 +318,76 @@ class TestBatchCommand:
         code, _ = run(["batch", "--input", "/nonexistent/tasks.jsonl"])
         assert code == 2
 
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(_BATCH_LINES)), min_size=1, max_size=7),
+        jobs=st.integers(1, 3),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_one_output_line_per_input_line_in_order(self, kinds, jobs):
+        with tempfile.TemporaryDirectory() as tmp:
+            infile = Path(tmp) / "tasks.jsonl"
+            infile.write_text("\n".join(_BATCH_LINES[k] for k in kinds) + "\n", encoding="utf-8")
+            outfile = Path(tmp) / "out.jsonl"
+            code, report = run(
+                ["batch", "--input", str(infile), "--output", str(outfile), "--jobs", str(jobs)]
+            )
+            lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        poisoned = [k for k in kinds if k.startswith("poison")]
+        assert code == (2 if poisoned else 0)
+        assert report["lines"] == len(kinds) and report["failed"] == len(poisoned)
+        assert len(lines) == len(kinds)
+        for kind, line in zip(kinds, lines):
+            if kind.startswith("poison"):
+                assert list(line) == ["error"]
+            else:
+                assert line == _analyze_report(kind)
+
+
+def _poisoned_decider(eq, **kwargs):
+    raise SolverDisagreementError("existence disagreement at order 2")
+
+
+class TestInternalErrors:
+    """A fault of the program ends a single-line command in one stderr line
+    and exit code 3, never in a traceback."""
+
+    def _assert_one_line(self, capsys, message):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: internal: {message}\n"
+
+    def test_analyze(self, capsys, monkeypatch):
+        monkeypatch.setattr(analyzer, "solve_general", _poisoned_decider)
+        assert run(["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)"]) == (3, None)
+        self._assert_one_line(capsys, "SolverDisagreementError: existence disagreement at order 2")
+
+    def test_risch(self, capsys, monkeypatch):
+        monkeypatch.setattr(analyzer, "solve_general", _poisoned_decider)
+        argv = ["risch", "--alpha", "(x+1)/x^2", "--beta", "(2*x+2)/x^4", "--order", "2"]
+        assert run(argv) == (3, None)
+        self._assert_one_line(capsys, "SolverDisagreementError: existence disagreement at order 2")
+
+    def test_transform(self, capsys, monkeypatch):
+        def failed_check(field):
+            raise RuntimeError("internal error: candidate solution failed substitution check")
+
+        monkeypatch.setattr(cli, "infinity_transform", failed_check)
+        assert run(["transform", "--p", "z2", "--q", "z1"]) == (3, None)
+        self._assert_one_line(
+            capsys, "RuntimeError: internal error: candidate solution failed substitution check"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "risch", "transform"])
+    def test_input_errors_keep_exit_code_two(self, capsys, command):
+        argv = {
+            "analyze": ["analyze", "--p", "x^3-", "--q", "y"],
+            "risch": ["risch", "--alpha", "1/", "--beta", "1", "--order", "2"],
+            "transform": ["transform", "--p", "z1^", "--q", "z2"],
+        }[command]
+        assert run(argv) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal" not in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self):
@@ -337,6 +442,22 @@ class TestInputSizeBound:
             " (at position 13)" in proc.stderr
         )
 
+    @pytest.mark.parametrize("power, bits", [(30, 19020), (20, 12680)])
+    def test_huge_power_of_a_nonconstant_is_input_error(self, power, bits):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "analyze",
+             "--p", f"x^3 - (9^200*x)^{power}*y", "--q", "y"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"error: coefficient of up to {bits} bits exceeds the limit of {MAX_COEFF_BITS} bits"
+            " (at position 15)\n"
+        )
+
     def test_power_sixty_transforms(self, capsys):
         code, report = run(["transform", "--p", "(z1+z2+1)^60", "--q", "z1"])
         assert code == 0
@@ -362,5 +483,23 @@ class TestInputSizeBound:
         assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
         assert lines[1] == {
             "error": f"total degree 211 exceeds the limit {MAX_DEGREE} (at position 7)"
+        }
+        assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
+    def test_batch_line_with_a_huge_coefficient_keeps_its_neighbours(self, tmp_path):
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        other = {"p": "x^2 - y", "q": "y*(x + 1)", "kmax": 2}
+        tasks = [good, {"p": "x^3 - (9^200*x)^30*y", "q": "y", "kmax": 2}, other]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(json.dumps(t) for t in tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 3 and report["failed"] == 1 and report["internal"] == 0
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert lines[1] == {
+            "error": f"coefficient of up to 19020 bits exceeds the limit of {MAX_COEFF_BITS} bits"
+            " (at position 15)"
         }
         assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
