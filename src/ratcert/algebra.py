@@ -567,7 +567,11 @@ def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
             break
         if placed:
             basis.append(p)
-    basis.sort(key=lambda f: (f.degree, f.coeffs))
+    # sorted by (degree, coeffs) without building a Fraction: each element is
+    # monic, so coefficient i is ints[i]/ints[-1], and times a common multiple
+    # of the leads it is an integer
+    scale = lcm(*(f.ints[-1] for f in basis))
+    basis.sort(key=lambda f: (f.degree, [c * (scale // f.ints[-1]) for c in f.ints]))
     return basis
 
 

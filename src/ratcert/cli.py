@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Mapping
@@ -197,25 +196,44 @@ def _cmd_transform(args) -> tuple[int, dict]:
     return 0, report
 
 
+# the keys of a batch line (README, "Batch input lines")
+_BATCH_KEYS = ("p", "q", "phi", "kmax", "at_infinity", "h1", "lets")
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean"}
+
+
+def _typed(value, key: str, kind: type):
+    """``value`` of batch-line key ``key``, required to have exactly the JSON
+    type ``kind`` (so a bool is not an integer and "false" is not a bool)."""
+    if type(value) is not kind:
+        raise TypeError(f'"{key}" must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}')
+    return value
+
+
 def _batch_line(line: str) -> dict:
     try:
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise TypeError(f"a batch line must be a JSON object, got {type(payload).__name__}")
+        unknown = [key for key in payload if key not in _BATCH_KEYS]
+        if unknown:
+            raise ValueError(
+                f"unknown key {', '.join(json.dumps(key) for key in unknown)} in a batch line; "
+                f"its keys are {', '.join(_BATCH_KEYS)}"
+            )
         lets = payload.get("lets") or {}
         if not isinstance(lets, dict):
             raise TypeError(f'"lets" must be a JSON object, got {type(lets).__name__}')
         lets = {name: Fraction(str(value)) for name, value in lets.items()}
         kmax = payload.get("kmax", 2)
         if isinstance(kmax, float) and not math.isfinite(kmax):
-            # json reads 1e400 as inf, on which int() raises OverflowError
+            # json reads 1e400 as inf, which keeps its own message
             raise ValueError(f'"kmax" must be a finite number, got {kmax!r}')
         spec = FieldSpec(
-            p_text=payload["p"],
-            q_text=payload["q"],
+            p_text=_typed(payload["p"], "p", str),
+            q_text=_typed(payload["q"], "q", str),
             phi_text=str(payload.get("phi", "0")),
-            k_max=int(kmax),
-            at_infinity=bool(payload.get("at_infinity", False)),
+            k_max=_typed(kmax, "kmax", int),
+            at_infinity=_typed(payload.get("at_infinity", False), "at_infinity", bool),
             interpretation=payload.get("h1", "literal"),
             lets=lets,
         )
@@ -230,23 +248,28 @@ def _batch_line(line: str) -> dict:
 
 
 def _cmd_batch(args) -> tuple[int, dict]:
+    # the whole input is read before the output is opened, which may be the
+    # same file
     with open(args.input, "r", encoding="utf-8") as handle:
         lines = [line.strip() for line in handle if line.strip()]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(_batch_line, lines))
+    failed = internal = 0
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        for result in results:
+        # one line after another in this thread: the work is CPU-bound under
+        # the interpreter lock, so worker threads only add lock hand-offs
+        for line in lines:
+            result = _batch_line(line)
+            failed += "error" in result
+            internal += result.get("kind") == "internal"
             sink.write(canonical_json(result))
             sink.write("\n")
+            sink.flush()
     finally:
         if sink is not sys.stdout:
             sink.close()
-    failed = sum(1 for r in results if "error" in r)
-    internal = sum(1 for r in results if r.get("kind") == "internal")
     report = {
         "meta": _meta({"command": "batch"}),
-        "lines": len(results),
+        "lines": len(lines),
         "failed": failed,
         "internal": internal,
     }
@@ -296,7 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("batch", help="analyse one JSON task per input line")
     pb.add_argument("--input", required=True)
     pb.add_argument("--output", default=None)
-    pb.add_argument("--jobs", type=int, default=4)
+    pb.add_argument(
+        "--jobs",
+        type=int,
+        default=4,
+        help="accepted and ignored: lines run one after another in this process, "
+        "since the work is CPU-bound under the interpreter lock and a pool of "
+        "threads or processes made batches slower",
+    )
     pb.set_defaults(func=_cmd_batch)
     return parser
 

@@ -11,6 +11,7 @@ from ratcert.algebra import (
     Poly,
     RatFunc,
     _det,
+    coprime_refinement,
     extended_gcd,
     hermite_reduce,
     poly_gcd,
@@ -851,3 +852,37 @@ class TestHermiteOneSplit:
         h, g = _hermite_by_passes(r)
         assert residues(r).simple_part == g
         assert hermite_reduce(r) == (h, g)
+
+
+@st.composite
+def squarefree_families(draw):
+    """Squarefree polynomials that share factors: each is a nonzero rational
+    times a product of distinct factors, drawn from linear factors x - c with
+    drawn roots c and from the quadratics of ``_COPRIME_FACTORS``."""
+    roots = draw(st.lists(fractions_st, min_size=1, max_size=5, unique=True))
+    factors = [X - c for c in roots] + [f for f in _COPRIME_FACTORS if f.degree == 2]
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        chosen = draw(st.lists(st.sampled_from(factors), min_size=1, max_size=4, unique=True))
+        p = Poly.const(draw(fractions_st.filter(bool)))
+        for f in chosen:
+            p = p * f
+        family.append(p)
+    return family
+
+
+class TestCoprimeRefinementOrder:
+    @given(squarefree_families())
+    @settings(deadline=None, max_examples=150)
+    def test_sorted_by_degree_then_coefficients(self, family):
+        basis = coprime_refinement(family)
+        assert basis == sorted(basis, key=lambda f: (f.degree, f.coeffs))
+        assert all(f.lc == 1 for f in basis)
+        for i, f in enumerate(basis):
+            assert all(poly_gcd(f, g).degree == 0 for g in basis[i + 1 :])
+        for p in family:
+            rest = p.monic()
+            for f in basis:
+                if poly_gcd(rest, f).degree > 0:
+                    rest = rest.divexact(f)
+            assert rest == Poly.one()

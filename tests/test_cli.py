@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -503,3 +504,114 @@ class TestInputSizeBound:
             " (at position 15)"
         }
         assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
+
+def _write_batch(path: Path, kinds) -> None:
+    path.write_text("".join(_BATCH_LINES[k] + "\n" for k in kinds), encoding="utf-8")
+
+
+_STREAM_KINDS = ("cubic-0", "poison-bad-json", "cubic-1", "poison-not-object", "cubic-2", "cubic-0")
+
+
+class TestSerialBatch:
+    def test_each_result_is_written_before_the_next_line_runs(self, tmp_path, monkeypatch):
+        infile, outfile = tmp_path / "tasks.jsonl", tmp_path / "out.jsonl"
+        _write_batch(infile, _STREAM_KINDS)
+        real = cli._batch_line
+        written = []
+
+        def spy(line):
+            text = outfile.read_text(encoding="utf-8") if outfile.exists() else ""
+            written.append(text.splitlines())
+            return real(line)
+
+        monkeypatch.setattr(cli, "_batch_line", spy)
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile), "--jobs", "2"])
+        assert code == 2 and report["lines"] == len(_STREAM_KINDS) and report["failed"] == 2
+        final = outfile.read_text(encoding="utf-8").splitlines()
+        assert len(written) == len(final) == len(_STREAM_KINDS)
+        for k, before in enumerate(written):
+            assert before == final[:k]
+
+    def test_lines_run_in_the_calling_thread(self, tmp_path, monkeypatch):
+        infile, outfile = tmp_path / "tasks.jsonl", tmp_path / "out.jsonl"
+        _write_batch(infile, _STREAM_KINDS)
+        real = cli._batch_line
+        seen = []
+
+        def spy(line):
+            seen.append((threading.active_count(), threading.get_ident()))
+            return real(line)
+
+        monkeypatch.setattr(cli, "_batch_line", spy)
+        before = (threading.active_count(), threading.get_ident())
+        code, _ = run(["batch", "--input", str(infile), "--output", str(outfile), "--jobs", "4"])
+        assert code == 2
+        assert seen == [before] * len(_STREAM_KINDS)
+
+    def test_jobs_does_not_change_the_output(self, tmp_path):
+        infile = tmp_path / "tasks.jsonl"
+        _write_batch(infile, _STREAM_KINDS + ("poison-huge-kmax", "poison-deep", "cubic-1"))
+        outputs = []
+        for jobs in ("0", "1", "2", "4"):
+            outfile = tmp_path / f"out-{jobs}.jsonl"
+            code, _ = run(["batch", "--input", str(infile), "--output", str(outfile), "--jobs", jobs])
+            assert code == 2
+            outputs.append(outfile.read_bytes())
+        assert outputs[0].count(b"\n") == len(_STREAM_KINDS) + 3
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_output_may_be_the_input_file(self, tmp_path):
+        infile, separate = tmp_path / "tasks.jsonl", tmp_path / "out.jsonl"
+        _write_batch(infile, _STREAM_KINDS)
+        code, _ = run(["batch", "--input", str(infile), "--output", str(separate)])
+        assert code == 2
+        code, report = run(["batch", "--input", str(infile), "--output", str(infile)])
+        assert code == 2 and report["lines"] == len(_STREAM_KINDS)
+        assert infile.read_text(encoding="utf-8") == separate.read_text(encoding="utf-8")
+
+
+class TestBatchLineSchema:
+    def test_mistyped_and_unknown_keys_keep_their_neighbours(self, tmp_path):
+        good = {**_CUBIC, "lets": _CUBIC_LETS["cubic-0"]}
+        other = {**_CUBIC, "lets": _CUBIC_LETS["cubic-1"]}
+        poisoned = [
+            ({**good, "at_infinity": "false"}, '"at_infinity" must be a JSON boolean, got str'),
+            ({**good, "at_infinity": 0}, '"at_infinity" must be a JSON boolean, got int'),
+            ({**good, "kmax": 2.7}, '"kmax" must be a JSON integer, got float'),
+            ({**good, "kmax": 2.0}, '"kmax" must be a JSON integer, got float'),
+            ({**good, "kmax": True}, '"kmax" must be a JSON integer, got bool'),
+            ({**good, "kmax": "2"}, '"kmax" must be a JSON integer, got str'),
+            ({**good, "p": 5}, '"p" must be a JSON string, got int'),
+            ({**good, "q": ["y"]}, '"q" must be a JSON string, got list'),
+            (
+                {**good, "vars": "x,y"},
+                'unknown key "vars" in a batch line; its keys are p, q, phi, kmax, at_infinity, h1, lets',
+            ),
+            (
+                {"kmx": 3, **good, "Q": "y"},
+                'unknown key "kmx", "Q" in a batch line; its keys are p, q, phi, kmax, at_infinity, h1, lets',
+            ),
+        ]
+        tasks = [good]
+        for task, _ in poisoned:
+            tasks += [task, other]
+        tasks.append({**good, "at_infinity": False})
+        tasks.append('{"p": "x^3-y", "q": "y", "kmax": 1e400}')
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text(
+            "".join((t if isinstance(t, str) else json.dumps(t)) + "\n" for t in tasks),
+            encoding="utf-8",
+        )
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == len(tasks)
+        assert report["failed"] == len(poisoned) + 1 and report["internal"] == 0
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == len(tasks)
+        assert lines[0] == lines[-2] == _analyze_report("cubic-0")
+        for i, (_, message) in enumerate(poisoned):
+            assert lines[2 * i + 1] == {"error": message}
+            assert lines[2 * i + 2] == _analyze_report("cubic-1")
+        assert lines[-1] == {"error": '"kmax" must be a finite number, got inf'}

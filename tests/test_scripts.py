@@ -1,6 +1,7 @@
 """Smoke tests of the scripts: the two deciders cross-checked on random
 power-pole instances and planted solutions, and the case studies."""
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,20 @@ def test_case_studies_run():
     proc = _run_script("case_studies.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_batch_workload_runs():
+    """One untimed round of the benchmark's cubic-batch workload, which runs
+    ``batch ... --jobs 2`` in-process and checks every output line."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "cubic-batch", "--seed", "1", "--seconds", "0", "--trace", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
