@@ -1,124 +1,10 @@
 """Exact certification of non-rational-integrability for planar polynomial
 vector fields, via variational data along an invariant curve and rational
-solvability of the associated first-order linear equations."""
+solvability of the associated first-order linear equations.
+
+The package root defines only ``__version__``; import from the submodules
+(``ratcert.algebra``, ``ratcert.planar``, ``ratcert.risch``,
+``ratcert.analyzer``, ``ratcert.parsing``, ``ratcert.cli``,
+``ratcert.variational``)."""
 
 __version__ = "0.1.0"
-
-from .algebra import (
-    Poly,
-    Rat,
-    RatFunc,
-    ResidueReport,
-    hermite_reduce,
-    poly_gcd,
-    rational_roots,
-    residues,
-    resultant,
-    squarefree_decompose,
-)
-from .analyzer import (
-    Certificate,
-    H1Report,
-    SolverDisagreementError,
-    Verdict,
-    analyze,
-    check_h1,
-    check_hk,
-)
-from .planar import (
-    BivarPoly,
-    BivarRatFunc,
-    DegenerateCurveError,
-    InvariantCurve,
-    PlanarField,
-    family_from_P,
-    fields_equivalent,
-    foliation_derivatives,
-    homogeneous_parts,
-    infinity_transform,
-    is_invariant_curve,
-    lve2_coefficients_from_parts,
-    verify_darboux_integral,
-)
-from .parsing import ParseError, parse_poly, parse_univar_ratfunc
-from .risch import (
-    KaltofenInstance,
-    NonIntegerResidueError,
-    RischEquation,
-    RischOutcome,
-    build_risch,
-    match_kaltofen,
-    residue_normalize,
-    solve_general,
-    solve_xk_specialized,
-    verify_solution,
-)
-from .variational import (
-    FormalWord,
-    LVESubsystem,
-    VEStructure,
-    VETerm,
-    fundamental_matrix,
-    lve_matrix,
-    lve_subsystem,
-    matrix_satisfies_lve,
-    ve_rhs,
-    verify_fundamental_matrix,
-)
-
-__all__ = [
-    "__version__",
-    "Poly",
-    "Rat",
-    "RatFunc",
-    "ResidueReport",
-    "hermite_reduce",
-    "poly_gcd",
-    "rational_roots",
-    "residues",
-    "resultant",
-    "squarefree_decompose",
-    "BivarPoly",
-    "BivarRatFunc",
-    "DegenerateCurveError",
-    "InvariantCurve",
-    "PlanarField",
-    "family_from_P",
-    "fields_equivalent",
-    "foliation_derivatives",
-    "homogeneous_parts",
-    "infinity_transform",
-    "is_invariant_curve",
-    "lve2_coefficients_from_parts",
-    "verify_darboux_integral",
-    "VEStructure",
-    "VETerm",
-    "LVESubsystem",
-    "FormalWord",
-    "ve_rhs",
-    "lve_matrix",
-    "lve_subsystem",
-    "fundamental_matrix",
-    "matrix_satisfies_lve",
-    "verify_fundamental_matrix",
-    "RischEquation",
-    "RischOutcome",
-    "KaltofenInstance",
-    "NonIntegerResidueError",
-    "build_risch",
-    "match_kaltofen",
-    "residue_normalize",
-    "solve_general",
-    "solve_xk_specialized",
-    "verify_solution",
-    "Certificate",
-    "H1Report",
-    "Verdict",
-    "SolverDisagreementError",
-    "analyze",
-    "check_h1",
-    "check_hk",
-    "ParseError",
-    "parse_poly",
-    "parse_univar_ratfunc",
-]

@@ -36,8 +36,10 @@ Representation notes:
     multiple factor one power at a time against that split (Bronstein's
     quadratic Hermite reduction); only its two results are reduced
     ``RatFunc``s, not the value after every pass.
-  * Linear systems and determinants are solved by fraction-free integer
-    elimination (Bareiss 1968), see ``solve_linear_system``.
+  * Linear systems and determinants are solved by plain fraction-free
+    integer elimination (Bareiss 1968): at each pivot step every row below
+    the pivot row is updated, and every division is exact, see
+    ``_echelon`` and ``solve_linear_system``.
 
 All values are immutable, which makes everything here safe to share between
 threads.
@@ -49,8 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -586,22 +586,20 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     side) are carried along.
 
     Pivot columns are chosen in increasing order, each pivot being the first
-    row at or below the current rank with a nonzero entry.  Every division is
-    exact: an eliminated entry is a minor of the matrix (Bareiss 1968).  A row
-    with a zero in the pivot column would only be multiplied by the quotient
-    of two consecutive pivots, so that update is deferred: ``level[r]`` counts
-    the pivot steps a row's stored values reflect, and a row is brought up to
-    date only when it is next combined or becomes the pivot row.
+    row at or below the current rank with a nonzero entry.  At each step every
+    row below the pivot row becomes (p*row - f*pivot_row)/prev, with p the
+    pivot, f the row's entry in the pivot column and prev the pivot of the
+    step before (1 at the first).  Every division is exact: each entry is then
+    a minor of the matrix (Bareiss 1968).
 
-    Returns the pivot columns (row i holds the pivot of column pivots[i] and
-    is up to date at level i), the sign of the row permutation, and the last
-    pivot, which is the determinant of the rank x rank minor formed by the
-    pivot rows and columns (1 when the rank is 0).
+    Returns the pivot columns (row i holds the pivot of column pivots[i]),
+    the sign of the row permutation, and the last pivot, which is the
+    determinant of the rank x rank minor formed by the pivot rows and columns
+    (1 when the rank is 0).
     """
     pivots: list[int] = []
-    history = [1]  # history[t]: pivot of step t (history[0] = 1)
-    level = [0] * len(rows)
     sign = 1
+    prev = 1
     rank = 0
     for col in range(ncols):
         piv = rank
@@ -611,29 +609,16 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            level[rank], level[piv] = level[piv], level[rank]
             sign = -sign
-        prev = history[rank]
         prow = rows[rank]
-        if level[rank] != rank:
-            prow = rows[rank] = [v * prev // history[level[rank]] for v in prow]
-            level[rank] = rank
         p = prow[col]
         for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            f = row[col]
-            if not f:
-                continue
-            if level[r] != rank:
-                lo = history[level[r]]
-                row = [v * prev // lo for v in row]
-                f = row[col]
-            rows[r] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
-            level[r] = rank + 1
-        history.append(p)
+            f = rows[r][col]
+            rows[r] = [(p * v - f * w) // prev for v, w in zip(rows[r], prow)]
+        prev = p
         pivots.append(col)
         rank += 1
-    return pivots, sign, history[rank]
+    return pivots, sign, prev
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -899,17 +884,9 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return cls(1)
 
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.x())
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def degree_at_infinity(self) -> int:
         """deg(num) - deg(den): growth order at infinity (zero input -> raises)."""
@@ -1093,8 +1070,14 @@ class ResidueReport:
         if not s:
             raise ValueError("scale factor must be nonzero")
         per = tuple((q, c * s) for q, c in self.per_factor)
-        top = self.residue_poly.degree
-        rpoly = Poly([c * s ** (top - i) for i, c in enumerate(self.residue_poly.coeffs)])
+        r = self.residue_poly
+        top = r.degree
+        # with s = sn/sd, coefficient i gains s**(top - i), which is
+        # sn**(top - i) * sd**i over the common sd**top
+        sn, sd = _scalar(s)
+        rpoly = _from_ints(
+            [v * sn ** (top - i) * sd**i for i, v in enumerate(r.ints)], r.cn, r.cd * sd**top
+        )
         integral = sum(q.degree for q, c in per if c.denominator == 1)
         return ResidueReport(self.simple_part * s, rpoly, per, integral == top)
 

@@ -152,9 +152,6 @@ class Certificate:
             }
         return d
 
-    def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 def canonical_json(report: dict) -> str:
     """The one canonical JSON form of a report: sorted keys, no spaces."""

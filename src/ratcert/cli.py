@@ -30,8 +30,16 @@ from typing import Mapping
 
 from . import __version__
 from .algebra import RatFunc
-from .analyzer import MAX_KMAX, Certificate, _outcome_dict, analyze, canonical_json, check_hk
-from .parsing import ParseError, parse_lets, parse_poly, parse_univar_ratfunc
+from .analyzer import (
+    INTERPRETATIONS,
+    MAX_KMAX,
+    Certificate,
+    _outcome_dict,
+    analyze,
+    canonical_json,
+    check_hk,
+)
+from .parsing import ParseError, let_value, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import DegenerateCurveError, PlanarField, infinity_transform
 
 _INPUT_ERRORS = (ParseError, DegenerateCurveError, ValueError, ZeroDivisionError, OSError)
@@ -223,18 +231,23 @@ def _batch_line(line: str) -> dict:
         lets = payload.get("lets") or {}
         if not isinstance(lets, dict):
             raise TypeError(f'"lets" must be a JSON object, got {type(lets).__name__}')
-        lets = {name: Fraction(str(value)) for name, value in lets.items()}
+        lets = {name: let_value(name, str(value)) for name, value in lets.items()}
         kmax = payload.get("kmax", 2)
         if isinstance(kmax, float) and not math.isfinite(kmax):
             # json reads 1e400 as inf, which keeps its own message
             raise ValueError(f'"kmax" must be a finite number, got {kmax!r}')
+        h1 = payload.get("h1", "literal")
+        if h1 not in INTERPRETATIONS:
+            raise ValueError(
+                f'"h1" must be {" or ".join(map(json.dumps, INTERPRETATIONS))}, got {json.dumps(h1)}'
+            )
         spec = FieldSpec(
             p_text=_typed(payload["p"], "p", str),
             q_text=_typed(payload["q"], "q", str),
-            phi_text=str(payload.get("phi", "0")),
+            phi_text=_typed(payload.get("phi", "0"), "phi", str),
             k_max=_typed(kmax, "kmax", int),
             at_infinity=_typed(payload.get("at_infinity", False), "at_infinity", bool),
-            interpretation=payload.get("h1", "literal"),
+            interpretation=h1,
             lets=lets,
         )
         return spec.run().to_dict()

@@ -25,11 +25,14 @@ coefficient whose numerator or denominator has more than ``MAX_COEFF_BITS``
 bits.  That size is estimated before the arithmetic, from the largest
 numerator or denominator among the operands' coefficients: n*bits for a
 power, and the sum of the two sizes for a product, a quotient or a sum of
-rational functions (whose terms are cross products).
+rational functions (whose terms are cross products).  A let-bound constant
+is held to ``MAX_COEFF_BITS`` too; its decimal exponent is judged from the
+text, before ``10**exponent`` is built (``let_value``).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -330,26 +333,64 @@ def parse_univar_ratfunc(
     return RatFunc(_to_univar(value.num, 0), _to_univar(value.den, 0))
 
 
+# a decimal as Fraction reads it: digits, a fractional part, an exponent
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _fraction_text(raw: str) -> str | None:
+    """``raw`` ready for Fraction, or None when its decimal exponent alone
+    puts the value over ``MAX_COEFF_BITS`` (see ``let_value``)."""
+    m = _DECIMAL.fullmatch(raw)
+    if not m or not m[3]:
+        return raw
+    frac = (m[2] or "").replace("_", "")
+    digits = m[1].replace("_", "") + frac
+    kept = digits.rstrip("0")
+    if not kept:
+        # zero whatever the exponent; with no digits at all, Fraction
+        # refuses raw at once
+        return raw[: m.start(3)] + "0" + raw[m.end(3) :] if digits else raw
+    scale = int(m[3]) - len(frac) + len(digits) - len(kept)
+    return raw if abs(scale) <= MAX_COEFF_BITS else None
+
+
+def let_value(name: str, raw: str) -> Fraction:
+    """The value of the let-binding ``name=raw``, read as ``Fraction`` reads
+    a string ("3", "-2/3", "1.5", "2e-3").  The name must be an identifier,
+    and the value's numerator and denominator may have at most
+    ``MAX_COEFF_BITS`` bits.
+
+    Fraction builds 10**e for an exponent e (seconds at e = 10**7), so the
+    exponent is judged first, from the text: the value is K * 10**scale
+    with K not a multiple of 10, so its numerator has more than 3*scale
+    bits or its denominator (a multiple of 2**-scale or of 5**-scale) more
+    than -scale bits, and |scale| > MAX_COEFF_BITS is refused at once.
+    Digit strings are bounded by the interpreter's limit on int conversion."""
+    if not name.isidentifier():
+        raise ValueError(f"bad let binding name {name!r}; expected an identifier")
+    try:
+        text = _fraction_text(raw)
+        value = Fraction(text) if text is not None else None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"bad rational value {raw[:20]!r} for let binding {name!r}; "
+            "expected an integer, n/d or a decimal"
+        ) from None
+    if value is None or max(abs(value.numerator), value.denominator).bit_length() > MAX_COEFF_BITS:
+        raise ValueError(
+            f"let binding {name!r}: value has a numerator or denominator of more than "
+            f"{MAX_COEFF_BITS} bits"
+        )
+    return value
+
+
 def parse_lets(pairs: Sequence[str]) -> dict[str, Fraction]:
-    """Turn ["a=1", "b=-2/3"] into exact bindings."""
+    """Turn ["a=1", "b=-2/3"] into exact bindings (see ``let_value``)."""
     out: dict[str, Fraction] = {}
     for pair in pairs:
         name, eq, raw = pair.partition("=")
-        name = name.strip()
-        raw = raw.strip()
-        if not eq or not name.isidentifier() or not raw:
+        if not eq:
             raise ValueError(f"bad let binding {pair!r}; expected name=value")
-        try:
-            out[name] = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational value in {pair!r}: {exc}") from None
+        name = name.strip()
+        out[name] = let_value(name, raw.strip())
     return out
-
-
-def emit_poly(p: BivarPoly, variables: tuple[str, str] = ("x", "y")) -> str:
-    """Canonical expression string that reparses to an equal polynomial."""
-    return p.to_str(variables)
-
-
-def emit_ratfunc(r: RatFunc, var: str = "x") -> str:
-    return r.to_str(var)

@@ -207,10 +207,6 @@ class BivarPoly:
             rows = {j - 1: r * j for j, r in self.rows.items() if j > 0}
         return _from_rows(rows)
 
-    def rows_by_second(self) -> dict[int, Poly]:
-        """Coefficients in the second variable: {j: poly in the first var}."""
-        return dict(self.rows)
-
     def at_first_one(self) -> Poly:
         """p(1, t) as a univariate polynomial in the second variable."""
         if not self.rows:
@@ -415,16 +411,6 @@ class PlanarField:
     def swap_roles(self) -> "PlanarField":
         """Interchange the two variables and the two components."""
         return PlanarField(self.q.swap_vars(), self.p.swap_vars())
-
-
-@dataclass(frozen=True)
-class InvariantCurve:
-    """Graph curve y = phi(x) with rational phi."""
-
-    phi: RatFunc
-
-    def holds_for(self, field: PlanarField) -> bool:
-        return is_invariant_curve(field, self.phi)
 
 
 def homogeneous_parts(p: BivarPoly) -> list[BivarPoly]:

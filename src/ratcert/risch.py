@@ -90,9 +90,6 @@ class RischEquation:
     b: RatFunc
     provenance: tuple[int, str] | None = None
 
-    def to_str(self, var: str = "x") -> str:
-        return f"y' + ({self.a.to_str(var)})*y = {self.b.to_str(var)}"
-
 
 @dataclass(frozen=True)
 class RischOutcome:
@@ -204,9 +201,11 @@ def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
         if delta_a >= 0:
             candidates.append(b.degree_at_infinity() - delta_a)
         if delta_a == -1:
-            lam = a.num.lc / a.den.lc
-            if lam.denominator == 1 and lam < 0:
-                candidates.append(int(-lam))
+            # den(a) is monic, so lam = lc(num(a)) = cn*lead/cd
+            num = a.num
+            lam, rem = divmod(num.cn * num.ints[-1], num.cd)
+            if not rem and lam < 0:
+                candidates.append(-lam)
     return den.degree + max(candidates)
 
 
@@ -438,16 +437,6 @@ class KaltofenInstance:
     def equation(self) -> RischEquation:
         return RischEquation(self.alpha, self.beta, (2, "power-pole shape"))
 
-    def cleared(self) -> tuple[Poly, Poly, Poly]:
-        """(u, v, w) of the cleared equation u*Y' + v*Y = w for y = Y/x**k."""
-        k = self.pole_order
-        u = Poly.monomial(k)
-        v = self.alpha_num - Poly.monomial(k - 1, k)
-        w = 2 * self.alpha_num
-        if self.beta_shift is not None:
-            w = w + 2 * self.beta_shift.shift(k)
-        return u, v, w
-
     @property
     def v_leading(self) -> Fraction:
         """Coefficient of x**(k-1) in v = alpha_num - k*x**(k-1)."""
@@ -473,14 +462,8 @@ class KaltofenInstance:
         max(m + 1, rho) with a shift present and rho without one.
         """
         if self.beta_shift is not None:
-            m = self.beta_shift.degree
-            cap = max(m + 1, self.rho)
-            assert cap >= max(min(m, m + 1), self.rho)
-            return cap
-        cap = self.rho
-        n = self.alpha_num.degree
-        assert cap >= max(n - self.pole_order - 1, self.rho)
-        return cap
+            return max(self.beta_shift.degree + 1, self.rho)
+        return self.rho
 
     @property
     def case(self) -> str:

@@ -138,10 +138,6 @@ class LVESubsystem:
         )
 
 
-def lve_subsystem(alpha: RatFunc, beta_k: RatFunc, k: int) -> LVESubsystem:
-    return LVESubsystem(alpha, beta_k, k)
-
-
 # ---------------------------------------------------------------------------
 # formal words and fundamental matrices
 # ---------------------------------------------------------------------------
@@ -164,10 +160,6 @@ class FormalWord:
                 if not c.is_zero:
                     out[tuple(key)] = c
         self.terms = out
-
-    @classmethod
-    def scalar(cls, c) -> "FormalWord":
-        return cls({(0, 0, 0): c})
 
     @classmethod
     def symbol(cls, name: str) -> "FormalWord":

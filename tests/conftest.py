@@ -160,7 +160,7 @@ def ve_rows_hold_on_flow(f: BivarPoly, structure: VEStructure, x_order: int = 12
                     out[i + k2] += ca * cb
         return out
 
-    rows_f = f.rows_by_second()
+    rows_f = f.rows
 
     def beta(i):
         p = rows_f.get(i, Poly.zero())

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -592,6 +593,11 @@ class TestBatchLineSchema:
                 {"kmx": 3, **good, "Q": "y"},
                 'unknown key "kmx", "Q" in a batch line; its keys are p, q, phi, kmax, at_infinity, h1, lets',
             ),
+            ({**good, "phi": None}, '"phi" must be a JSON string, got NoneType'),
+            ({**good, "phi": 0}, '"phi" must be a JSON string, got int'),
+            ({**good, "h1": 5}, '"h1" must be "literal" or "corrected", got 5'),
+            ({**good, "h1": "Literal"}, '"h1" must be "literal" or "corrected", got "Literal"'),
+            ({**good, "lets": {"1a": "2"}}, "bad let binding name '1a'; expected an identifier"),
         ]
         tasks = [good]
         for task, _ in poisoned:
@@ -615,3 +621,44 @@ class TestBatchLineSchema:
             assert lines[2 * i + 1] == {"error": message}
             assert lines[2 * i + 2] == _analyze_report("cubic-1")
         assert lines[-1] == {"error": '"kmax" must be a finite number, got inf'}
+
+
+class TestLetBound:
+    """A let value whose exponent alone puts it over MAX_COEFF_BITS is refused
+    from its text: building 10**(10**7) would take seconds."""
+
+    HUGE = "1e10000000"
+
+    def _timed(self, argv, timeout=60):
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+        return proc, time.perf_counter() - started
+
+    def test_cli_refuses_huge_let_at_once(self):
+        proc, elapsed = self._timed(
+            ["analyze", "--p", "x^3 - y", "--q", "y", "--let", f"a={self.HUGE}"]
+        )
+        assert elapsed < 2.0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"let binding 'a': value has a numerator or denominator of more than {MAX_COEFF_BITS} bits" in proc.stderr
+
+    def test_batch_line_with_huge_let_keeps_its_neighbours(self, tmp_path):
+        good = {**_CUBIC, "lets": _CUBIC_LETS["cubic-0"]}
+        tasks = [good, {**good, "lets": {**good["lets"], "a": self.HUGE}}, good]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("".join(json.dumps(t) + "\n" for t in tasks), encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        proc, elapsed = self._timed(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert elapsed < 2.0
+        assert proc.returncode == 2, proc.stderr
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == lines[2] == _analyze_report("cubic-0")
+        assert lines[1] == {
+            "error": f"let binding 'a': value has a numerator or denominator of more than {MAX_COEFF_BITS} bits"
+        }

@@ -1,0 +1,74 @@
+"""The library carries no code that nothing uses, and the command line loads
+only what its commands run."""
+
+import ast
+import json
+import subprocess
+import sys
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ratcert"
+
+
+def _definitions():
+    """(name, path, line) of each module-level function or class, and each
+    method that is not a dunder, defined in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, path, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield item.name, path, item.lineno
+
+
+def _name_tokens() -> dict[str, set[tuple[Path, int]]]:
+    """Where each NAME token occurs, as (path, line), over the package, the
+    scripts, the tests and the benchmark: comments and strings do not count."""
+    paths = [
+        *(ROOT / "src").rglob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
+    ]
+    where: dict[str, set[tuple[Path, int]]] = defaultdict(set)
+    for path in paths:
+        with open(path, "rb") as handle:
+            for tok in tokenize.tokenize(handle.readline):
+                if tok.type == tokenize.NAME:
+                    where[tok.string].add((path, tok.start[0]))
+    return where
+
+
+def test_every_definition_is_used():
+    where = _name_tokens()
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, path, line in _definitions()
+        if not where[name] - {(path, line)}
+    ]
+    assert unused == []
+
+
+def test_cli_import_loads_no_variational_and_root_defines_only_version():
+    probe = (
+        "import json, sys, ratcert\n"
+        "public = sorted(n for n in vars(ratcert) if not n.startswith('_'))\n"
+        "import ratcert.cli\n"
+        "print(json.dumps({'public': public, 'all': hasattr(ratcert, '__all__'),\n"
+        "    'version': ratcert.__version__, 'loaded': sorted(sys.modules)}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["public"] == [] and not seen["all"]
+    assert isinstance(seen["version"], str)
+    assert "ratcert.cli" in seen["loaded"]
+    assert "ratcert.variational" not in seen["loaded"]

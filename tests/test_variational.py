@@ -8,11 +8,11 @@ from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly
 from ratcert.variational import (
     FormalWord,
+    LVESubsystem,
     VETerm,
     bell_number,
     fundamental_matrix,
     lve_matrix,
-    lve_subsystem,
     matrix_satisfies_lve,
     partial_bell,
     ve_rhs,
@@ -125,17 +125,17 @@ class TestLVEMatrix:
 class TestLVESubsystem:
     def test_order_two_equals_full_system(self):
         alpha, beta2 = RatFunc(X**2 - X - 1, X**3), RatFunc(2, X**3)
-        sub = lve_subsystem(alpha, beta2, 2)
+        sub = LVESubsystem(alpha, beta2, 2)
         assert sub.matrix() == lve_matrix(2, [alpha, beta2])
 
     def test_diagonal_scales_with_order(self):
         alpha, beta3 = RatFunc(1, X), RatFunc(X)
-        sub = lve_subsystem(alpha, beta3, 3)
+        sub = LVESubsystem(alpha, beta3, 3)
         assert sub.matrix() == ((3 * alpha, RatFunc.zero()), (beta3, alpha))
 
     def test_first_order_rejected(self):
         with pytest.raises(ValueError):
-            lve_subsystem(RatFunc.one(), RatFunc.one(), 1)
+            LVESubsystem(RatFunc.one(), RatFunc.one(), 1)
 
 
 class TestFundamentalMatrices:
