@@ -32,10 +32,10 @@ Representation notes:
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
     the full loop would give.  On a high power such as x**40 the loop
     ends at its first step instead of after forty.
-  * ``hermite_reduce`` splits the denominator once and lowers each
-    multiple factor one power at a time against that split (Bronstein's
-    quadratic Hermite reduction); only its two results are reduced
-    ``RatFunc``s, not the value after every pass.
+  * ``hermite_reduce`` splits the denominator once, or takes the
+    caller's split, and lowers each multiple factor one power at a time
+    against it (Bronstein's quadratic Hermite reduction); only its two
+    results are reduced ``RatFunc``s, not the value after every pass.
   * Linear systems and determinants are solved by plain fraction-free
     integer elimination (Bareiss 1968): at each pivot step every row below
     the pivot row is updated, and every division is exact, see
@@ -1001,9 +1001,12 @@ def _ratfunc(value) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def _hermite(a: Poly, d: Poly) -> tuple[Poly, Poly, Poly, Poly]:
-    """Hermite reduction of a proper a/d, d monic, from one squarefree split
-    of d (Bronstein, Symbolic Integration I, sec. 2.2, quadratic version).
+def _hermite(
+    a: Poly, d: Poly, split: list[tuple[Poly, int]]
+) -> tuple[Poly, Poly, Poly, Poly]:
+    """Hermite reduction of a proper a/d, d monic, from ``split``, the
+    squarefree split of d (Bronstein, Symbolic Integration I, sec. 2.2,
+    quadratic version).
 
     Returns (hn, hd, a', d') with a/d = (hn/hd)' + a'/d', d' squarefree and
     hn/hd proper.  For each factor v of multiplicity i >= 2, with
@@ -1011,7 +1014,7 @@ def _hermite(a: Poly, d: Poly) -> tuple[Poly, Poly, Poly, Poly]:
     deg b < deg v; then a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with
     a_new = -j*c - u*b'.  The inverse of u*v' modulo v serves every step."""
     hn, hd = Poly.zero(), Poly.one()
-    for v, i in squarefree_decompose(d):
+    for v, i in split:
         if i < 2:
             continue
         u = d.divexact(v**i)
@@ -1031,17 +1034,25 @@ def _hermite(a: Poly, d: Poly) -> tuple[Poly, Poly, Poly, Poly]:
     return hn, hd, a, d
 
 
-def hermite_reduce(r: RatFunc) -> tuple[RatFunc, RatFunc]:
+def hermite_reduce(
+    r: RatFunc, split: list[tuple[Poly, int]] | None = None
+) -> tuple[RatFunc, RatFunc]:
     """Split r = h' + g where g has only simple poles and a squarefree
     denominator.  The polynomial part of r is absorbed into h, so the
     residues of r are exactly the residues of g.  Both parts are unique:
     g is proper, and h is a polynomial without constant term plus a proper
-    fraction."""
+    fraction.
+
+    ``split`` is ``squarefree_decompose(r.den)`` when the caller already has
+    it: the proper part of r keeps r's denominator, since num and den of r
+    are coprime."""
     poly_part, frac = r.split_polynomial_part()
     integral = poly_part.antiderivative()
     if frac.is_zero:
         return RatFunc(integral), frac
-    hn, hd, a, d = _hermite(frac.num, frac.den)
+    if split is None:
+        split = squarefree_decompose(frac.den)
+    hn, hd, a, d = _hermite(frac.num, frac.den, split)
     return RatFunc(integral * hd + hn, hd), RatFunc(a, d)
 
 
@@ -1082,9 +1093,10 @@ class ResidueReport:
         return ResidueReport(self.simple_part * s, rpoly, per, integral == top)
 
 
-def residues(r: RatFunc) -> ResidueReport:
-    """Rothstein-Trager residue computation (after Hermite reduction)."""
-    _, g = hermite_reduce(r)
+def residues(r: RatFunc, split: list[tuple[Poly, int]] | None = None) -> ResidueReport:
+    """Rothstein-Trager residue computation (after Hermite reduction);
+    ``split`` is as for ``hermite_reduce``."""
+    _, g = hermite_reduce(r, split)
     if g.is_zero or g.den.degree == 0:
         return ResidueReport(g, Poly.one(), (), True)
     num, den = g.num, g.den

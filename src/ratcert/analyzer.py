@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import Poly, RatFunc, ResidueReport, residues
 from .planar import (
+    InputError,
     PlanarField,
     foliation_derivatives,
     infinity_transform,
@@ -193,7 +194,7 @@ def check_h1(
     ``residues(alpha)`` and ``alpha_split`` the squarefree split of alpha's
     denominator, when the caller already has them."""
     if interpretation not in INTERPRETATIONS:
-        raise ValueError(f"unknown interpretation {interpretation!r}")
+        raise InputError(f"unknown interpretation {interpretation!r}")
     den = alpha.den
     factors = alpha_split if alpha_split is not None else denominator_split(alpha)
     high_pole = any(m >= 2 for _, m in factors)
@@ -202,7 +203,7 @@ def check_h1(
     else:
         degree_condition = alpha.num.degree >= den.degree
     if alpha_residues is None:
-        alpha_residues = residues(alpha)
+        alpha_residues = residues(alpha, factors)
     residues_ok = alpha_residues.all_integer
     return H1Report(
         high_pole,
@@ -231,8 +232,10 @@ def check_hk(
     scaled by k-1 and its denominator is alpha's, so one report and one
     split serve every order."""
     eq = build_risch(alpha, beta_k, k)
+    if alpha_split is None:
+        alpha_split = denominator_split(alpha)
     if alpha_residues is None:
-        alpha_residues = residues(alpha)
+        alpha_residues = residues(alpha, alpha_split)
     general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1), a_split=alpha_split)
     outcome = general
     inst = match_kaltofen(eq)
@@ -258,9 +261,9 @@ def analyze(
 ) -> Certificate:
     """Run the full decision procedure and return its certificate."""
     if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+        raise InputError("k_max must be >= 2")
     if k_max > MAX_KMAX:
-        raise ValueError(f"k_max must be <= {MAX_KMAX}, got {k_max}")
+        raise InputError(f"k_max must be <= {MAX_KMAX}, got {k_max}")
     chart = "original"
     swapped = False
     transformed: PlanarField | None = None
@@ -272,11 +275,11 @@ def analyze(
         work = infinity_transform(work)
         transformed = work
         chart = "infinity"
-    # raises ValueError when the curve is not invariant for the field
+    # raises InputError when the curve is not invariant for the field
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
-    alpha_residues = residues(alpha)
     alpha_split = denominator_split(alpha)
+    alpha_residues = residues(alpha, alpha_split)
     h1 = check_h1(alpha, interpretation, alpha_residues, alpha_split)
     orders: list[OrderRecord] = []
     if not h1.holds:

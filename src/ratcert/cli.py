@@ -8,12 +8,13 @@ Subcommands:
   batch      run independent analyses, one JSON object per input line
 
 Exit codes: 0 when a verdict or result was produced (including an explicit
-inconclusive verdict), 2 on input errors, 3 on an internal error: a
-single-line command prints one ``error: internal: <Type>: <message>`` line
-on stderr, and a batch line that meets one gets an output line with
-``"kind": "internal"`` while the other lines are still written.  JSON
-reports are canonical: keys sorted, rationals rendered as exact "num/den"
-strings, byte-identical across runs.
+inconclusive verdict), 2 when the input is refused (a ``planar.InputError``,
+such as a ``ParseError``, or a file that cannot be read or written), 3 on an
+internal error, which is any other exception: a single-line command prints
+one ``error: internal: <Type>: <message>`` line on stderr, and a batch line
+that meets one gets an output line with ``"kind": "internal"`` while the
+other lines are still written.  JSON reports are canonical: keys sorted,
+rationals rendered as exact "num/den" strings, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ from .analyzer import (
     canonical_json,
     check_hk,
 )
-from .parsing import ParseError, let_value, parse_lets, parse_poly, parse_univar_ratfunc
-from .planar import DegenerateCurveError, PlanarField, infinity_transform
+from .parsing import let_value, parse_lets, parse_poly, parse_univar_ratfunc
+from .planar import InputError, PlanarField, infinity_transform
 
-_INPUT_ERRORS = (ParseError, DegenerateCurveError, ValueError, ZeroDivisionError, OSError)
+# refused input: a deliberate refusal, a file that cannot be read, written
+# or decoded as UTF-8, or a batch line that is not JSON; any other exception
+# is a fault of the program
+_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def _variables(text: str) -> tuple[str, str]:
         or variables[0] == variables[1]
         or not all(v.isidentifier() for v in variables)
     ):
-        raise ValueError(f"--vars must name two distinct variables, got {text!r}")
+        raise InputError(f"--vars must name two distinct variables, got {text!r}")
     return variables
 
 
@@ -165,7 +169,7 @@ def _cmd_risch(args) -> tuple[int, dict]:
     alpha = parse_univar_ratfunc(args.alpha, "x", lets)
     beta = parse_univar_ratfunc(args.beta, "x", lets)
     if args.order < 2:
-        raise ValueError("--order must be >= 2")
+        raise InputError("--order must be >= 2")
     _, outcome = check_hk(alpha, beta, args.order)
     eq = outcome.equation
     o = _outcome_dict(outcome)
@@ -213,37 +217,48 @@ def _typed(value, key: str, kind: type):
     """``value`` of batch-line key ``key``, required to have exactly the JSON
     type ``kind`` (so a bool is not an integer and "false" is not a bool)."""
     if type(value) is not kind:
-        raise TypeError(f'"{key}" must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}')
+        raise InputError(f'"{key}" must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}')
     return value
+
+
+def _required(payload: dict, key: str):
+    """Batch-line key ``key``, which has no default."""
+    if key not in payload:
+        raise InputError(repr(key))
+    return payload[key]
 
 
 def _batch_line(line: str) -> dict:
     try:
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except RecursionError as exc:
+            # json.loads recurses once per nesting level of a line
+            raise InputError(str(exc)) from None
         if not isinstance(payload, dict):
-            raise TypeError(f"a batch line must be a JSON object, got {type(payload).__name__}")
+            raise InputError(f"a batch line must be a JSON object, got {type(payload).__name__}")
         unknown = [key for key in payload if key not in _BATCH_KEYS]
         if unknown:
-            raise ValueError(
+            raise InputError(
                 f"unknown key {', '.join(json.dumps(key) for key in unknown)} in a batch line; "
                 f"its keys are {', '.join(_BATCH_KEYS)}"
             )
         lets = payload.get("lets") or {}
         if not isinstance(lets, dict):
-            raise TypeError(f'"lets" must be a JSON object, got {type(lets).__name__}')
+            raise InputError(f'"lets" must be a JSON object, got {type(lets).__name__}')
         lets = {name: let_value(name, str(value)) for name, value in lets.items()}
         kmax = payload.get("kmax", 2)
         if isinstance(kmax, float) and not math.isfinite(kmax):
             # json reads 1e400 as inf, which keeps its own message
-            raise ValueError(f'"kmax" must be a finite number, got {kmax!r}')
+            raise InputError(f'"kmax" must be a finite number, got {kmax!r}')
         h1 = payload.get("h1", "literal")
         if h1 not in INTERPRETATIONS:
-            raise ValueError(
+            raise InputError(
                 f'"h1" must be {" or ".join(map(json.dumps, INTERPRETATIONS))}, got {json.dumps(h1)}'
             )
         spec = FieldSpec(
-            p_text=_typed(payload["p"], "p", str),
-            q_text=_typed(payload["q"], "q", str),
+            p_text=_typed(_required(payload, "p"), "p", str),
+            q_text=_typed(_required(payload, "q"), "q", str),
             phi_text=_typed(payload.get("phi", "0"), "phi", str),
             k_max=_typed(kmax, "kmax", int),
             at_infinity=_typed(payload.get("at_infinity", False), "at_infinity", bool),
@@ -251,8 +266,7 @@ def _batch_line(line: str) -> dict:
             lets=lets,
         )
         return spec.run().to_dict()
-    except _INPUT_ERRORS + (KeyError, json.JSONDecodeError, TypeError, RecursionError) as exc:
-        # RecursionError: json.loads recurses once per nesting level of a line
+    except _INPUT_ERRORS as exc:
         return {"error": str(exc)}
     except Exception as exc:
         # a fault of the program on this line, such as a decider disagreement

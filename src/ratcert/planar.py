@@ -40,7 +40,14 @@ from typing import Mapping, Sequence
 from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _times
 
 
-class DegenerateCurveError(ValueError):
+class InputError(ValueError):
+    """Input refused on purpose: a malformed or oversized expression, a
+    degenerate or non-invariant curve, or an option or a batch-line field
+    out of range.  The command line exits 2 on it and 3 on any other
+    exception, which is a fault of the program."""
+
+
+class DegenerateCurveError(InputError):
     """The graph parametrisation y = phi(x) degenerates: P(x, phi(x)) = 0."""
 
 
@@ -393,7 +400,7 @@ class PlanarField:
 
     def __post_init__(self):
         if self.p.is_zero and self.q.is_zero:
-            raise ValueError("vector field must not be identically zero")
+            raise InputError("vector field must not be identically zero")
 
     @property
     def degree(self) -> int:
@@ -544,7 +551,7 @@ def foliation_derivatives(field: PlanarField, phi: RatFunc, count: int) -> list[
     if count < 1:
         raise ValueError("need at least one derivative")
     if not is_invariant_curve(field, phi):
-        raise ValueError("curve y = phi(x) is not invariant for the field")
+        raise InputError("curve y = phi(x) is not invariant for the field")
     top = _y_degree(field)
     orders = min(count, top) + 1
     ps = _taylor_rows(field.p, phi.num, phi.den, top, orders)
@@ -579,7 +586,7 @@ def lve2_coefficients_from_parts(field: PlanarField) -> tuple[RatFunc, RatFunc]:
     qn1 = _part_at_one(field.q, n - 1) if n >= 1 else Poly.zero()
     den = pn.shift(1) - qn
     if den.is_zero:
-        raise ValueError("x*P_N(1,x) - Q_N(1,x) vanishes identically")
+        raise InputError("x*P_N(1,x) - Q_N(1,x) vanishes identically")
     alpha = RatFunc(pn, den)
     beta = RatFunc(2 * (pn * qn1 - pn1 * qn), den * den)
     return alpha, beta

@@ -343,7 +343,7 @@ def solve_general(
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
-    rep = a_residues if a_residues is not None else residues(a)
+    rep = a_residues if a_residues is not None else residues(a, a_split)
     den = _candidate_denominator(a, b, rep, pole_slack, a_split)
     bound = _numerator_degree_bound(a, b, den) + degree_slack
     if bound < 0:

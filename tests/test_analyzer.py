@@ -123,9 +123,9 @@ class TestAnalyze:
         calls = []
         real = analyzer.residues
 
-        def counted(r):
+        def counted(r, split=None):
             calls.append(r)
-            return real(r)
+            return real(r, split)
 
         monkeypatch.setattr(analyzer, "residues", counted)
         monkeypatch.setattr(risch, "residues", counted)
@@ -137,9 +137,9 @@ class TestAnalyze:
         assert len(calls) == 1
 
     def test_one_split_of_alpha_per_analysis(self, monkeypatch):
-        # (k-1)*alpha keeps alpha's denominator, so every order gets the
-        # split that check_h1 uses, made once
-        from ratcert import risch
+        # (k-1)*alpha keeps alpha's denominator, so the residues and every
+        # order get the split that check_h1 uses, made once
+        from ratcert import algebra, risch
 
         dens, splits = [], []
         real_split, real_general = risch.squarefree_decompose, analyzer.solve_general
@@ -153,6 +153,7 @@ class TestAnalyze:
             return real_general(eq, **kwargs)
 
         monkeypatch.setattr(risch, "squarefree_decompose", split)
+        monkeypatch.setattr(algebra, "squarefree_decompose", split)
         monkeypatch.setattr(analyzer, "solve_general", general)
         cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
         alpha_den = cert.orders[0].equation.a.den

@@ -151,6 +151,35 @@ class TestRischCommand:
         assert code == 2
 
 
+class TestUnivariateInput:
+    """phi, alpha and beta name one variable; no other name is declared."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["risch", "--alpha", "x__second", "--beta", "1", "--order", "2"], "x__second"),
+            (["analyze", "--p", "x^3-y", "--q", "y", "--phi", "x__second + 1"], "x__second"),
+            (["analyze", "--p", "u^3-v", "--q", "v", "--vars", "u,v", "--phi", "u__second"], "u__second"),
+            (["analyze", "--p", "u^3-v", "--q", "v", "--vars", "u,v", "--phi", "v"], "v"),
+        ],
+    )
+    def test_other_names_are_unknown(self, capsys, argv, name):
+        assert run(argv) == (2, None)
+        assert capsys.readouterr().err == f"error: unknown identifier {name!r} (at position 0)\n"
+
+    def test_a_let_may_take_any_other_name(self):
+        code, report = run(
+            ["risch", "--alpha", "x__second/x^2", "--beta", "(2*x+2)/x^4", "--order", "2",
+             "--let", "x__second=1"]
+        )
+        assert code == 0
+        assert report["equation"]["a"] == "(1)/(x^2)"
+        code, report = run(
+            ["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)", "--let", "x__second=0", "--phi", "x__second"]
+        )
+        assert code == 0 and report["curve"] == "0"
+
+
 class TestTransformCommand:
     def test_rotation_like_field(self, capsys):
         code, report = run(["transform", "--p", "z2", "--q", "z1"])
@@ -379,6 +408,63 @@ class TestInternalErrors:
             capsys, "RuntimeError: internal error: candidate solution failed substitution check"
         )
 
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    @pytest.mark.parametrize("command", ["analyze", "risch"])
+    def test_deep_value_errors_are_internal(self, capsys, monkeypatch, command, error):
+        # only a deliberate refusal is the input's fault, whatever its type
+        def residues(*args):
+            raise error("deep fault")
+
+        monkeypatch.setattr(analyzer, "residues", residues)
+        argv = {
+            "analyze": ["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)"],
+            "risch": ["risch", "--alpha", "(x+1)/x^2", "--beta", "(2*x+2)/x^4", "--order", "2"],
+        }[command]
+        assert run(argv) == (3, None)
+        self._assert_one_line(capsys, f"{error.__name__}: deep fault")
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_deep_value_errors_are_internal_batch_lines(self, tmp_path, monkeypatch, error):
+        real = analyzer.residues
+        # alpha of the middle line's field along y = 0
+        poisoned = RatFunc(Poly([1, 1]), Poly([0, 0, 1]))
+
+        def residues(r, split=None):
+            if r == poisoned:
+                raise error("deep fault")
+            return real(r, split)
+
+        monkeypatch.setattr(analyzer, "residues", residues)
+        tasks = [
+            {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2},
+            {"p": "x^2-y", "q": "y*(x+1)", "kmax": 2},
+            {"p": "x^3-", "q": "y"},
+        ]
+        infile, outfile = tmp_path / "tasks.jsonl", tmp_path / "out.jsonl"
+        infile.write_text("".join(json.dumps(t) + "\n" for t in tasks), encoding="utf-8")
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 3
+        assert report["lines"] == 3 and report["failed"] == 2 and report["internal"] == 1
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert lines[1] == {"error": f"{error.__name__}: deep fault", "kind": "internal"}
+        assert lines[2] == {"error": "unexpected end of input (at position 4)"}
+
+    def test_unprintable_certificate_is_internal(self):
+        # every coefficient passes the parser's bounds (about 4000 bits),
+        # but the certificate at k_max 5 has coefficients over the 4300
+        # digits Python turns into a string
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "analyze",
+             "--p", "x^2 - (67/89)*((2^200)^20)*y", "--q", "y*(x + 1)", "--kmax", "5"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: internal: ValueError: Exceeds the limit (4300 digits)")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["analyze", "risch", "transform"])
     def test_input_errors_keep_exit_code_two(self, capsys, command):
         argv = {
@@ -598,6 +684,10 @@ class TestBatchLineSchema:
             ({**good, "h1": 5}, '"h1" must be "literal" or "corrected", got 5'),
             ({**good, "h1": "Literal"}, '"h1" must be "literal" or "corrected", got "Literal"'),
             ({**good, "lets": {"1a": "2"}}, "bad let binding name '1a'; expected an identifier"),
+            # a missing key is named as it has always been
+            ({"q": "y"}, "'p'"),
+            ({"p": 1}, '"p" must be a JSON string, got int'),
+            ({"p": "x"}, "'q'"),
         ]
         tasks = [good]
         for task, _ in poisoned:

@@ -1,5 +1,6 @@
 """Expression front-end: exact parsing, positioned errors, emission round-trips."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly, BivarRatFunc
 from ratcert.parsing import (
+    _tokenize,
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_NESTING,
@@ -52,43 +54,54 @@ class TestParsePoly:
         assert got == BivarPoly({(1, 0): Fraction(-2, 3), (0, 0): 5})
 
 
+def _refusal(call, text: str, *args) -> tuple[str, int]:
+    with pytest.raises(ParseError) as info:
+        call(text, *args)
+    assert str(info.value) == f"{info.value.message} (at position {info.value.position})"
+    return info.value.message, info.value.position
+
+
 class TestParseErrors:
     def test_syntax_error_is_positioned(self):
-        with pytest.raises(ParseError) as info:
-            parse_poly("x + * y")
-        assert info.value.position == 4
+        assert _refusal(parse_poly, "x + * y") == ("unexpected '*'", 4)
+        assert _refusal(parse_poly, "x)") == ("unexpected ')'", 1)
+        assert _refusal(parse_poly, "") == ("unexpected end of input", 0)
+        assert _refusal(parse_poly, "x -") == ("unexpected end of input", 3)
 
     def test_unknown_identifier_positioned(self):
-        with pytest.raises(ParseError) as info:
-            parse_poly("x + w")
-        assert info.value.position == 4
-        assert "w" in info.value.message
+        assert _refusal(parse_poly, "x + w") == ("unknown identifier 'w'", 4)
 
     def test_implicit_multiplication_rejected(self):
-        with pytest.raises(ParseError):
-            parse_poly("2x")
-        with pytest.raises(ParseError):
-            parse_poly("x y")
+        assert _refusal(parse_poly, "2x") == ("unexpected 'x'", 1)
+        assert _refusal(parse_poly, "x y") == ("unexpected 'y'", 2)
 
     def test_non_polynomial_rejected(self):
-        with pytest.raises(ParseError, match="not a polynomial"):
-            parse_poly("1/x")
+        assert _refusal(parse_poly, "1/x") == ("expression is not a polynomial", 3)
 
     def test_float_literals_rejected(self):
-        with pytest.raises(ParseError):
-            parse_poly("0.5*x")
+        assert _refusal(parse_poly, "0.5*x") == ("unexpected character '.'", 1)
 
     def test_fractional_exponent_rejected(self):
-        with pytest.raises(ParseError):
-            parse_poly("x^(1/2)")
+        assert _refusal(parse_poly, "x^(1/2)") == ("exponent must be an unsigned integer", 2)
+        assert _refusal(parse_poly, "x^") == ("exponent must be an unsigned integer", 2)
 
     def test_division_by_zero_rejected(self):
-        with pytest.raises(ParseError):
-            parse_poly("x/0")
+        assert _refusal(parse_poly, "x/0") == ("division by zero", 1)
+        assert _refusal(parse_poly, "x/(y - y)") == ("division by zero", 1)
 
     def test_unbalanced_parens(self):
-        with pytest.raises(ParseError):
-            parse_poly("(x + y")
+        assert _refusal(parse_poly, "(x + y") == ("expected ')'", 6)
+
+    def test_let_shadowing_a_variable(self):
+        assert _refusal(parse_poly, "x", ("x", "y"), {"y": Fraction(1)}) == (
+            "let-binding shadows variable 'y'",
+            0,
+        )
+        # the text is read first
+        assert _refusal(parse_poly, "x $", ("x", "y"), {"y": Fraction(1)}) == (
+            "unexpected character '$'",
+            2,
+        )
 
 
 class TestNestingLimit:
@@ -121,8 +134,33 @@ class TestParseUnivar:
         assert parse_univar_ratfunc("0") == RatFunc.zero()
 
     def test_second_variable_not_allowed(self):
-        with pytest.raises(ParseError):
-            parse_univar_ratfunc("x + y")
+        assert _refusal(parse_univar_ratfunc, "x + y") == ("unknown identifier 'y'", 4)
+
+    def test_only_the_one_variable_is_declared(self):
+        # no hidden second variable: every other name is unknown, and a let
+        # may take any name but the variable's
+        for text, var in [("x__second", "x"), ("x__second + 1", "x"), ("1 + u__second", "u")]:
+            name = text.strip("1 +")
+            assert _refusal(parse_univar_ratfunc, text, var) == (
+                f"unknown identifier {name!r}",
+                text.index(name),
+            )
+        lets = {"x__second": Fraction(2)}
+        assert parse_univar_ratfunc("x + x__second", "x", lets) == RatFunc(X + 2)
+        assert _refusal(parse_univar_ratfunc, "1", "x", {"x": Fraction(1)}) == (
+            "let-binding shadows variable 'x'",
+            0,
+        )
+
+    def test_rational_values_keep_the_bivariate_normalisation(self):
+        # only the common power of x is cancelled before the end: x^2/x is x
+        # at once, while (x^2-1)/(x-1) keeps degree 2 over 1, so its 101st
+        # power is refused although x + 1 has degree 1, as for two variables
+        assert parse_univar_ratfunc("(x^2/x)^150") == RatFunc(X**150)
+        assert parse_univar_ratfunc("(x^2-1)/(x-1)") == RatFunc(X + 1)
+        text = "((x^2-1)/(x-1))^101"
+        refused = ("total degree 202 exceeds the limit 200", 15)
+        assert _refusal(parse_univar_ratfunc, text) == _refusal(parse_rational, text) == refused
 
 
 class TestParseLets:
@@ -195,11 +233,21 @@ class TestEmission:
 
 
 # ---------------------------------------------------------------------------
-# the polynomial-first parser against a BivarRatFunc-at-every-node evaluator
+# the parser against a BivarRatFunc-at-every-node evaluator that applies
+# every bound, with its message and position
 # ---------------------------------------------------------------------------
 
-LETS = {"a": Fraction(-2, 3)}
-leaves_st = st.sampled_from(["x", "y", "0", "1", "2", "3", "a"])
+# let-bound leaves near MAX_COEFF_BITS: b has 4095 bits, c's denominator 4094
+# and e's numerator 4096, so a product with a small leaf lands on either
+# side of the bound
+LETS = {
+    "a": Fraction(-2, 3),
+    "b": Fraction(2**4095 - 1),
+    "c": Fraction(1, 3**2583),
+    "e": Fraction(-(2**4096 - 1), 7),
+}
+BIG = str(2**4093 + 1)  # a literal of 4094 bits
+leaves_st = st.sampled_from(["x", "y", "0", "1", "2", "3", "a"] * 2 + ["b", "c", "e", BIG])
 trees_st = st.recursive(
     leaves_st,
     lambda sub: st.one_of(
@@ -221,53 +269,117 @@ def _render(tree) -> str:
     return f"({_render(tree[1])}){tree[0]}({_render(tree[2])})"
 
 
-class _Rejected(Exception):
-    pass
+class _Refused(Exception):
+    def __init__(self, message: str, position: int):
+        super().__init__(message, position)
+        self.message = message
+        self.position = position
 
 
-def _bounded(num_degree: int, den_degree: int) -> None:
-    if max(num_degree, den_degree) > MAX_DEGREE:
-        raise _Rejected
+def _row_bits(p: BivarPoly) -> int:
+    """The parser's size estimate, written out: per row, cn*v has at most
+    bits(cn) + bits(v) bits and at least one fewer, so bits(cn) + bits(max
+    |v|) - 1 for the numerators, and bits(cd) for the denominator."""
+    out = 0
+    for row in p.rows.values():
+        big = max(abs(v) for v in row.ints)
+        out = max(out, row.cn.bit_length() + big.bit_length() - 1, row.cd.bit_length())
+    return out
 
 
-def _degrees(r: BivarRatFunc) -> tuple[int, int]:
-    return max(r.num.total_degree, 0), r.den.total_degree
+class _Node:
+    """A value as the parser holds it: polynomial until a / by a
+    nonconstant (or an operand that is already rational)."""
+
+    def __init__(self, value: BivarRatFunc, rational: bool):
+        self.value = value
+        self.rational = rational
+
+    @property
+    def bits(self) -> int:
+        if self.rational:
+            return max(_row_bits(self.value.num), _row_bits(self.value.den))
+        return _row_bits(self.value.num)
+
+    @property
+    def degrees(self) -> tuple[int, int]:
+        den = self.value.den.total_degree if self.rational else 0
+        return max(self.value.num.total_degree, 0), den
+
+    @property
+    def constant(self) -> bool:
+        return not self.rational and self.value.num.total_degree <= 0
 
 
-def _reference(tree) -> BivarRatFunc:
-    """Every node a BivarRatFunc, as the parser once evaluated; products
-    whose unreduced numerator or denominator would pass MAX_DEGREE, and
-    division by zero, reject."""
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise _Refused(f"total degree {degree} exceeds the limit {MAX_DEGREE}", pos)
+
+
+def _check_bits(bits: int, pos: int, *nodes: _Node) -> None:
+    if bits > MAX_COEFF_BITS:
+        what = "constant" if all(n.constant for n in nodes) else "coefficient"
+        message = f"{what} of up to {bits} bits exceeds the limit of {MAX_COEFF_BITS} bits"
+        raise _Refused(message, pos)
+
+
+def _reference(tree, start: int = 0) -> _Node:
+    """The value of ``_render(tree)``, whose text begins at ``start``: every
+    node a BivarRatFunc, as the parser once evaluated.  Division by zero, a
+    total degree over MAX_DEGREE and a coefficient estimated over
+    MAX_COEFF_BITS are refused at the operator, in evaluation order."""
     if isinstance(tree, str):
         if tree in ("x", "y"):
-            return BivarRatFunc(BivarPoly.var("xy".index(tree)))
-        return BivarRatFunc(BivarPoly.const(LETS[tree] if tree == "a" else int(tree)))
+            return _Node(BivarRatFunc(BivarPoly.var("xy".index(tree))), False)
+        c = LETS[tree] if tree in LETS else int(tree)
+        return _Node(BivarRatFunc(BivarPoly.const(c)), False)
     if tree[0] == "neg":
-        return -_reference(tree[1])
+        node = _reference(tree[1], start + 3)
+        return _Node(-node.value, node.rational)
+    lhs = _reference(tree[1], start + 1)
+    pos = start + len(_render(tree[1])) + 2
     if tree[0] == "^":
-        base, n = _reference(tree[1]), tree[2]
-        _bounded(n * max(_degrees(base)), 0)
-        return BivarRatFunc(base.num**n, base.den**n)
-    lhs, rhs = _reference(tree[1]), _reference(tree[2])
-    (na, da), (nb, db) = _degrees(lhs), _degrees(rhs)
+        n = tree[2]
+        _check_degree(n * max(lhs.degrees), pos)
+        _check_bits(n * lhs.bits, pos, lhs)
+        return _Node(BivarRatFunc(lhs.value.num**n, lhs.value.den**n), lhs.rational)
     op = tree[0]
-    if op == "*":
-        _bounded(na + nb, da + db)
-        return lhs * rhs
-    if op == "/":
-        if rhs.is_zero:
-            raise _Rejected
-        _bounded(na + db, da + nb)
-        return lhs / rhs
-    _bounded(max(na + db, nb + da), da + db)
-    return lhs + rhs if op == "+" else lhs - rhs
+    rhs = _reference(tree[2], pos + 2)
+    if op == "/" and rhs.value.is_zero:
+        raise _Refused("division by zero", pos)
+    rational = lhs.rational or rhs.rational
+    if op in "*/" or rational:
+        _check_bits(lhs.bits + rhs.bits, pos, lhs, rhs)
+    if not rational:
+        a, b = lhs.value.num, rhs.value.num
+        if op == "*":
+            _check_degree(max(a.total_degree + b.total_degree, 0), pos)
+        # a quotient by a nonconstant is rational from here on
+        rational = op == "/" and b.total_degree > 0
+    if rational:
+        # the degrees of the products that form the unreduced result
+        (na, da), (nb, db) = lhs.degrees, rhs.degrees
+        if op == "*":
+            _check_degree(max(na + nb, da + db), pos)
+        elif op == "/":
+            _check_degree(max(na + db, da + nb), pos)
+        else:
+            _check_degree(max(na + db, nb + da, da + db), pos)
+    arithmetic = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return _Node(arithmetic[op](lhs.value, rhs.value), rational)
 
 
-def _reference_poly(tree) -> BivarPoly:
-    value = _reference(tree)
-    if value.den.total_degree > 0:
-        raise _Rejected
-    return value.num * (1 / value.den.coeff(0, 0))
+def _reference_poly(text: str, tree) -> BivarPoly:
+    node = _reference(tree)
+    if node.value.den.total_degree > 0:
+        raise _Refused("expression is not a polynomial", len(text))
+    return node.value.num * (1 / node.value.den.coeff(0, 0))
+
+
+def _assert_refused(call, refused: _Refused) -> None:
+    with pytest.raises(ParseError) as info:
+        call()
+    assert (info.value.message, info.value.position) == (refused.message, refused.position)
 
 
 class TestPolynomialFirstParser:
@@ -276,10 +388,9 @@ class TestPolynomialFirstParser:
     def test_parse_rational_equals_reference(self, tree):
         text = _render(tree)
         try:
-            expected = _reference(tree)
-        except _Rejected:
-            with pytest.raises(ParseError):
-                parse_rational(text, lets=LETS)
+            expected = _reference(tree).value
+        except _Refused as refused:
+            _assert_refused(lambda: parse_rational(text, lets=LETS), refused)
             return
         got = parse_rational(text, lets=LETS)
         # the same normalisation, so the same numerator and denominator
@@ -291,10 +402,9 @@ class TestPolynomialFirstParser:
     def test_parse_poly_equals_reference(self, tree):
         text = _render(tree)
         try:
-            expected = _reference_poly(tree)
-        except _Rejected:
-            with pytest.raises(ParseError):
-                parse_poly(text, lets=LETS)
+            expected = _reference_poly(text, tree)
+        except _Refused as refused:
+            _assert_refused(lambda: parse_poly(text, lets=LETS), refused)
             return
         assert parse_poly(text, lets=LETS).terms == expected.terms
 
@@ -302,17 +412,35 @@ class TestPolynomialFirstParser:
     @settings(deadline=None, max_examples=200)
     def test_parse_univar_equals_reference(self, tree):
         text = _render(tree).replace("y", "x")
-        tree_x = _replace_y(tree)
         try:
-            expected = _reference(tree_x)
-        except _Rejected:
-            with pytest.raises(ParseError):
-                parse_univar_ratfunc(text, lets=LETS)
+            expected = _reference(_replace_y(tree)).value
+        except _Refused as refused:
+            _assert_refused(lambda: parse_univar_ratfunc(text, lets=LETS), refused)
             return
         got = parse_univar_ratfunc(text, lets=LETS)
         num = Poly([expected.num.coeff(i, 0) for i in range(expected.num.total_degree + 1)])
         den = Poly([expected.den.coeff(i, 0) for i in range(expected.den.total_degree + 1)])
         assert got == RatFunc(num, den)
+
+    def test_reference_reaches_the_bit_bound(self):
+        # products of a big leaf with a small one, on either side of the bound
+        for tree, bits in [
+            (("*", "b", "1"), 4096),
+            (("*", "b", "x"), 4096),
+            (("*", "c", "3"), 4096),
+            (("*", "b", "2"), 4097),
+            (("*", "e", "x"), 4097),
+            (("/", "x", "e"), 4097),
+        ]:
+            text = _render(tree)
+            if bits <= MAX_COEFF_BITS:
+                assert _reference(tree).bits <= MAX_COEFF_BITS
+                parse_rational(text, lets=LETS)
+                continue
+            with pytest.raises(_Refused) as info:
+                _reference(tree)
+            assert f"of up to {bits} bits" in info.value.message
+            _assert_refused(lambda: parse_rational(text, lets=LETS), info.value)
 
     def test_normalisation_decides_acceptance(self):
         # the common monomial is stripped, no other common factor is
@@ -346,8 +474,10 @@ class TestDegreeBound:
         with pytest.raises(ParseError) as info:
             parse_poly(f"1 + x^{MAX_DEGREE + 1}")
         assert info.value.position == 6
-        with pytest.raises(ParseError, match="exponent"):
-            parse_poly("2^99999999999")
+        assert _refusal(parse_poly, "2^99999999999") == (
+            "exponent 99999999999 exceeds the limit 200",
+            2,
+        )
 
     def test_power_bound_checked_before_computing(self):
         text = "(x^2 + y + 1)^101*2"
@@ -355,24 +485,28 @@ class TestDegreeBound:
             parse_poly(text)
         assert info.value.position == text.index(")^") + 1
         assert "total degree 202" in info.value.message
-        with pytest.raises(ParseError):
-            parse_poly("((x^20)^20)^20")
+        assert _refusal(parse_poly, "((x^20)^20)^20") == (
+            "total degree 400 exceeds the limit 200",
+            7,
+        )
 
     def test_product_bound_checked_before_computing(self):
         text = "x^150*y^51"
         with pytest.raises(ParseError) as info:
             parse_poly(text)
         assert info.value.position == text.index("*")
-        with pytest.raises(ParseError):
-            parse_univar_ratfunc("1/x^150 + 1/(x+1)^60")
-        with pytest.raises(ParseError):
-            parse_univar_ratfunc("1/(x+1)^101 * 1/(x-1)^100")
+        assert _refusal(parse_univar_ratfunc, "1/x^150 + 1/(x+1)^60") == (
+            "total degree 210 exceeds the limit 200",
+            8,
+        )
+        assert _refusal(parse_univar_ratfunc, "1/(x+1)^101 * 1/(x-1)^100") == (
+            "total degree 201 exceeds the limit 200",
+            15,
+        )
 
     def test_bad_integer_literals_are_parse_errors(self):
-        with pytest.raises(ParseError):
-            parse_poly("x^\u00b2")
-        with pytest.raises(ParseError):
-            parse_poly("9" * 5000 + "*x")
+        assert _refusal(parse_poly, "x^\u00b2") == ("bad integer literal '\u00b2'", 2)
+        assert _refusal(parse_poly, "9" * 5000 + "*x") == (f"bad integer literal {'9' * 20!r}", 0)
 
 
 class TestCoefficientBound:
@@ -400,8 +534,10 @@ class TestCoefficientBound:
         with pytest.raises(ParseError) as info:
             parse_poly(text)
         assert info.value.position == text.index("*")
-        with pytest.raises(ParseError):
-            parse_poly("x + (9^200)^4/(7^200)^5")
+        assert _refusal(parse_poly, "x + (9^200)^4/(7^200)^5") == (
+            f"constant of up to 5344 bits exceeds the limit of {MAX_COEFF_BITS} bits",
+            13,
+        )
         assert parse_poly("(9^200)^2*(9^200)^2*x") == BivarPoly({(1, 0): 9**800})
 
 
@@ -424,3 +560,68 @@ class TestArbitraryText:
             parse_univar_ratfunc(text, lets=LETS)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against a copy of its character rules
+# ---------------------------------------------------------------------------
+
+_OPERATORS = "+-*/^()"
+
+
+def _starts(ch: str) -> str | None:
+    """The token a character starts under the rules the parser has always
+    had: None for white space, "ERROR" for a character no token starts with."""
+    if ch.isspace():
+        return None
+    if ch.isdigit():
+        return "INT"
+    if ch.isalpha() or ch == "_":
+        return "IDENT"
+    if ch in _OPERATORS:
+        return "OP"
+    return "ERROR"
+
+
+def _expected_tokens(ch: str) -> list[tuple[str, str, int]]:
+    """Tokens of ch + " a" + ch + " 1" + ch: ch alone, ch after an
+    identifier and ch after an integer."""
+    out = []
+
+    def alone(pos):
+        kind = _starts(ch)
+        if kind is not None:
+            out.append((kind, ch, pos))
+
+    alone(0)
+    if ch.isalnum() or ch == "_":
+        out.append(("IDENT", "a" + ch, 2))
+    else:
+        out.append(("IDENT", "a", 2))
+        alone(3)
+    if ch.isdigit():
+        out.append(("INT", "1" + ch, 5))
+    else:
+        out.append(("INT", "1", 5))
+        alone(6)
+    out.append(("END", "", 7))
+    return out
+
+
+def test_every_code_point_keeps_its_token_class():
+    mismatched = []
+    for cp in range(0x110000):
+        ch = chr(cp)
+        if _starts(ch) == "ERROR":
+            try:
+                _tokenize(ch)
+            except ParseError as exc:
+                if (exc.message, exc.position) == (f"unexpected character {ch!r}", 0):
+                    continue
+            mismatched.append(cp)
+            continue
+        tokens = _tokenize(f"{ch} a{ch} 1{ch}")
+        got = [("OP" if kind in _OPERATORS else kind, text, pos) for kind, text, pos in tokens]
+        if got != _expected_tokens(ch):
+            mismatched.append(cp)
+    assert mismatched == []

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,12 +36,14 @@ def test_case_studies_run():
     assert "Traceback" not in proc.stderr
 
 
-def test_benchmark_batch_workload_runs():
-    """One untimed round of the benchmark's cubic-batch workload, which runs
-    ``batch ... --jobs 2`` in-process and checks every output line."""
+@pytest.mark.parametrize("workload", ["elementary-tower", "cubic-batch", "risch-crossval"])
+def test_benchmark_batch_workload_runs(workload):
+    """One untimed round of a benchmark workload, run in-process, with every
+    output checked by the benchmark's independent checker.  risch-crossval
+    checks the univariate parser's values against that checker."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "cubic-batch", "--seed", "1", "--seconds", "0", "--trace", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
         capture_output=True,
         text=True,
         timeout=300,
