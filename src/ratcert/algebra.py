@@ -19,8 +19,8 @@ Representation notes:
     further gcd); a sum brings the two contents to a common denominator and
     takes one gcd; ``divmod`` and ``poly_gcd`` are pseudo-division and
     primitive Euclid.  A ``fractions.Fraction`` is built only where a
-    rational leaves the kernel: ``coeffs``, ``coeff``, ``lc``, ``content``,
-    ``eval``, resultants, roots and residues.
+    rational leaves the kernel: ``coeffs``, ``coeff``, ``lc``, ``eval``,
+    resultants, roots and residues.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
     denominator, so structural equality is mathematical equality.  A
     product with (or a quotient by) a nonzero rational keeps both
@@ -32,10 +32,14 @@ Representation notes:
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
     the full loop would give.  On a high power such as x**40 the loop
     ends at its first step instead of after forty.
-  * ``hermite_reduce`` splits the denominator once, or takes the
-    caller's split, and lowers each multiple factor one power at a time
-    against it (Bronstein's quadratic Hermite reduction); only its two
+  * ``hermite_reduce`` splits the denominator once, or takes the split
+    that ``residues`` makes, and lowers each multiple factor one power at a
+    time against it (Bronstein's quadratic Hermite reduction); only its two
     results are reduced ``RatFunc``s, not the value after every pass.
+  * ``residues`` owns the squarefree split of its argument's denominator:
+    the ``ResidueReport`` keeps it, and ``scaled`` keeps it too (a nonzero
+    multiple has the same denominator), so the checks and deciders above
+    read one split per coefficient instead of making their own.
   * Linear systems and determinants are solved by plain fraction-free
     integer elimination (Bareiss 1968): at each pivot step every row below
     the pivot row is updated, and every division is exact, see
@@ -183,11 +187,6 @@ class Poly:
         return cls((0,) * deg + (c,))
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def content(self) -> Fraction:
-        """The content cn/cd as a Fraction, built on access."""
-        return Fraction(self.cn, self.cd)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -690,18 +689,6 @@ def _resultant_std(a: Poly, b: Poly) -> Fraction:
     return Fraction(a.cn**n * b.cn**m * _det(rows), a.cd**n * b.cd**m)
 
 
-def resultant(p: Poly, q: Poly) -> Fraction:
-    """Sylvester resultant, with the q-block on top of the matrix.
-
-    Fixed convention so that examples are bit-exact:
-    resultant(p, q) = lc(q)**deg(p) * prod of p over the roots of q.
-    In particular resultant(x - 1, x - 2) = 1 and resultant(x - 3, 2) = 2.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant requires nonzero polynomials")
-    return _resultant_std(q, p)
-
-
 def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     """Newton interpolation through exact points."""
     n = len(points)
@@ -1002,7 +989,7 @@ def _ratfunc(value) -> RatFunc:
 
 
 def _hermite(
-    a: Poly, d: Poly, split: list[tuple[Poly, int]]
+    a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]
 ) -> tuple[Poly, Poly, Poly, Poly]:
     """Hermite reduction of a proper a/d, d monic, from ``split``, the
     squarefree split of d (Bronstein, Symbolic Integration I, sec. 2.2,
@@ -1034,8 +1021,13 @@ def _hermite(
     return hn, hd, a, d
 
 
+def denominator_split(r: RatFunc) -> list[tuple[Poly, int]]:
+    """The squarefree split of den(r), with no call for a constant one."""
+    return squarefree_decompose(r.den) if r.den.degree > 0 else []
+
+
 def hermite_reduce(
-    r: RatFunc, split: list[tuple[Poly, int]] | None = None
+    r: RatFunc, split: Sequence[tuple[Poly, int]] | None = None
 ) -> tuple[RatFunc, RatFunc]:
     """Split r = h' + g where g has only simple poles and a squarefree
     denominator.  The polynomial part of r is absorbed into h, so the
@@ -1043,9 +1035,9 @@ def hermite_reduce(
     g is proper, and h is a polynomial without constant term plus a proper
     fraction.
 
-    ``split`` is ``squarefree_decompose(r.den)`` when the caller already has
-    it: the proper part of r keeps r's denominator, since num and den of r
-    are coprime."""
+    ``split`` is ``denominator_split(r)`` when ``residues`` already has it:
+    the proper part of r keeps r's denominator, since num and den of r are
+    coprime."""
     poly_part, frac = r.split_polynomial_part()
     integral = poly_part.antiderivative()
     if frac.is_zero:
@@ -1067,17 +1059,21 @@ class ResidueReport:
                   each rational residue value; conjugate poles sharing a
                   rational residue are collected into one factor
     all_integer   True iff residue_poly splits over Q with integer roots
+    split         squarefree split of den(r), as (factor, multiplicity)
+                  pairs: the one split of r that the layers above read
     """
 
     simple_part: RatFunc
     residue_poly: Poly
     per_factor: tuple[tuple[Poly, Fraction], ...]
     all_integer: bool
+    split: tuple[tuple[Poly, int], ...]
 
     def scaled(self, s) -> "ResidueReport":
         """The report of s*r from this report of r, for a nonzero rational s:
-        the poles and their factors are the same, every residue is s times
-        the old one, and the residue polynomial is s**deg * R(t/s)."""
+        the poles, their factors and the split of the denominator are the
+        same, every residue is s times the old one, and the residue
+        polynomial is s**deg * R(t/s)."""
         if not s:
             raise ValueError("scale factor must be nonzero")
         per = tuple((q, c * s) for q, c in self.per_factor)
@@ -1090,15 +1086,16 @@ class ResidueReport:
             [v * sn ** (top - i) * sd**i for i, v in enumerate(r.ints)], r.cn, r.cd * sd**top
         )
         integral = sum(q.degree for q, c in per if c.denominator == 1)
-        return ResidueReport(self.simple_part * s, rpoly, per, integral == top)
+        return ResidueReport(self.simple_part * s, rpoly, per, integral == top, self.split)
 
 
-def residues(r: RatFunc, split: list[tuple[Poly, int]] | None = None) -> ResidueReport:
-    """Rothstein-Trager residue computation (after Hermite reduction);
-    ``split`` is as for ``hermite_reduce``."""
+def residues(r: RatFunc) -> ResidueReport:
+    """Rothstein-Trager residue computation (after Hermite reduction).  The
+    squarefree split of den(r) is made here, once, and kept in the report."""
+    split = tuple(denominator_split(r))
     _, g = hermite_reduce(r, split)
     if g.is_zero or g.den.degree == 0:
-        return ResidueReport(g, Poly.one(), (), True)
+        return ResidueReport(g, Poly.one(), (), True, split)
     num, den = g.num, g.den
     dden = den.derivative()
     dd = den.degree
@@ -1117,4 +1114,4 @@ def residues(r: RatFunc, split: list[tuple[Poly, int]] | None = None) -> Residue
         per.append((q, c))
         if c.denominator == 1:
             int_count += rroots.count(c)
-    return ResidueReport(g, rpoly, tuple(per), int_count == dd)
+    return ResidueReport(g, rpoly, tuple(per), int_count == dd, split)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .algebra import Poly, RatFunc, ResidueReport, residues
+from .algebra import RatFunc, ResidueReport, residues
 from .planar import (
     InputError,
     PlanarField,
@@ -31,7 +31,6 @@ from .risch import (
     RischEquation,
     RischOutcome,
     build_risch,
-    denominator_split,
     match_kaltofen,
     solve_general,
     solve_xk_specialized,
@@ -188,27 +187,25 @@ def check_h1(
     alpha: RatFunc,
     interpretation: str = "literal",
     alpha_residues: ResidueReport | None = None,
-    alpha_split: list[tuple[Poly, int]] | None = None,
 ) -> H1Report:
     """Evaluate the first hypothesis on alpha.  ``alpha_residues`` is
-    ``residues(alpha)`` and ``alpha_split`` the squarefree split of alpha's
-    denominator, when the caller already has them."""
+    ``residues(alpha)``, which carries the squarefree split of alpha's
+    denominator, when the caller already has it."""
     if interpretation not in INTERPRETATIONS:
         raise InputError(f"unknown interpretation {interpretation!r}")
     den = alpha.den
-    factors = alpha_split if alpha_split is not None else denominator_split(alpha)
+    if alpha_residues is None:
+        alpha_residues = residues(alpha)
+    factors = alpha_residues.split
     high_pole = any(m >= 2 for _, m in factors)
     if interpretation == "literal":
         degree_condition = alpha.num.degree <= den.degree
     else:
         degree_condition = alpha.num.degree >= den.degree
-    if alpha_residues is None:
-        alpha_residues = residues(alpha, factors)
-    residues_ok = alpha_residues.all_integer
     return H1Report(
         high_pole,
         degree_condition,
-        residues_ok,
+        alpha_residues.all_integer,
         interpretation,
         tuple((q.to_str(), m) for q, m in factors),
     )
@@ -219,24 +216,20 @@ def check_hk(
     beta_k: RatFunc,
     k: int,
     alpha_residues: ResidueReport | None = None,
-    alpha_split: list[tuple[Poly, int]] | None = None,
 ) -> tuple[bool, RischOutcome]:
     """Order-k obstruction: holds iff the order-k equation has no rational
     solution.  Both deciders run whenever the equation fits the power-pole
     shape; any disagreement is a fatal internal error.  The outcome carries
     the order-k equation it decided.
 
-    ``alpha_residues`` is ``residues(alpha)`` and ``alpha_split`` the
-    squarefree split of alpha's denominator, when the caller already has
-    them.  The residues of the order-k coefficient (k-1)*alpha are alpha's
-    scaled by k-1 and its denominator is alpha's, so one report and one
-    split serve every order."""
+    ``alpha_residues`` is ``residues(alpha)`` when the caller already has
+    it.  The residues of the order-k coefficient (k-1)*alpha are alpha's
+    scaled by k-1 and its denominator is alpha's, so one report, with its
+    one split, serves every order."""
     eq = build_risch(alpha, beta_k, k)
-    if alpha_split is None:
-        alpha_split = denominator_split(alpha)
     if alpha_residues is None:
-        alpha_residues = residues(alpha, alpha_split)
-    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1), a_split=alpha_split)
+        alpha_residues = residues(alpha)
+    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1))
     outcome = general
     inst = match_kaltofen(eq)
     if inst is not None:
@@ -278,16 +271,15 @@ def analyze(
     # raises InputError when the curve is not invariant for the field
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
-    alpha_split = denominator_split(alpha)
-    alpha_residues = residues(alpha, alpha_split)
-    h1 = check_h1(alpha, interpretation, alpha_residues, alpha_split)
+    alpha_residues = residues(alpha)
+    h1 = check_h1(alpha, interpretation, alpha_residues)
     orders: list[OrderRecord] = []
     if not h1.holds:
         verdict = Verdict.h1_failed()
     else:
         verdict = Verdict.all_elementary(k_max)
         for k in range(2, k_max + 1):
-            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues, alpha_split)
+            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues)
             orders.append(OrderRecord(k, outcome.equation, outcome))
             if holds:
                 verdict = Verdict.not_integrable(k)

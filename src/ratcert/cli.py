@@ -170,6 +170,9 @@ def _cmd_risch(args) -> tuple[int, dict]:
     beta = parse_univar_ratfunc(args.beta, "x", lets)
     if args.order < 2:
         raise InputError("--order must be >= 2")
+    if args.order > MAX_KMAX:
+        # the candidate denominator grows with the order: x^(order-1) for 1/x
+        raise InputError(f"--order must be <= {MAX_KMAX}, got {args.order}")
     _, outcome = check_hk(alpha, beta, args.order)
     eq = outcome.equation
     o = _outcome_dict(outcome)
@@ -243,7 +246,8 @@ def _batch_line(line: str) -> dict:
                 f"unknown key {', '.join(json.dumps(key) for key in unknown)} in a batch line; "
                 f"its keys are {', '.join(_BATCH_KEYS)}"
             )
-        lets = payload.get("lets") or {}
+        # only an absent key means no bindings
+        lets = payload.get("lets", {})
         if not isinstance(lets, dict):
             raise InputError(f'"lets" must be a JSON object, got {type(lets).__name__}')
         lets = {name: let_value(name, str(value)) for name, value in lets.items()}
@@ -330,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("risch", help="decide one equation y' + (order-1)*alpha*y = beta")
     pr.add_argument("--alpha", required=True)
     pr.add_argument("--beta", required=True)
-    pr.add_argument("--order", type=int, required=True)
+    pr.add_argument(
+        "--order", type=int, required=True, help=f"variational order of the equation (2..{MAX_KMAX})"
+    )
     pr.add_argument("--json", default=None)
     pr.add_argument("--let", action="append", default=[], metavar="NAME=VALUE")
     pr.set_defaults(func=_cmd_risch)

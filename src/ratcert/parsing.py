@@ -67,7 +67,7 @@ from .algebra import (
     _ratio,
     _times,
 )
-from .planar import BivarPoly, BivarRatFunc, InputError, _bivar_rf, _from_rows
+from .planar import BivarPoly, BivarRatFunc, InputError, _from_rows
 
 
 class ParseError(InputError):
@@ -504,14 +504,6 @@ def _parse(
     if len(variables) != 2 or variables[0] == variables[1]:
         raise ValueError("exactly two distinct variable names are required")
     return _Parser(text, variables, lets).parse()
-
-
-def parse_rational(
-    text: str,
-    variables: Sequence[str] = ("x", "y"),
-    lets: Mapping[str, Fraction] | None = None,
-) -> BivarRatFunc:
-    return _bivar_rf(_parse(text, variables, lets))
 
 
 def parse_poly(

@@ -100,14 +100,6 @@ class BivarPoly:
             return _from_rows({1: Poly.one()})
         raise ValueError("variable index must be 0 or 1")
 
-    @classmethod
-    def from_univar(cls, p: Poly, index: int) -> "BivarPoly":
-        if p.is_zero:
-            return _from_rows({})
-        if index == 0:
-            return _from_rows({0: p})
-        return _from_rows({j: Poly.const(c) for j, c in enumerate(p.coeffs) if c})
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -214,15 +206,6 @@ class BivarPoly:
             rows = {j - 1: r * j for j, r in self.rows.items() if j > 0}
         return _from_rows(rows)
 
-    def at_first_one(self) -> Poly:
-        """p(1, t) as a univariate polynomial in the second variable."""
-        if not self.rows:
-            return Poly.zero()
-        coeffs = [Fraction(0)] * (max(self.rows) + 1)
-        for j, row in self.rows.items():
-            coeffs[j] = Fraction(row.cn * sum(row.ints), row.cd)
-        return Poly(coeffs)
-
     def swap_vars(self) -> "BivarPoly":
         return BivarPoly({(j, i): c for (i, j), c in self.terms.items()})
 
@@ -231,19 +214,6 @@ class BivarPoly:
         if any(r.ints[0] for r in self.rows.values()):
             raise ValueError("polynomial is not divisible by the first variable")
         return _from_rows({j: _make(r.ints[1:], r.cn, r.cd) for j, r in self.rows.items()})
-
-    def projective_clear(self, n: int) -> "BivarPoly":
-        """z1**n * p(z2/z1, 1/z1) as a polynomial in (z1, z2).
-
-        Requires n >= total degree; term x**i y**j maps to z1**(n-i-j) z2**i.
-        """
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            e = n - i - j
-            if e < 0:
-                raise ValueError("clearing exponent below total degree")
-            out[(e, i)] = c
-        return BivarPoly(out)
 
     def is_homogeneous(self, degree: int) -> bool:
         # row j must be a single monomial of degree degree - j
@@ -420,16 +390,6 @@ class PlanarField:
         return PlanarField(self.q.swap_vars(), self.p.swap_vars())
 
 
-def homogeneous_parts(p: BivarPoly) -> list[BivarPoly]:
-    """Split into homogeneous parts, indexed by degree; empty for zero."""
-    if p.is_zero:
-        return []
-    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(p.total_degree + 1)]
-    for (i, j), c in p.terms.items():
-        parts[i + j][(i, j)] = c
-    return [BivarPoly(d) for d in parts]
-
-
 def _part_at_one(p: BivarPoly, degree: int) -> Poly:
     """P_degree(1, t): the homogeneous part of the given degree with the
     first variable set to 1, as a polynomial in the second."""
@@ -570,31 +530,6 @@ def foliation_derivatives(field: PlanarField, phi: RatFunc, count: int) -> list[
         factorial *= j
         betas.append(RatFunc(acc * factorial, p0_pows[j + 1]))
     return betas
-
-
-def lve2_coefficients_from_parts(field: PlanarField) -> tuple[RatFunc, RatFunc]:
-    """Second-order variational coefficients read from the homogeneous parts
-    of a pre-transform field:
-
-        alpha = P_N(1,x) / (x*P_N(1,x) - Q_N(1,x))
-        beta  = 2*(P_N*Q_{N-1} - P_{N-1}*Q_N)(1,x) / (x*P_N(1,x) - Q_N(1,x))**2
-    """
-    n = field.degree
-    pn = _part_at_one(field.p, n)
-    qn = _part_at_one(field.q, n)
-    pn1 = _part_at_one(field.p, n - 1) if n >= 1 else Poly.zero()
-    qn1 = _part_at_one(field.q, n - 1) if n >= 1 else Poly.zero()
-    den = pn.shift(1) - qn
-    if den.is_zero:
-        raise InputError("x*P_N(1,x) - Q_N(1,x) vanishes identically")
-    alpha = RatFunc(pn, den)
-    beta = RatFunc(2 * (pn * qn1 - pn1 * qn), den * den)
-    return alpha, beta
-
-
-def fields_equivalent(a: PlanarField, b: PlanarField) -> bool:
-    """Same foliation: Q_a * P_b - Q_b * P_a = 0."""
-    return (a.q * b.p - b.q * a.p).is_zero
 
 
 def verify_darboux_integral(field: PlanarField, r: BivarRatFunc, s: BivarRatFunc) -> bool:

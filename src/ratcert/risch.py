@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 from .algebra import (
     Poly,
@@ -63,18 +64,10 @@ from .algebra import (
     ResidueReport,
     _from_ints,
     coprime_refinement,
+    denominator_split,
     residues,
     solve_linear_system,
-    squarefree_decompose,
 )
-
-
-class NonIntegerResidueError(ValueError):
-    """Residue normalisation requires every residue to be an integer."""
-
-    def __init__(self, message: str, residue: Fraction | None = None):
-        super().__init__(message)
-        self.residue = residue
 
 
 REASON_DEGREE_MISMATCH = "degree-mismatch"
@@ -145,7 +138,7 @@ def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], li
 # ---------------------------------------------------------------------------
 
 
-def _multiplicity(e: Poly, split: list[tuple[Poly, int]]) -> int:
+def _multiplicity(e: Poly, split: Sequence[tuple[Poly, int]]) -> int:
     """Multiplicity of e in the polynomial whose squarefree split is given,
     for e an element of a coprime refinement of the split's factors: e
     divides exactly one factor q (multiplicity m) or none (0)."""
@@ -155,23 +148,11 @@ def _multiplicity(e: Poly, split: list[tuple[Poly, int]]) -> int:
     return 0
 
 
-def denominator_split(r: RatFunc) -> list[tuple[Poly, int]]:
-    """The squarefree split of den(r), with no call for a constant one."""
-    return squarefree_decompose(r.den) if r.den.degree > 0 else []
-
-
-def _candidate_denominator(
-    a: RatFunc,
-    b: RatFunc,
-    rep: ResidueReport,
-    slack: int = 0,
-    split_a: list[tuple[Poly, int]] | None = None,
-) -> Poly:
-    """``split_a`` is the squarefree split of den(a) when the caller has it."""
-    if split_a is None:
-        split_a = denominator_split(a)
+def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: int = 0) -> Poly:
+    """``rep`` is the residue report of ``a``, which carries den(a)'s split."""
+    split_a = rep.split
     split_b = denominator_split(b)
-    base = [q for q, _ in split_a + split_b]
+    base = [q for q, _ in (*split_a, *split_b)]
     base.extend(q for q, c in rep.per_factor if c.denominator == 1 and c > 0)
     den = Poly.one()
     for e in coprime_refinement(base):
@@ -328,23 +309,22 @@ def solve_general(
     pole_slack: int = 0,
     degree_slack: int = 0,
     a_residues: ResidueReport | None = None,
-    a_split: list[tuple[Poly, int]] | None = None,
 ) -> RischOutcome:
     """Decide existence of a rational solution by pole/degree bounding plus
     undetermined coefficients.
 
     ``pole_slack`` and ``degree_slack`` widen the bounds; they exist so that
     an absence verdict can be re-checked under strictly larger search spaces.
-    ``a_residues`` is the residue report of ``eq.a`` and ``a_split`` the
-    squarefree split of its denominator, when the caller already has them
-    (``check_hk`` derives both from alpha's, since (k-1)*alpha keeps alpha's
-    denominator); otherwise they are computed here.
+    ``a_residues`` is the residue report of ``eq.a``, with the squarefree
+    split of its denominator, when the caller already has it (``check_hk``
+    scales alpha's, since (k-1)*alpha keeps alpha's denominator); otherwise
+    it is computed here.
     """
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
-    rep = a_residues if a_residues is not None else residues(a, a_split)
-    den = _candidate_denominator(a, b, rep, pole_slack, a_split)
+    rep = a_residues if a_residues is not None else residues(a)
+    den = _candidate_denominator(a, b, rep, pole_slack)
     bound = _numerator_degree_bound(a, b, den) + degree_slack
     if bound < 0:
         return RischOutcome(None, "general", reason=REASON_POLE_BOUND)
@@ -354,36 +334,6 @@ def solve_general(
     if not verify_solution(eq, solution):
         raise RuntimeError("internal error: candidate solution failed substitution check")
     return RischOutcome(solution, "general")
-
-
-# ---------------------------------------------------------------------------
-# residue normalisation
-# ---------------------------------------------------------------------------
-
-
-def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
-    """Strip the integer-residue simple poles of the coefficient a.
-
-    Returns the transformed equation and the multiplier u = prod q**residue;
-    h solves the original equation iff h*u solves the normalised one.
-    """
-    rep = residues(eq.a)
-    if not rep.all_integer:
-        for _, c in rep.per_factor:
-            if c.denominator != 1:
-                raise NonIntegerResidueError(
-                    f"residue {c} is not an integer", residue=c
-                )
-        raise NonIntegerResidueError(
-            "residue polynomial does not split over Q with integer roots"
-        )
-    a_new = eq.a
-    u = RatFunc.one()
-    for q, c in rep.per_factor:
-        ell = int(c)
-        a_new = a_new - ell * RatFunc(q.derivative(), q)
-        u = u * RatFunc(q) ** ell
-    return RischEquation(a_new, eq.b * u, eq.provenance), u
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly, PlanarField, infinity_transform
-from ratcert.variational import VEStructure
+from reference import VEStructure, projective_clear
 
 
 def make_poly(*coeffs) -> Poly:
@@ -83,8 +83,8 @@ def projective_relations_hold(tilde: PlanarField) -> bool:
     n = tilde.degree
     tr = infinity_transform(tilde)
     z1, z2 = BivarPoly.var(0), BivarPoly.var(1)
-    qpi = tr.q.projective_clear(n + 1)
-    ppi = tr.p.projective_clear(n + 1)
+    qpi = projective_clear(tr.q, n + 1)
+    ppi = projective_clear(tr.p, n + 1)
     rel_first = qpi == tilde.p
     rel_second = ppi == (z2 * tilde.p - z1 * tilde.q)
     foliation = (tilde.q * (z1 * qpi)) == (tilde.p * (z2 * qpi - ppi))

@@ -1,5 +1,7 @@
-"""Variational equations along an invariant curve and their linearisations.
+"""The paper's reference constructions, kept beside the tests that compare
+the program against them.  No command runs any of this.
 
+Variational equations along an invariant curve and their linearisations.
 The order-k variational system is triangular: row j expresses the derivative
 of the j-th transverse Taylor coefficient in terms of the lower ones, with
 coefficients beta_i (the i-th y-derivatives of the foliation slope on the
@@ -14,6 +16,12 @@ The module also provides a small formal differential ring in the symbols
 (w, t1, t2) with the rewrite rules w' = alpha*w, t1' = beta2*w,
 t2' = beta3*w**2, used to verify the closed-form fundamental matrices by
 pure differentiation.
+
+Beside them: the closed-form second-order coefficients read from the
+homogeneous parts of a pre-transform field (checked against
+``planar.foliation_derivatives``), the projective relations of the chart
+change, and residue normalisation of a Risch equation (checked against
+``risch.solve_general``).
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .algebra import RatFunc
+from ratcert.algebra import Poly, RatFunc, residues
+from ratcert.planar import BivarPoly, InputError, PlanarField, _part_at_one
+from ratcert.risch import RischEquation
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +305,95 @@ def verify_fundamental_matrix(
     phi = fundamental_matrix(k)
     system = lve_matrix(k, betas)
     return matrix_satisfies_lve(phi, system, alpha, beta2, b3)
+
+
+# ---------------------------------------------------------------------------
+# homogeneous parts and the chart change
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_parts(p: BivarPoly) -> list[BivarPoly]:
+    """Split into homogeneous parts, indexed by degree; empty for zero."""
+    if p.is_zero:
+        return []
+    parts: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(p.total_degree + 1)]
+    for (i, j), c in p.terms.items():
+        parts[i + j][(i, j)] = c
+    return [BivarPoly(d) for d in parts]
+
+
+def projective_clear(p: BivarPoly, n: int) -> BivarPoly:
+    """z1**n * p(z2/z1, 1/z1) as a polynomial in (z1, z2).
+
+    Requires n >= total degree; term x**i y**j maps to z1**(n-i-j) z2**i.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), c in p.terms.items():
+        e = n - i - j
+        if e < 0:
+            raise ValueError("clearing exponent below total degree")
+        out[(e, i)] = c
+    return BivarPoly(out)
+
+
+def fields_equivalent(a: PlanarField, b: PlanarField) -> bool:
+    """Same foliation: Q_a * P_b - Q_b * P_a = 0."""
+    return (a.q * b.p - b.q * a.p).is_zero
+
+
+def lve2_coefficients_from_parts(field: PlanarField) -> tuple[RatFunc, RatFunc]:
+    """Second-order variational coefficients read from the homogeneous parts
+    of a pre-transform field:
+
+        alpha = P_N(1,x) / (x*P_N(1,x) - Q_N(1,x))
+        beta  = 2*(P_N*Q_{N-1} - P_{N-1}*Q_N)(1,x) / (x*P_N(1,x) - Q_N(1,x))**2
+    """
+    n = field.degree
+    pn = _part_at_one(field.p, n)
+    qn = _part_at_one(field.q, n)
+    pn1 = _part_at_one(field.p, n - 1) if n >= 1 else Poly.zero()
+    qn1 = _part_at_one(field.q, n - 1) if n >= 1 else Poly.zero()
+    den = pn.shift(1) - qn
+    if den.is_zero:
+        raise InputError("x*P_N(1,x) - Q_N(1,x) vanishes identically")
+    alpha = RatFunc(pn, den)
+    beta = RatFunc(2 * (pn * qn1 - pn1 * qn), den * den)
+    return alpha, beta
+
+
+# ---------------------------------------------------------------------------
+# residue normalisation
+# ---------------------------------------------------------------------------
+
+
+class NonIntegerResidueError(ValueError):
+    """Residue normalisation requires every residue to be an integer."""
+
+    def __init__(self, message: str, residue: Fraction | None = None):
+        super().__init__(message)
+        self.residue = residue
+
+
+def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
+    """Strip the integer-residue simple poles of the coefficient a.
+
+    Returns the transformed equation and the multiplier u = prod q**residue;
+    h solves the original equation iff h*u solves the normalised one.
+    """
+    rep = residues(eq.a)
+    if not rep.all_integer:
+        for _, c in rep.per_factor:
+            if c.denominator != 1:
+                raise NonIntegerResidueError(
+                    f"residue {c} is not an integer", residue=c
+                )
+        raise NonIntegerResidueError(
+            "residue polynomial does not split over Q with integer roots"
+        )
+    a_new = eq.a
+    u = RatFunc.one()
+    for q, c in rep.per_factor:
+        ell = int(c)
+        a_new = a_new - ell * RatFunc(q.derivative(), q)
+        u = u * RatFunc(q) ** ell
+    return RischEquation(a_new, eq.b * u, eq.provenance), u

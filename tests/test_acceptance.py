@@ -23,19 +23,19 @@ from ratcert.risch import (
     solve_xk_specialized,
     verify_solution,
 )
-from ratcert.variational import (
-    fundamental_matrix,
-    lve_matrix,
-    matrix_satisfies_lve,
-    ve_rhs,
-    verify_fundamental_matrix,
-)
 from conftest import (
     projective_relations_hold,
     rand_bivar,
     rand_poly,
     rand_ratfunc,
     ve_rows_hold_on_flow,
+)
+from reference import (
+    fundamental_matrix,
+    lve_matrix,
+    matrix_satisfies_lve,
+    ve_rhs,
+    verify_fundamental_matrix,
 )
 
 X = Poly.x()

@@ -123,9 +123,9 @@ class TestAnalyze:
         calls = []
         real = analyzer.residues
 
-        def counted(r, split=None):
+        def counted(r):
             calls.append(r)
-            return real(r, split)
+            return real(r)
 
         monkeypatch.setattr(analyzer, "residues", counted)
         monkeypatch.setattr(risch, "residues", counted)
@@ -137,22 +137,21 @@ class TestAnalyze:
         assert len(calls) == 1
 
     def test_one_split_of_alpha_per_analysis(self, monkeypatch):
-        # (k-1)*alpha keeps alpha's denominator, so the residues and every
-        # order get the split that check_h1 uses, made once
-        from ratcert import algebra, risch
+        # (k-1)*alpha keeps alpha's denominator, so every order reads the
+        # split that residues made once and check_h1 used
+        from ratcert import algebra
 
         dens, splits = [], []
-        real_split, real_general = risch.squarefree_decompose, analyzer.solve_general
+        real_split, real_general = algebra.squarefree_decompose, analyzer.solve_general
 
         def split(p):
             dens.append(p)
             return real_split(p)
 
         def general(eq, **kwargs):
-            splits.append(kwargs["a_split"])
+            splits.append(list(kwargs["a_residues"].split))
             return real_general(eq, **kwargs)
 
-        monkeypatch.setattr(risch, "squarefree_decompose", split)
         monkeypatch.setattr(algebra, "squarefree_decompose", split)
         monkeypatch.setattr(analyzer, "solve_general", general)
         cert = analyze(elementary_example_field(), RatFunc.zero(), 5)

@@ -150,6 +150,25 @@ class TestRischCommand:
         code, _ = run(["risch", "--alpha", "1/x", "--beta", "1", "--order", "1"])
         assert code == 2
 
+    def test_order_held_to_the_kmax_bound(self):
+        # the candidate denominator for alpha = 1/x is x^(order-1): an
+        # unbounded order ran for minutes or overflowed an index
+        for order in (str(MAX_KMAX + 1), "100000000", "1" + "0" * 4200):
+            started = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "ratcert.cli", "risch", "--alpha", "1/x", "--beta", "1",
+                 "--order", order],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert time.perf_counter() - started < 2.0
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: --order must be <= {MAX_KMAX}, got {order}\n"
+        code, report = run(["risch", "--alpha", "1/x", "--beta", "1", "--order", str(MAX_KMAX)])
+        assert code == 0
+        assert report["outcome"]["solution"] == f"1/{MAX_KMAX}*x"
+
 
 class TestUnivariateInput:
     """phi, alpha and beta name one variable; no other name is declared."""
@@ -429,10 +448,10 @@ class TestInternalErrors:
         # alpha of the middle line's field along y = 0
         poisoned = RatFunc(Poly([1, 1]), Poly([0, 0, 1]))
 
-        def residues(r, split=None):
+        def residues(r):
             if r == poisoned:
                 raise error("deep fault")
-            return real(r, split)
+            return real(r)
 
         monkeypatch.setattr(analyzer, "residues", residues)
         tasks = [
@@ -684,6 +703,12 @@ class TestBatchLineSchema:
             ({**good, "h1": 5}, '"h1" must be "literal" or "corrected", got 5'),
             ({**good, "h1": "Literal"}, '"h1" must be "literal" or "corrected", got "Literal"'),
             ({**good, "lets": {"1a": "2"}}, "bad let binding name '1a'; expected an identifier"),
+            # only an absent "lets" means no bindings
+            ({**good, "lets": []}, '"lets" must be a JSON object, got list'),
+            ({**good, "lets": False}, '"lets" must be a JSON object, got bool'),
+            ({**good, "lets": ""}, '"lets" must be a JSON object, got str'),
+            ({**good, "lets": 0}, '"lets" must be a JSON object, got int'),
+            ({**good, "lets": None}, '"lets" must be a JSON object, got NoneType'),
             # a missing key is named as it has always been
             ({"q": "y"}, "'p'"),
             ({"p": 1}, '"p" must be a JSON string, got int'),

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly, BivarRatFunc
 from ratcert.parsing import (
+    _parse,
     _tokenize,
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -18,12 +19,18 @@ from ratcert.parsing import (
     ParseError,
     parse_lets,
     parse_poly,
-    parse_rational,
     parse_univar_ratfunc,
 )
 from conftest import rand_bivar
 
 X = Poly.x()
+
+
+def _parse_rational(text: str, lets=None) -> BivarRatFunc:
+    """The parser's value of ``text`` in x, y, a polynomial over 1 when it
+    has no nonconstant denominator."""
+    value = _parse(text, ("x", "y"), lets)
+    return value if type(value) is BivarRatFunc else BivarRatFunc(value)
 
 
 class TestParsePoly:
@@ -160,7 +167,7 @@ class TestParseUnivar:
         assert parse_univar_ratfunc("(x^2-1)/(x-1)") == RatFunc(X + 1)
         text = "((x^2-1)/(x-1))^101"
         refused = ("total degree 202 exceeds the limit 200", 15)
-        assert _refusal(parse_univar_ratfunc, text) == _refusal(parse_rational, text) == refused
+        assert _refusal(parse_univar_ratfunc, text) == _refusal(_parse_rational, text) == refused
 
 
 class TestParseLets:
@@ -227,7 +234,7 @@ class TestEmission:
             assert parse_univar_ratfunc(value.to_str()) == value
 
     def test_rational_expression_parser_agrees(self):
-        got = parse_rational("(x^2 - 1)/(x*y + 2)")
+        got = _parse_rational("(x^2 - 1)/(x*y + 2)")
         assert got.num == BivarPoly({(2, 0): 1, (0, 0): -1})
         assert got.den == BivarPoly({(1, 1): 1, (0, 0): 2})
 
@@ -390,9 +397,9 @@ class TestPolynomialFirstParser:
         try:
             expected = _reference(tree).value
         except _Refused as refused:
-            _assert_refused(lambda: parse_rational(text, lets=LETS), refused)
+            _assert_refused(lambda: _parse_rational(text, lets=LETS), refused)
             return
-        got = parse_rational(text, lets=LETS)
+        got = _parse_rational(text, lets=LETS)
         # the same normalisation, so the same numerator and denominator
         assert got.num.terms == expected.num.terms
         assert got.den.terms == expected.den.terms
@@ -435,12 +442,12 @@ class TestPolynomialFirstParser:
             text = _render(tree)
             if bits <= MAX_COEFF_BITS:
                 assert _reference(tree).bits <= MAX_COEFF_BITS
-                parse_rational(text, lets=LETS)
+                _parse_rational(text, lets=LETS)
                 continue
             with pytest.raises(_Refused) as info:
                 _reference(tree)
             assert f"of up to {bits} bits" in info.value.message
-            _assert_refused(lambda: parse_rational(text, lets=LETS), info.value)
+            _assert_refused(lambda: _parse_rational(text, lets=LETS), info.value)
 
     def test_normalisation_decides_acceptance(self):
         # the common monomial is stripped, no other common factor is
@@ -454,7 +461,7 @@ class TestPolynomialFirstParser:
     def test_division_by_constants_stays_polynomial(self):
         assert parse_poly("x/2 + y/(1/3)") == BivarPoly({(1, 0): Fraction(1, 2), (0, 1): 3})
         assert parse_poly("(x/x)/(2/4)") == BivarPoly.const(2)
-        assert parse_rational("x/(2*a)", lets=LETS).den == BivarPoly.const(1)
+        assert _parse_rational("x/(2*a)", lets=LETS).den == BivarPoly.const(1)
         with pytest.raises(ParseError, match="division by zero"):
             parse_poly("x/(y - y)")
 

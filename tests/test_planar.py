@@ -13,20 +13,24 @@ from ratcert.planar import (
     BivarRatFunc,
     DegenerateCurveError,
     PlanarField,
+    _part_at_one,
     family_from_P,
-    fields_equivalent,
     foliation_derivatives,
-    homogeneous_parts,
     infinity_transform,
     is_invariant_curve,
-    lve2_coefficients_from_parts,
     verify_darboux_integral,
 )
 from conftest import projective_relations_hold, rand_bivar, rand_family
+from reference import fields_equivalent, homogeneous_parts, lve2_coefficients_from_parts
 
 Z1, Z2 = BivarPoly.var(0), BivarPoly.var(1)
 XV, YV = BivarPoly.var(0), BivarPoly.var(1)
 X = Poly.x()
+
+
+def _in_x(p: Poly) -> BivarPoly:
+    """p as a bivariate polynomial in the first variable alone."""
+    return BivarPoly({(i, 0): c for i, c in enumerate(p.coeffs)})
 
 
 def cubic_example_field(a=1, b=1, c=1) -> PlanarField:
@@ -85,10 +89,10 @@ class TestInfinityTransform:
             parts, n, k = rand_family(rng)
             field = family_from_P(parts, n, k)
             out = infinity_transform(field)
-            expected_p = BivarPoly.from_univar(Poly.monomial(k), 0) - YV
+            expected_p = XV**k - YV
             inner = BivarPoly.zero()
             for j in range(1, n + 1):
-                pj = BivarPoly.from_univar(parts[j].at_first_one(), 0)
+                pj = _in_x(_part_at_one(parts[j], j))
                 inner = inner + pj * YV ** (n - j)
             assert out.p == expected_p
             assert out.q == YV * inner
@@ -409,11 +413,6 @@ class TestRowKernel:
         diff_x = _clean({(i - 1, j): c * i for (i, j), c in a.items() if i})
         diff_y = _clean({(i, j - 1): c * j for (i, j), c in a.items() if j})
         assert pa.diff(0).terms == diff_x and pa.diff(1).terms == diff_y
-        at_one: dict = {}
-        for (_, j), c in a.items():
-            at_one[j] = at_one.get(j, 0) + c
-        top = max(at_one, default=-1)
-        assert pa.at_first_one() == Poly([at_one.get(j, 0) for j in range(top + 1)])
 
     @given(p=term_dicts_st, q=term_dicts_st)
     @settings(deadline=None, max_examples=120)
@@ -508,9 +507,9 @@ def _field_through(phi: RatFunc, a: BivarPoly, b: BivarPoly, c: BivarPoly) -> Pl
     """A field with y = n/d invariant: with F = d*y - n, P = d^2*A + F*C and
     Q = (n'*d - n*d')*A + F*B give Q(x, phi) = phi'*P(x, phi)."""
     n, d = phi.num, phi.den
-    f = BivarPoly.from_univar(d, 0) * BivarPoly.var(1) - BivarPoly.from_univar(n, 0)
-    p = BivarPoly.from_univar(d * d, 0) * a + f * c
-    q = BivarPoly.from_univar(n.derivative() * d - n * d.derivative(), 0) * a + f * b
+    f = _in_x(d) * BivarPoly.var(1) - _in_x(n)
+    p = _in_x(d * d) * a + f * c
+    q = _in_x(n.derivative() * d - n * d.derivative()) * a + f * b
     return PlanarField(p, q)
 
 

@@ -20,17 +20,16 @@ from ratcert.algebra import (
 )
 from ratcert.risch import (
     KaltofenInstance,
-    NonIntegerResidueError,
     RischEquation,
     build_risch,
     match_kaltofen,
-    residue_normalize,
     solve_general,
     solve_undetermined,
     solve_xk_specialized,
     verify_solution,
 )
 from conftest import rand_poly
+from reference import NonIntegerResidueError, residue_normalize
 
 X = Poly.x()
 

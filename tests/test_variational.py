@@ -6,7 +6,8 @@ import pytest
 
 from ratcert.algebra import Poly, RatFunc
 from ratcert.planar import BivarPoly
-from ratcert.variational import (
+from conftest import rand_ratfunc, ve_rows_hold_on_flow
+from reference import (
     FormalWord,
     LVESubsystem,
     VETerm,
@@ -18,7 +19,6 @@ from ratcert.variational import (
     ve_rhs,
     verify_fundamental_matrix,
 )
-from conftest import rand_ratfunc, ve_rows_hold_on_flow
 
 X = Poly.x()
 
