@@ -6,8 +6,11 @@ Usage:
 
 Draws random power-pole instances, runs both the specialized case analysis
 and the general bound-based solver, and reports any disagreement on
-existence or on the solution itself.  Also replays planted-solution
-round-trips through the general solver.  Exits nonzero on any mismatch.
+existence or on the solution itself.  Every absence is decided again with
+wider bounds (one more pole order at each place, two more numerator
+degrees); a solution found that way is a mismatch too, since the bounds
+would then have missed it.  Also replays planted-solution round-trips
+through the general solver.  Exits nonzero on any mismatch.
 """
 
 import argparse
@@ -75,6 +78,7 @@ def main() -> int:
     started = time.perf_counter()
     mismatches = 0
     solvable = 0
+    rechecked = 0
     cases = {}
     for _ in range(args.trials):
         inst = random_instance(rng)
@@ -90,6 +94,12 @@ def main() -> int:
             if special.solution != general.solution:
                 mismatches += 1
                 print(f"SOLUTION MISMATCH: {inst}")
+        else:
+            rechecked += 1
+            wider = solve_general(inst.equation(), pole_slack=1, degree_slack=2)
+            if wider.has_rational_solution:
+                mismatches += 1
+                print(f"ABSENCE MISSED BY THE BOUNDS: {inst}")
 
     recovered = 0
     for _ in range(args.trials):
@@ -104,6 +114,7 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     print(f"instances: {args.trials} cross-validated ({solvable} solvable), "
           f"case counts {dict(sorted(cases.items()))}")
+    print(f"absences re-checked with wider bounds: {rechecked}")
     print(f"planted round-trips: {args.trials}, exact recoveries: {recovered}")
     print(f"mismatches: {mismatches}, elapsed {elapsed:.1f}s")
     return 1 if mismatches else 0

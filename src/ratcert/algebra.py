@@ -39,7 +39,9 @@ Representation notes:
   * ``residues`` owns the squarefree split of its argument's denominator:
     the ``ResidueReport`` keeps it, and ``scaled`` keeps it too (a nonzero
     multiple has the same denominator), so the checks and deciders above
-    read one split per coefficient instead of making their own.
+    read one split per coefficient instead of making their own.  The
+    order-k decider splits nothing else: it bounds den(beta_k)'s part of a
+    solution's denominator with gcd(den, den') alone.
   * Linear systems and determinants are solved by plain fraction-free
     integer elimination (Bareiss 1968): at each pivot step every row below
     the pivot row is updated, and every division is exact, see
@@ -51,12 +53,18 @@ threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _FRACTION_ZERO = Fraction(0)
+
+# str() refuses an int of more digits than the interpreter's limit (4300 by
+# default), which may be set no lower than this threshold; below this bound
+# an int has fewer digits than the threshold
+_STR_BOUND = 10 ** (sys.int_info.str_digits_check_threshold - 1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -94,6 +102,25 @@ def _pair_mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
         bn //= h
         ad //= h
     return an * bn, ad * bd
+
+
+def _int_str(n: int) -> str:
+    """str(n) under any limit on int-to-str conversion: an int of fewer
+    digits than the limit's threshold goes to str(), a longer one is split
+    at a power of ten and its two parts are written the same way."""
+    if -_STR_BOUND < n < _STR_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    # about half the digits of n (log10(2) < 0.30103), so high > 0
+    half = n.bit_length() * 30103 // 200000
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d, for d > 0, as "n" or "n/d"."""
+    return _int_str(n) if d == 1 else f"{_int_str(n)}/{_int_str(d)}"
 
 
 def _make(ints: tuple[int, ...], cn: int, cd: int) -> "Poly":
@@ -184,7 +211,9 @@ class Poly:
     def monomial(cls, deg: int, c=1) -> "Poly":
         if deg < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * deg + (c,))
+        if not c:
+            return _ZERO
+        return _make((0,) * deg + (1,), *_scalar(c))
 
     # -- basic queries -----------------------------------------------------
 
@@ -412,7 +441,7 @@ class Poly:
                 continue
             g = gcd(u, d)
             top, bot = abs(n * u) // g, d // g
-            mag = str(top) if bot == 1 else f"{top}/{bot}"
+            mag = _ratio_str(top, bot)
             if i == 0:
                 body = mag
             else:
@@ -536,42 +565,6 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
         d = d - dc
         i += 1
     return out
-
-
-def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
-    """Pairwise-coprime monic basis refining a family of squarefree polys.
-
-    Every input is a product of basis elements; used to localise pole
-    analysis without factoring over Q.
-    """
-    pending = [p.monic() for p in polys if p.degree > 0]
-    basis: list[Poly] = []
-    while pending:
-        p = pending.pop()
-        if p.degree == 0:
-            continue
-        placed = True
-        for i, q in enumerate(basis):
-            g = poly_gcd(p, q)
-            if g.degree == 0:
-                continue
-            basis.pop(i)
-            for part in (g, q.divexact(g)):
-                if part.degree > 0:
-                    basis.append(part)
-            rem = p.divexact(g)
-            if rem.degree > 0:
-                pending.append(rem)
-            placed = False
-            break
-        if placed:
-            basis.append(p)
-    # sorted by (degree, coeffs) without building a Fraction: each element is
-    # monic, so coefficient i is ints[i]/ints[-1], and times a common multiple
-    # of the leads it is an integer
-    scale = lcm(*(f.ints[-1] for f in basis))
-    basis.sort(key=lambda f: (f.degree, [c * (scale // f.ints[-1]) for c in f.ints]))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -1021,11 +1014,6 @@ def _hermite(
     return hn, hd, a, d
 
 
-def denominator_split(r: RatFunc) -> list[tuple[Poly, int]]:
-    """The squarefree split of den(r), with no call for a constant one."""
-    return squarefree_decompose(r.den) if r.den.degree > 0 else []
-
-
 def hermite_reduce(
     r: RatFunc, split: Sequence[tuple[Poly, int]] | None = None
 ) -> tuple[RatFunc, RatFunc]:
@@ -1035,9 +1023,9 @@ def hermite_reduce(
     g is proper, and h is a polynomial without constant term plus a proper
     fraction.
 
-    ``split`` is ``denominator_split(r)`` when ``residues`` already has it:
-    the proper part of r keeps r's denominator, since num and den of r are
-    coprime."""
+    ``split`` is the squarefree split of den(r) when ``residues`` already
+    has it: the proper part of r keeps r's denominator, since num and den of
+    r are coprime."""
     poly_part, frac = r.split_polynomial_part()
     integral = poly_part.antiderivative()
     if frac.is_zero:
@@ -1092,7 +1080,7 @@ class ResidueReport:
 def residues(r: RatFunc) -> ResidueReport:
     """Rothstein-Trager residue computation (after Hermite reduction).  The
     squarefree split of den(r) is made here, once, and kept in the report."""
-    split = tuple(denominator_split(r))
+    split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
     _, g = hermite_reduce(r, split)
     if g.is_zero or g.den.degree == 0:
         return ResidueReport(g, Poly.one(), (), True, split)

@@ -118,6 +118,11 @@ class Certificate:
     verdict: Verdict
 
     def to_dict(self) -> dict:
+        # every order's coefficient is (k-1)*alpha for the one alpha
+        alpha = ""
+        if self.orders:
+            first = self.orders[0]
+            alpha = (first.equation.a / (first.k - 1)).to_str()
         d = {
             "field": {"p": self.field.p.to_str(), "q": self.field.q.to_str()},
             "curve": self.curve.to_str(),
@@ -137,7 +142,7 @@ class Certificate:
             "orders": [
                 {
                     "k": rec.k,
-                    "alpha": (rec.equation.a / (rec.k - 1)).to_str(),
+                    "alpha": alpha,
                     "beta": rec.equation.b.to_str(),
                     "outcome": _outcome_dict(rec.outcome),
                 }

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _times
+from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _ratio_str, _times
 
 
 class InputError(ValueError):
@@ -230,17 +230,17 @@ class BivarPoly:
         parts: list[str] = []
         for i, j in keys:
             c = terms[(i, j)]
-            mag = abs(c)
+            mag = _ratio_str(abs(c.numerator), c.denominator)
             factors = []
             if i:
                 factors.append(vx if i == 1 else f"{vx}^{i}")
             if j:
                 factors.append(vy if j == 1 else f"{vy}^{j}")
             if not factors:
-                body = str(mag)
+                body = mag
             else:
                 body = "*".join(factors)
-                if mag != 1:
+                if mag != "1":
                     body = f"{mag}*{body}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

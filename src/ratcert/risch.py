@@ -6,11 +6,8 @@ Two independent deciders are provided:
     finite place, bounds the numerator degree by matching leading behaviour
     at infinity, then settles existence by solving for the unknown numerator
     coefficients exactly, from the top down (``solve_undetermined``).
-    The candidate denominator is a product over a coprime refinement of the
-    squarefree factors of den(a), den(b) and the positive-integer-residue
-    factors of a.  The multiplicities of a refinement element in den(a) and
-    den(b) are read from the squarefree splits themselves: the element
-    divides exactly one split factor, whose multiplicity it has, or none.
+    The candidate denominator is built from gcds, with no factoring (see
+    below).
 
   * ``solve_xk_specialized``: the ad-hoc case analysis for coefficients of
     the shape a = A(x)/x**k, b = (2*A + 2*x**k*B)/x**(2*k) with k > 1 and
@@ -19,6 +16,24 @@ Two independent deciders are provided:
     solved with ``algebra.solve_linear_system`` (fraction-free integer
     elimination) through this module's global of that name.
     Outcomes carry the matched case label (1, 2a, 2b, 2c, 2d).
+
+The pole bound (Bronstein, Symbolic Integration I, ch. 6).  Take an
+irreducible p with ma = v_p(den a) and mb = v_p(den b), and let y have a
+pole of order n > 0 at p.  Then y' has one of order n + 1 and a*y one of
+order n + ma.  For ma >= 2 the second dominates and must be b's: n = mb - ma.
+For ma <= 1 either the order n + 1 of y' is b's, n = mb - 1, or the two
+leading terms cancel, which needs ma = 1 and -n + r = 0 for r the residue of
+a at p: n = rho_p, r when it is a positive integer.  So the order at p is at
+most max((mb-1)+ - (ma-1)+, 0, rho_p), with (m)+ = max(m, 0), plus the
+slack where ma + mb > 0.  Each term is a gcd, all monic:
+H_b = gcd(den b, den b') has order (mb-1)+ at every p, and
+H_a = prod q**(m-1) over the split of den(a) (from a's residue report) has
+(ma-1)+, so H_b/gcd(H_b, H_a) has the first term.  With A_1 the split
+factor of multiplicity 1, gcd(q, A_1)**c, for each factor q of the report
+with positive integer residue c, has order c exactly at the p with p | q
+and ma = 1, and an lcm takes the maximum.  Times
+lcm(rad den a, rad den b)**slack, with rad den b = den b/H_b, the product
+has the bound's order at every p.
 
 The top-down recurrence is the polynomial step of the Risch differential
 equation (Bronstein, Symbolic Integration I, ch. 6, the no-cancellation
@@ -55,16 +70,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd, lcm, prod
 
 from .algebra import (
     Poly,
     RatFunc,
     ResidueReport,
     _from_ints,
-    coprime_refinement,
-    denominator_split,
+    poly_gcd,
     residues,
     solve_linear_system,
 )
@@ -138,40 +151,29 @@ def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], li
 # ---------------------------------------------------------------------------
 
 
-def _multiplicity(e: Poly, split: Sequence[tuple[Poly, int]]) -> int:
-    """Multiplicity of e in the polynomial whose squarefree split is given,
-    for e an element of a coprime refinement of the split's factors: e
-    divides exactly one factor q (multiplicity m) or none (0)."""
-    for q, m in split:
-        if (q % e).is_zero:
-            return m
-    return 0
-
-
 def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: int = 0) -> Poly:
-    """``rep`` is the residue report of ``a``, which carries den(a)'s split."""
-    split_a = rep.split
-    split_b = denominator_split(b)
-    base = [q for q, _ in (*split_a, *split_b)]
-    base.extend(q for q, c in rep.per_factor if c.denominator == 1 and c > 0)
-    den = Poly.one()
-    for e in coprime_refinement(base):
-        ma = _multiplicity(e, split_a)
-        mb = _multiplicity(e, split_b)
-        if ma >= 2:
-            bound = max(0, mb - ma)
-        elif ma == 1:
-            rho = 0
-            for q, c in rep.per_factor:
-                if c > 0 and c.denominator == 1 and (q % e).is_zero:
-                    rho = int(c)
-                    break
-            bound = max(0, mb - 1, rho)
+    """The candidate denominator from gcds (see the module docstring).
+    ``rep`` is the residue report of ``a``, which carries den(a)'s split."""
+    qb = b.den
+    h_b = poly_gcd(qb, qb.derivative())
+    h_a = a_1 = Poly.one()
+    for q, m in rep.split:
+        if m == 1:
+            a_1 = q
         else:
-            bound = max(0, mb - 1)
-        if slack and (ma or mb):
-            bound += slack
-        den = den * e**bound
+            h_a = h_a * q ** (m - 1)
+    den = h_b.divexact(poly_gcd(h_b, h_a))
+    if a_1.degree > 0:
+        for q, c in rep.per_factor:
+            if c > 0 and c.denominator == 1:
+                g = poly_gcd(q, a_1)
+                if g.degree > 0:
+                    g = g ** int(c)
+                    den = den * g.divexact(poly_gcd(den, g))
+    if slack:
+        rad_a = prod((q for q, _ in rep.split), start=Poly.one())
+        rad_b = qb.divexact(h_b)
+        den = den * (rad_a * rad_b.divexact(poly_gcd(rad_a, rad_b))) ** slack
     return den
 
 

@@ -20,18 +20,21 @@ pure differentiation.
 Beside them: the closed-form second-order coefficients read from the
 homogeneous parts of a pre-transform field (checked against
 ``planar.foliation_derivatives``), the projective relations of the chart
-change, and residue normalisation of a Risch equation (checked against
-``risch.solve_general``).
+change, residue normalisation of a Risch equation (checked against
+``risch.solve_general``), and a coprime refinement of squarefree
+polynomials, over which the tests bound the poles of a candidate
+denominator one element at a time (checked against
+``risch._candidate_denominator``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
-from ratcert.algebra import Poly, RatFunc, residues
+from ratcert.algebra import Poly, RatFunc, poly_gcd, residues
 from ratcert.planar import BivarPoly, InputError, PlanarField, _part_at_one
 from ratcert.risch import RischEquation
 
@@ -397,3 +400,44 @@ def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
         a_new = a_new - ell * RatFunc(q.derivative(), q)
         u = u * RatFunc(q) ** ell
     return RischEquation(a_new, eq.b * u, eq.provenance), u
+
+
+# ---------------------------------------------------------------------------
+# coprime refinement
+# ---------------------------------------------------------------------------
+
+
+def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
+    """Pairwise-coprime monic basis refining a family of squarefree polys.
+
+    Every input is a product of basis elements; used to localise pole
+    analysis without factoring over Q.
+    """
+    pending = [p.monic() for p in polys if p.degree > 0]
+    basis: list[Poly] = []
+    while pending:
+        p = pending.pop()
+        if p.degree == 0:
+            continue
+        placed = True
+        for i, q in enumerate(basis):
+            g = poly_gcd(p, q)
+            if g.degree == 0:
+                continue
+            basis.pop(i)
+            for part in (g, q.divexact(g)):
+                if part.degree > 0:
+                    basis.append(part)
+            rem = p.divexact(g)
+            if rem.degree > 0:
+                pending.append(rem)
+            placed = False
+            break
+        if placed:
+            basis.append(p)
+    # sorted by (degree, coeffs) without building a Fraction: each element is
+    # monic, so coefficient i is ints[i]/ints[-1], and times a common multiple
+    # of the leads it is an integer
+    scale = lcm(*(f.ints[-1] for f in basis))
+    basis.sort(key=lambda f: (f.degree, [c * (scale // f.ints[-1]) for c in f.ints]))
+    return basis

@@ -2,6 +2,7 @@
 resultants, rational roots, and canonical forms."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from ratcert.algebra import (
     Poly,
     RatFunc,
     _det,
+    _int_str,
     _resultant_std,
-    coprime_refinement,
     extended_gcd,
     hermite_reduce,
     poly_gcd,
@@ -22,6 +23,7 @@ from ratcert.algebra import (
     squarefree_decompose,
 )
 from conftest import make_poly, rand_poly, rand_ratfunc
+from reference import coprime_refinement
 
 X = Poly.x()
 
@@ -422,6 +424,20 @@ class TestPolyToStr:
         assert Poly([0, -1]).to_str() == "-x"
         assert Poly([Fraction(3, 2)]).to_str() == "3/2"
         assert Poly.zero().to_str() == "0"
+
+
+class TestIntStr:
+    @given(st.integers(0, 20000).flatmap(lambda d: st.integers(-(10**d), 10**d)))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_str_under_a_lifted_limit(self, n):
+        # written under the interpreter's limit, compared with the limit off
+        got = _int_str(n)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert got == str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestCanonicalForms:

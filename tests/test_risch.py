@@ -3,6 +3,7 @@ power-pole solver, residue normalisation, and their cross-consistency."""
 
 import random
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
@@ -12,12 +13,12 @@ from ratcert import risch
 from ratcert.algebra import (
     Poly,
     RatFunc,
-    coprime_refinement,
     poly_gcd,
     residues,
     solve_linear_system,
     squarefree_decompose,
 )
+from ratcert.planar import BivarPoly, PlanarField, foliation_derivatives
 from ratcert.risch import (
     KaltofenInstance,
     RischEquation,
@@ -29,7 +30,7 @@ from ratcert.risch import (
     verify_solution,
 )
 from conftest import rand_poly
-from reference import NonIntegerResidueError, residue_normalize
+from reference import NonIntegerResidueError, coprime_refinement, residue_normalize
 
 X = Poly.x()
 
@@ -319,6 +320,11 @@ def _candidate_by_division(a: RatFunc, b: RatFunc, rep, slack: int = 0) -> Poly:
     return den
 
 
+def _assert_matches_division(a: RatFunc, b: RatFunc, rep, slack: int) -> None:
+    expected = _candidate_by_division(a, b, rep, slack)
+    assert risch._candidate_denominator(a, b, rep, slack) == expected
+
+
 _POLE_FACTORS = [X, X - 1, X + 2, X**2 + 1, X**2 - 2]
 
 
@@ -361,9 +367,85 @@ class TestCandidateDenominator:
         b = RatFunc(X**3 + 5, X**40)
         rep = residues(a)
         for slack in (0, 2):
-            assert risch._candidate_denominator(a, b, rep, slack) == _candidate_by_division(
-                a, b, rep, slack
-            )
+            _assert_matches_division(a, b, rep, slack)
+
+    @given(
+        simple=st.lists(st.sampled_from(_POLE_FACTORS), min_size=1, max_size=2, unique=True),
+        fractions=st.lists(
+            st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]), min_size=2, max_size=2
+        ),
+        powers=st.lists(st.sampled_from([0, 1, 2, 3]), min_size=5, max_size=5),
+        a_num=small_polys_st,
+        b_data=pole_data(),
+        b_num=nonzero_polys_st,
+        k=st.sampled_from([2, 3, 4, 7, 13]),
+        slack=st.integers(0, 2),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_scaled_report_with_fractional_residues(
+        self, simple, fractions, powers, a_num, b_data, b_num, k, slack
+    ):
+        # residue 1/2, 1/3 or 2/3 at simple poles of alpha: a positive
+        # integer in the report scaled to order k when k - 1 clears it
+        others = [q**m for q, m in zip(_POLE_FACTORS, powers) if q not in simple]
+        alpha = RatFunc(a_num, prod(others, start=Poly.one()))
+        for q, c in zip(simple, fractions):
+            alpha = alpha + c * RatFunc(q.derivative(), q)
+        b = RatFunc(b_num, b_data[0]) + b_data[1]
+        _assert_matches_division((k - 1) * alpha, b, residues(alpha).scaled(k - 1), slack)
+
+    @given(
+        shared=st.lists(st.sampled_from(_POLE_FACTORS), min_size=1, max_size=3, unique=True),
+        a_res=st.lists(st.integers(-2, 4).filter(bool), min_size=3, max_size=3),
+        b_res=st.lists(st.integers(-2, 4).filter(bool), min_size=3, max_size=3),
+        a_num=small_polys_st,
+        b_num=small_polys_st,
+        slack=st.integers(0, 2),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_simple_poles_shared_by_both_denominators(
+        self, shared, a_res, b_res, a_num, b_num, slack
+    ):
+        a, b = RatFunc(a_num), RatFunc(b_num)
+        for q, ca, cb in zip(shared, a_res, b_res):
+            a = a + ca * RatFunc(q.derivative(), q)
+            b = b + cb * RatFunc(q.derivative(), q)
+        _assert_matches_division(a, b, residues(a), slack)
+
+    @given(
+        split=st.integers(1, len(_POLE_FACTORS) - 1),
+        a_powers=st.lists(st.sampled_from([1, 2, 3]), min_size=5, max_size=5),
+        b_powers=st.lists(st.sampled_from([0, 1, 2, 5]), min_size=5, max_size=5),
+        a_num=nonzero_polys_st,
+        b_num=nonzero_polys_st,
+        slack=st.integers(1, 2),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_poles_of_b_absent_from_a_with_slack(
+        self, split, a_powers, b_powers, a_num, b_num, slack
+    ):
+        a_den = prod((q**m for q, m in zip(_POLE_FACTORS[:split], a_powers)), start=Poly.one())
+        b_den = prod((q**m for q, m in zip(_POLE_FACTORS[split:], b_powers)), start=Poly.one())
+        a, b = RatFunc(a_num, a_den), RatFunc(b_num, b_den)
+        _assert_matches_division(a, b, residues(a), slack)
+
+    @given(b_num=nonzero_polys_st, slack=st.integers(0, 2))
+    @settings(deadline=None, max_examples=30)
+    def test_zero_a_and_polynomial_b(self, b_num, slack):
+        a, b = RatFunc.zero(), RatFunc(b_num)
+        rep = residues(a)
+        assert risch._candidate_denominator(a, b, rep, slack) == Poly.one()
+        _assert_matches_division(a, b, rep, slack)
+
+    def test_every_tower_order(self):
+        # analyze --kmax 20 on (x^2 - 67/89*y, y*(x + 1)) along y = 0
+        xv, yv = BivarPoly.var(0), BivarPoly.var(1)
+        field = PlanarField(xv**2 - Fraction(67, 89) * yv, yv * (xv + BivarPoly.const(1)))
+        betas = foliation_derivatives(field, RatFunc.zero(), 20)
+        rep = residues(betas[0])
+        for k in range(2, 21):
+            eq = build_risch(betas[0], betas[k - 1], k)
+            _assert_matches_division(eq.a, eq.b, rep.scaled(k - 1), 0)
 
 
 class TestSubstitutionCheck:

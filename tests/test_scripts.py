@@ -28,6 +28,8 @@ def test_cross_validation_finds_no_mismatch():
     proc = _run_script("cross_validate_solvers.py", "--trials", "40", "--seed", "3")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "mismatches: 0," in proc.stdout
+    rechecked = int(proc.stdout.split("absences re-checked with wider bounds: ")[1].split()[0])
+    assert rechecked > 0
 
 
 def test_case_studies_run():
