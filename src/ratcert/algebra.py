@@ -32,15 +32,16 @@ Representation notes:
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
     the full loop would give.  On a high power such as x**40 the loop
     ends at its first step instead of after forty.
-  * ``hermite_reduce`` splits the denominator once, or takes the split
-    that ``residues`` makes, and lowers each multiple factor one power at a
-    time against it (Bronstein's quadratic Hermite reduction); only its two
-    results are reduced ``RatFunc``s, not the value after every pass.
+  * ``hermite_reduce`` takes the split that ``residues`` makes and lowers
+    each multiple factor one power at a time against it (Bronstein's
+    quadratic Hermite reduction); it returns only the simple-pole part g,
+    as one reduced ``RatFunc``, and builds no integral.
   * ``residues`` owns the squarefree split of its argument's denominator:
-    the ``ResidueReport`` keeps it, and ``scaled`` keeps it too (a nonzero
-    multiple has the same denominator), so the checks and deciders above
-    read one split per coefficient instead of making their own.  The
-    order-k decider splits nothing else: it bounds den(beta_k)'s part of a
+    the ``ResidueReport`` keeps it with the residues, so the checks and
+    deciders above read one split of alpha instead of making their own.
+    Every order's coefficient (k-1)*alpha has alpha's denominator and k-1
+    times its residues, so one report serves every order.  The order-k
+    decider splits nothing else: it bounds den(beta_k)'s part of a
     solution's denominator with gcd(den, den') alone.
   * Linear systems and determinants are solved by plain fraction-free
     integer elimination (Bareiss 1968): at each pivot step every row below
@@ -378,15 +379,6 @@ class Poly:
     def derivative(self) -> "Poly":
         a = self.ints
         return _from_ints([i * a[i] for i in range(1, len(a))], self.cn, self.cd)
-
-    def antiderivative(self) -> "Poly":
-        a = self.ints
-        if not a:
-            return _ZERO
-        den = lcm(*range(1, len(a) + 1))
-        return _from_ints(
-            [0] + [v * (den // (i + 1)) for i, v in enumerate(a)], self.cn, self.cd * den
-        )
 
     def eval(self, v) -> Fraction:
         v = _as_fraction(v)
@@ -926,11 +918,6 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def split_polynomial_part(self) -> tuple[Poly, "RatFunc"]:
-        """(q, r) with self = q + r, r strictly proper."""
-        q, rem = divmod(self.num, self.den)
-        return q, RatFunc(rem, self.den)
-
     def eval(self, v) -> Fraction:
         d = self.den.eval(v)
         if d == 0:
@@ -981,109 +968,72 @@ def _ratfunc(value) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def _hermite(
-    a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]
-) -> tuple[Poly, Poly, Poly, Poly]:
+def _hermite(a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]) -> tuple[Poly, Poly]:
     """Hermite reduction of a proper a/d, d monic, from ``split``, the
     squarefree split of d (Bronstein, Symbolic Integration I, sec. 2.2,
     quadratic version).
 
-    Returns (hn, hd, a', d') with a/d = (hn/hd)' + a'/d', d' squarefree and
-    hn/hd proper.  For each factor v of multiplicity i >= 2, with
-    u = d/v**i, step j = i-1, ..., 1 solves b*u*v' + c*v = -a/j with
-    deg b < deg v; then a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with
-    a_new = -j*c - u*b'.  The inverse of u*v' modulo v serves every step."""
-    hn, hd = Poly.zero(), Poly.one()
+    Returns (a', d') with a/d = h' + a'/d' for a proper h, d' squarefree.
+    For each factor v of multiplicity i >= 2, with u = d/v**i, step
+    j = i-1, ..., 1 solves b*u*v' + c*v = -a/j with deg b < deg v; then
+    a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with a_new = -j*c - u*b'.
+    The inverse of u*v' modulo v serves every step."""
     for v, i in split:
         if i < 2:
             continue
         u = d.divexact(v**i)
         uv = u * v.derivative()
         _, inv, _ = extended_gcd(uv, v)
-        num, vpow = Poly.zero(), Poly.one()  # sum of b*v**(i-1-j), v**(i-1-j)
         for j in range(i - 1, 0, -1):
             rhs = _times(a, -1, j)
             b = (rhs * inv) % v
             c = (rhs - b * uv).divexact(v)
-            num = num + b * vpow
-            vpow = vpow * v
             a = c * -j - u * b.derivative()
-        # h gains num/v**(i-1); the factors of the split are pairwise coprime
-        hn, hd = hn * vpow + num * hd, hd * vpow
         d = u * v
-    return hn, hd, a, d
+    return a, d
 
 
-def hermite_reduce(
-    r: RatFunc, split: Sequence[tuple[Poly, int]] | None = None
-) -> tuple[RatFunc, RatFunc]:
-    """Split r = h' + g where g has only simple poles and a squarefree
-    denominator.  The polynomial part of r is absorbed into h, so the
-    residues of r are exactly the residues of g.  Both parts are unique:
-    g is proper, and h is a polynomial without constant term plus a proper
-    fraction.
+def hermite_reduce(r: RatFunc, split: Sequence[tuple[Poly, int]]) -> RatFunc:
+    """The simple-pole part g of r = h' + g: g is proper with a squarefree
+    denominator, and unique.  The polynomial part of r goes into h, so the
+    residues of r are exactly the residues of g.
 
-    ``split`` is the squarefree split of den(r) when ``residues`` already
-    has it: the proper part of r keeps r's denominator, since num and den of
-    r are coprime."""
-    poly_part, frac = r.split_polynomial_part()
-    integral = poly_part.antiderivative()
-    if frac.is_zero:
-        return RatFunc(integral), frac
-    if split is None:
-        split = squarefree_decompose(frac.den)
-    hn, hd, a, d = _hermite(frac.num, frac.den, split)
-    return RatFunc(integral * hd + hn, hd), RatFunc(a, d)
+    ``split`` is the squarefree split of den(r), which ``residues`` makes:
+    the proper part of r keeps r's denominator, since num and den of r are
+    coprime."""
+    _, rem = divmod(r.num, r.den)
+    if rem.is_zero:
+        return _RATFUNC_ZERO
+    a, d = _hermite(rem, r.den, split)
+    return RatFunc(a, d)
 
 
 @dataclass(frozen=True)
 class ResidueReport:
-    """Residue data of a rational function at its finite poles.
+    """Residue data of a rational function r at its finite poles.
 
-    simple_part   pure simple-pole part left by Hermite reduction
-    residue_poly  Rothstein-Trager resultant in the residue variable; its
-                  roots are exactly the residues at the poles
-    per_factor    (squarefree factor of den(simple_part), residue) pairs for
-                  each rational residue value; conjugate poles sharing a
-                  rational residue are collected into one factor
-    all_integer   True iff residue_poly splits over Q with integer roots
+    per_factor    (squarefree factor of den(g), residue) pairs for each
+                  rational residue value, g the simple-pole part of r;
+                  conjugate poles sharing a rational residue are collected
+                  into one factor
+    all_integer   True iff every residue is an integer: the
+                  Rothstein-Trager resultant splits over Q with integer roots
     split         squarefree split of den(r), as (factor, multiplicity)
                   pairs: the one split of r that the layers above read
     """
 
-    simple_part: RatFunc
-    residue_poly: Poly
     per_factor: tuple[tuple[Poly, Fraction], ...]
     all_integer: bool
     split: tuple[tuple[Poly, int], ...]
-
-    def scaled(self, s) -> "ResidueReport":
-        """The report of s*r from this report of r, for a nonzero rational s:
-        the poles, their factors and the split of the denominator are the
-        same, every residue is s times the old one, and the residue
-        polynomial is s**deg * R(t/s)."""
-        if not s:
-            raise ValueError("scale factor must be nonzero")
-        per = tuple((q, c * s) for q, c in self.per_factor)
-        r = self.residue_poly
-        top = r.degree
-        # with s = sn/sd, coefficient i gains s**(top - i), which is
-        # sn**(top - i) * sd**i over the common sd**top
-        sn, sd = _scalar(s)
-        rpoly = _from_ints(
-            [v * sn ** (top - i) * sd**i for i, v in enumerate(r.ints)], r.cn, r.cd * sd**top
-        )
-        integral = sum(q.degree for q, c in per if c.denominator == 1)
-        return ResidueReport(self.simple_part * s, rpoly, per, integral == top, self.split)
 
 
 def residues(r: RatFunc) -> ResidueReport:
     """Rothstein-Trager residue computation (after Hermite reduction).  The
     squarefree split of den(r) is made here, once, and kept in the report."""
     split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
-    _, g = hermite_reduce(r, split)
-    if g.is_zero or g.den.degree == 0:
-        return ResidueReport(g, Poly.one(), (), True, split)
+    g = hermite_reduce(r, split)
+    if g.is_zero:
+        return ResidueReport((), True, split)
     num, den = g.num, g.den
     dden = den.derivative()
     dd = den.degree
@@ -1102,4 +1052,4 @@ def residues(r: RatFunc) -> ResidueReport:
         per.append((q, c))
         if c.denominator == 1:
             int_count += rroots.count(c)
-    return ResidueReport(g, rpoly, tuple(per), int_count == dd, split)
+    return ResidueReport(tuple(per), int_count == dd, split)

@@ -18,7 +18,7 @@ rational solution the verdict is inconclusive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import RatFunc, ResidueReport, residues
 from .planar import (
@@ -99,9 +99,19 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OrderRecord:
-    k: int
+    """One decided order: the order-k equation and its outcome; the order
+    obstructs (``holds``) iff the equation has no rational solution."""
+
     equation: RischEquation
     outcome: RischOutcome
+
+    @property
+    def k(self) -> int:
+        return self.equation.order
+
+    @property
+    def holds(self) -> bool:
+        return not self.outcome.has_rational_solution
 
 
 @dataclass(frozen=True)
@@ -118,11 +128,8 @@ class Certificate:
     verdict: Verdict
 
     def to_dict(self) -> dict:
-        # every order's coefficient is (k-1)*alpha for the one alpha
-        alpha = ""
-        if self.orders:
-            first = self.orders[0]
-            alpha = (first.equation.a / (first.k - 1)).to_str()
+        # every order's equation holds the one alpha
+        alpha = self.orders[0].equation.alpha.to_str() if self.orders else ""
         d = {
             "field": {"p": self.field.p.to_str(), "q": self.field.q.to_str()},
             "curve": self.curve.to_str(),
@@ -188,19 +195,13 @@ def _verdict_dict(verdict: Verdict) -> dict:
     return d
 
 
-def check_h1(
-    alpha: RatFunc,
-    interpretation: str = "literal",
-    alpha_residues: ResidueReport | None = None,
-) -> H1Report:
+def check_h1(alpha: RatFunc, interpretation: str, alpha_residues: ResidueReport) -> H1Report:
     """Evaluate the first hypothesis on alpha.  ``alpha_residues`` is
     ``residues(alpha)``, which carries the squarefree split of alpha's
-    denominator, when the caller already has it."""
+    denominator."""
     if interpretation not in INTERPRETATIONS:
         raise InputError(f"unknown interpretation {interpretation!r}")
     den = alpha.den
-    if alpha_residues is None:
-        alpha_residues = residues(alpha)
     factors = alpha_residues.split
     high_pole = any(m >= 2 for _, m in factors)
     if interpretation == "literal":
@@ -221,11 +222,11 @@ def check_hk(
     beta_k: RatFunc,
     k: int,
     alpha_residues: ResidueReport | None = None,
-) -> tuple[bool, RischOutcome]:
-    """Order-k obstruction: holds iff the order-k equation has no rational
-    solution.  Both deciders run whenever the equation fits the power-pole
-    shape; any disagreement is a fatal internal error.  The outcome carries
-    the order-k equation it decided.
+) -> OrderRecord:
+    """Order-k obstruction: the record of the order-k equation, which holds
+    iff the equation has no rational solution.  Both deciders run whenever
+    the equation fits the power-pole shape; any disagreement is a fatal
+    internal error.
 
     ``alpha_residues`` is ``residues(alpha)`` when the caller already has
     it.  The residues of the order-k coefficient (k-1)*alpha are alpha's
@@ -234,7 +235,7 @@ def check_hk(
     eq = build_risch(alpha, beta_k, k)
     if alpha_residues is None:
         alpha_residues = residues(alpha)
-    general = solve_general(eq, a_residues=alpha_residues.scaled(k - 1))
+    general = solve_general(eq, alpha_residues=alpha_residues)
     outcome = general
     inst = match_kaltofen(eq)
     if inst is not None:
@@ -247,7 +248,7 @@ def check_hk(
         if special.has_rational_solution and special.solution != general.solution:
             raise SolverDisagreementError(f"distinct solutions at order {k}")
         outcome = special
-    return (not outcome.has_rational_solution, replace(outcome, equation=eq))
+    return OrderRecord(eq, outcome)
 
 
 def analyze(
@@ -284,9 +285,9 @@ def analyze(
     else:
         verdict = Verdict.all_elementary(k_max)
         for k in range(2, k_max + 1):
-            holds, outcome = check_hk(alpha, betas[k - 1], k, alpha_residues)
-            orders.append(OrderRecord(k, outcome.equation, outcome))
-            if holds:
+            record = check_hk(alpha, betas[k - 1], k, alpha_residues)
+            orders.append(record)
+            if record.holds:
                 verdict = Verdict.not_integrable(k)
                 break
     return Certificate(

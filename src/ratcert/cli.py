@@ -173,9 +173,9 @@ def _cmd_risch(args) -> tuple[int, dict]:
     if args.order > MAX_KMAX:
         # the candidate denominator grows with the order: x^(order-1) for 1/x
         raise InputError(f"--order must be <= {MAX_KMAX}, got {args.order}")
-    _, outcome = check_hk(alpha, beta, args.order)
-    eq = outcome.equation
-    o = _outcome_dict(outcome)
+    record = check_hk(alpha, beta, args.order)
+    eq = record.equation
+    o = _outcome_dict(record.outcome)
     report = {
         "meta": _meta({"command": "risch", "order": args.order}),
         "equation": {"a": eq.a.to_str(), "b": eq.b.to_str(), "order": args.order},

@@ -1,5 +1,8 @@
 """Rational-solution decision for the first-order equation y' + a*y = b over Q(x).
 
+The equation is the paper's order-k one, a = (k-1)*alpha: ``RischEquation``
+holds alpha, b and k, and derives a.
+
 Two independent deciders are provided:
 
   * ``solve_general``: bounds the pole order of any rational solution at each
@@ -27,10 +30,12 @@ a at p: n = rho_p, r when it is a positive integer.  So the order at p is at
 most max((mb-1)+ - (ma-1)+, 0, rho_p), with (m)+ = max(m, 0), plus the
 slack where ma + mb > 0.  Each term is a gcd, all monic:
 H_b = gcd(den b, den b') has order (mb-1)+ at every p, and
-H_a = prod q**(m-1) over the split of den(a) (from a's residue report) has
-(ma-1)+, so H_b/gcd(H_b, H_a) has the first term.  With A_1 the split
-factor of multiplicity 1, gcd(q, A_1)**c, for each factor q of the report
-with positive integer residue c, has order c exactly at the p with p | q
+H_a = prod q**(m-1) over the split of den(a) has (ma-1)+, so
+H_b/gcd(H_b, H_a) has the first term.  The split and the residues come from
+alpha's residue report: a = (k-1)*alpha has alpha's denominator, and each
+residue of a is k-1 times alpha's.  With A_1 the split factor of
+multiplicity 1, gcd(q, A_1)**c, for each factor q of the report with
+positive integer residue c of a, has order c exactly at the p with p | q
 and ma = 1, and an lcm takes the maximum.  Times
 lcm(rad den a, rad den b)**slack, with rad den b = den b/H_b, the product
 has the bound's order at every p.
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .algebra import (
@@ -90,25 +96,28 @@ REASON_POLE_BOUND = "pole-bound-exclusion"
 
 @dataclass(frozen=True)
 class RischEquation:
-    """y' + a*y = b with reduced rational coefficients."""
+    """The order-k equation y' + (order-1)*alpha*y = b, with reduced rational
+    coefficients; at order 2 the coefficient a is alpha itself."""
 
-    a: RatFunc
+    alpha: RatFunc
     b: RatFunc
-    provenance: tuple[int, str] | None = None
+    order: int = 2
+
+    @cached_property
+    def a(self) -> RatFunc:
+        return (self.order - 1) * self.alpha
 
 
 @dataclass(frozen=True)
 class RischOutcome:
     """Decision result.  ``solution`` is None exactly when no rational
     solution exists; ``case`` is the specialized-path label when that solver
-    produced the outcome; ``reason`` explains an absence; ``equation`` is the
-    equation decided, when the caller records it (``check_hk`` does)."""
+    produced the outcome; ``reason`` explains an absence."""
 
     solution: RatFunc | None
     solver: str
     case: str | None = None
     reason: str | None = None
-    equation: RischEquation | None = None
 
     @property
     def has_rational_solution(self) -> bool:
@@ -119,9 +128,7 @@ def build_risch(alpha: RatFunc, beta_k: RatFunc, k: int) -> RischEquation:
     """Equation deciding the order-k obstruction: y' + (k-1)*alpha*y = beta_k."""
     if k < 2:
         raise ValueError("variational order must be >= 2")
-    return RischEquation(
-        (k - 1) * alpha, beta_k, (k, f"coefficient (k-1)*alpha at order k={k}")
-    )
+    return RischEquation(alpha, beta_k, k)
 
 
 def verify_solution(eq: RischEquation, h: RatFunc) -> bool:
@@ -151,9 +158,10 @@ def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], li
 # ---------------------------------------------------------------------------
 
 
-def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: int = 0) -> Poly:
-    """The candidate denominator from gcds (see the module docstring).
-    ``rep`` is the residue report of ``a``, which carries den(a)'s split."""
+def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: int) -> Poly:
+    """The candidate denominator from gcds (see the module docstring) for
+    a = scale*alpha.  ``rep`` is the residue report of alpha, which carries
+    den(a)'s split; each residue of a is ``scale`` times alpha's."""
     qb = b.den
     h_b = poly_gcd(qb, qb.derivative())
     h_a = a_1 = Poly.one()
@@ -165,6 +173,7 @@ def _candidate_denominator(a: RatFunc, b: RatFunc, rep: ResidueReport, slack: in
     den = h_b.divexact(poly_gcd(h_b, h_a))
     if a_1.degree > 0:
         for q, c in rep.per_factor:
+            c *= scale
             if c > 0 and c.denominator == 1:
                 g = poly_gcd(q, a_1)
                 if g.degree > 0:
@@ -310,23 +319,23 @@ def solve_general(
     eq: RischEquation,
     pole_slack: int = 0,
     degree_slack: int = 0,
-    a_residues: ResidueReport | None = None,
+    alpha_residues: ResidueReport | None = None,
 ) -> RischOutcome:
     """Decide existence of a rational solution by pole/degree bounding plus
     undetermined coefficients.
 
     ``pole_slack`` and ``degree_slack`` widen the bounds; they exist so that
     an absence verdict can be re-checked under strictly larger search spaces.
-    ``a_residues`` is the residue report of ``eq.a``, with the squarefree
-    split of its denominator, when the caller already has it (``check_hk``
-    scales alpha's, since (k-1)*alpha keeps alpha's denominator); otherwise
-    it is computed here.
+    ``alpha_residues`` is the residue report of ``eq.alpha``, with the
+    squarefree split of its denominator, when the caller already has it
+    (``check_hk`` passes one report to every order); otherwise it is
+    computed here.
     """
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
-    rep = a_residues if a_residues is not None else residues(a)
-    den = _candidate_denominator(a, b, rep, pole_slack)
+    rep = alpha_residues if alpha_residues is not None else residues(eq.alpha)
+    den = _candidate_denominator(b, rep, eq.order - 1, pole_slack)
     bound = _numerator_degree_bound(a, b, den) + degree_slack
     if bound < 0:
         return RischOutcome(None, "general", reason=REASON_POLE_BOUND)
@@ -387,7 +396,7 @@ class KaltofenInstance:
         return RatFunc(w, Poly.monomial(2 * k))
 
     def equation(self) -> RischEquation:
-        return RischEquation(self.alpha, self.beta, (2, "power-pole shape"))
+        return RischEquation(self.alpha, self.beta)
 
     @property
     def v_leading(self) -> Fraction:

@@ -380,8 +380,9 @@ class NonIntegerResidueError(ValueError):
 def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
     """Strip the integer-residue simple poles of the coefficient a.
 
-    Returns the transformed equation and the multiplier u = prod q**residue;
-    h solves the original equation iff h*u solves the normalised one.
+    Returns the transformed equation, at order 2 so that its coefficient is
+    the new a, and the multiplier u = prod q**residue; h solves the original
+    equation iff h*u solves the normalised one.
     """
     rep = residues(eq.a)
     if not rep.all_integer:
@@ -399,7 +400,7 @@ def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
         ell = int(c)
         a_new = a_new - ell * RatFunc(q.derivative(), q)
         u = u * RatFunc(q) ** ell
-    return RischEquation(a_new, eq.b * u, eq.provenance), u
+    return RischEquation(a_new, eq.b * u), u
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-from ratcert.algebra import Poly, RatFunc
+from ratcert.algebra import Poly, RatFunc, residues
 from ratcert.analyzer import Verdict, analyze
 from ratcert.planar import (
     BivarPoly,
@@ -225,7 +225,8 @@ def test_criterion_06_solver_cross_validation():
         out = solve_general(eq)
         assert out.has_rational_solution
         assert verify_solution(eq, out.solution)
-        report = check_h1(a)  # order 2: the tested hypothesis applies to a itself
+        # order 2: the tested hypothesis applies to a itself
+        report = check_h1(a, "literal", residues(a))
         if report.holds and report.has_high_order_finite_pole:
             unique_checked += 1
             assert out.solution == h, (a, h)

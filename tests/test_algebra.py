@@ -114,23 +114,23 @@ class TestSquarefree:
         assert seen_mults == sorted(set(seen_mults))
 
 
+def _simple_part(r: RatFunc) -> RatFunc:
+    return hermite_reduce(r, squarefree_decompose(r.den))
+
+
 class TestHermite:
     def test_partial_fraction_example(self):
         # (x^2-x-1)/x^3 = 1/x - 1/x^2 - 1/x^3: integrable part 1/x + 1/(2x^2)
         r = RatFunc(X**2 - X - 1, X**3)
-        h, g = hermite_reduce(r)
-        assert h == RatFunc(X + Fraction(1, 2), X**2)
+        g = _simple_part(r)
+        assert r - g == RatFunc(X + Fraction(1, 2), X**2).derivative()
         assert g == RatFunc(1, X)
 
     def test_pure_derivative(self):
-        h, g = hermite_reduce(RatFunc(1, X**2))
-        assert h == RatFunc(-1, X)
-        assert g.is_zero
+        assert _simple_part(RatFunc(1, X**2)).is_zero
 
     def test_already_simple(self):
-        h, g = hermite_reduce(RatFunc(1, X))
-        assert h.is_zero
-        assert g == RatFunc(1, X)
+        assert _simple_part(RatFunc(1, X)) == RatFunc(1, X)
 
     def test_reassembly_bulk(self):
         rng = random.Random(2024)
@@ -144,7 +144,8 @@ class TestHermite:
                     if den.degree >= 8:
                         break
             r = RatFunc(num, den)
-            h, g = hermite_reduce(r)
+            g = _simple_part(r)
+            h, _ = _hermite_by_passes(r)
             assert h.derivative() + g == r
             if not g.is_zero and g.den.degree > 0:
                 assert all(m == 1 for _, m in squarefree_decompose(g.den))
@@ -158,7 +159,7 @@ class TestResidues:
 
     def test_high_order_pole_vacuous(self):
         rep = residues(RatFunc(5, X**4))
-        assert rep.simple_part.is_zero
+        assert _simple_part(RatFunc(5, X**4)).is_zero
         assert rep.per_factor == ()
         assert rep.all_integer
 
@@ -171,7 +172,7 @@ class TestResidues:
         # residues at the roots of x^2 - 2 are 1/(2*sqrt(2)) and its conjugate
         rep = residues(RatFunc(1, X**2 - 2))
         assert not rep.all_integer
-        assert rep.residue_poly.degree == 2
+        assert rep.per_factor == ()
 
     def test_against_partial_fraction_construction(self):
         # build sums of c/(x - r) plus deeper poles; the planted residues are
@@ -199,7 +200,7 @@ class TestResidues:
     def test_residue_poly_roots_are_residues(self):
         r = RatFunc(1, X * (X - 1))  # residues -1 at 0, 1 at 1
         rep = residues(r)
-        assert sorted(rational_roots(rep.residue_poly)) == [Fraction(-1), Fraction(1)]
+        assert rep.per_factor == ((X, Fraction(-1)), (X - 1, Fraction(1)))
         assert rep.all_integer
 
 
@@ -563,9 +564,6 @@ class TestIntegerKernel:
     def test_calculus_evaluation_and_monic(self, a, v):
         p = Poly(a)
         assert p.derivative().coeffs == tuple(_trim([i * c for i, c in enumerate(a)][1:]))
-        assert p.antiderivative().coeffs == tuple(
-            _trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
-        )
         assert p.eval(v) == sum((c * v**i for i, c in enumerate(a)), Fraction(0))
         t = _trim(a)
         assert p.monic().coeffs == (tuple(c / t[-1] for c in t) if t else ())
@@ -613,7 +611,6 @@ class TestIntegerKernel:
             (p * q, _fraction_product(ta, tb)),
             (p**n, _fraction_power(ta, n)),
             (p.derivative(), [i * c for i, c in enumerate(ta)][1:]),
-            (p.antiderivative(), [Fraction(0)] + [c / (i + 1) for i, c in enumerate(ta)]),
             (p.monic(), [c / ta[-1] for c in ta] if ta else []),
             (p.shift(k), [Fraction(0)] * k + ta if ta else []),
             (p * s, [c * s for c in ta]),
@@ -807,26 +804,14 @@ class TestDeterminant:
         assert _det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
 
 
-class TestScaledResidueReport:
-    @given(
-        st.lists(st.tuples(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=3)), max_size=3),
-        st.integers(1, 19),
-    )
-    @settings(deadline=None, max_examples=100)
-    def test_matches_residues_of_the_scaled_function(self, poles, s):
-        r = RatFunc(1, X**2 + 1)
-        for pt, res in poles:
-            r = r + RatFunc(res, Poly([-pt, 1]))
-        assert residues(r).scaled(s) == residues(s * r)
-        assert residues(r).scaled(Fraction(1, s)) == residues(r / s)
-
-
 def _hermite_by_passes(r: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """Hermite reduction one pole order at a time, re-splitting the reduced
-    denominator on every pass: the highest-multiplicity factor v**m is
-    lowered to v**(m-1) by solving s*u*v' = num modulo v."""
-    poly_part, frac = r.split_polynomial_part()
-    h = RatFunc(poly_part.antiderivative())
+    """(h, g) with r = h' + g, g proper with simple poles: Hermite reduction
+    one pole order at a time, re-splitting the reduced denominator on every
+    pass: the highest-multiplicity factor v**m is lowered to v**(m-1) by
+    solving s*u*v' = num modulo v."""
+    poly_part, rem = divmod(r.num, r.den)
+    frac = RatFunc(rem, r.den)
+    h = RatFunc(Poly([0] + [c / (i + 1) for i, c in enumerate(poly_part.coeffs)]))
     while not frac.is_zero:
         dec = squarefree_decompose(frac.den)
         if not dec or dec[-1][1] == 1:
@@ -857,20 +842,26 @@ class TestHermiteOneSplit:
         for f, m in factors:
             den = den * f**m
         r = RatFunc(num, den)
-        assert hermite_reduce(r) == _hermite_by_passes(r)
+        h, g = _hermite_by_passes(r)
+        assert _simple_part(r) == g
+        assert r - g == h.derivative()
 
     @given(num=st.lists(fractions_st, max_size=12).map(Poly), k=st.integers(1, 8))
     @settings(deadline=None, max_examples=60)
     def test_power_of_x_denominators(self, num, k):
         r = RatFunc(num, Poly.monomial(k))
-        assert hermite_reduce(r) == _hermite_by_passes(r)
+        h, g = _hermite_by_passes(r)
+        assert _simple_part(r) == g
+        assert r - g == h.derivative()
 
     def test_residue_report_unchanged(self):
         x = Poly.x()
         r = RatFunc(3 * x**4 + x - 7, x**3 * (x - 1) ** 2 * (x**2 + 1))
         h, g = _hermite_by_passes(r)
-        assert residues(r).simple_part == g
-        assert hermite_reduce(r) == (h, g)
+        assert _simple_part(r) == g
+        assert r - g == h.derivative()
+        # r and its simple-pole part have the same residues
+        assert residues(r).per_factor == residues(g).per_factor
 
 
 @st.composite

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ratcert import analyzer, planar
-from ratcert.algebra import Poly, RatFunc
+from ratcert.algebra import Poly, RatFunc, residues
+from ratcert.parsing import parse_univar_ratfunc
 from ratcert.planar import BivarPoly, PlanarField, infinity_transform
 from ratcert.analyzer import (
     Verdict,
@@ -15,7 +16,7 @@ from ratcert.analyzer import (
     check_h1,
     check_hk,
 )
-from ratcert.risch import solve_general, verify_solution
+from ratcert.risch import RischEquation, solve_general, verify_solution
 
 X = Poly.x()
 XV, YV = BivarPoly.var(0), BivarPoly.var(1)
@@ -29,9 +30,13 @@ def elementary_example_field(a=1) -> PlanarField:
     return PlanarField(XV**2 - YV, YV * (XV + BivarPoly.const(a)))
 
 
+def _h1(alpha: RatFunc, interpretation: str = "literal"):
+    return check_h1(alpha, interpretation, residues(alpha))
+
+
 class TestCheckH1:
     def test_cubic_alpha_holds(self):
-        report = check_h1(RatFunc(X**2 - X - 1, X**3))
+        report = _h1(RatFunc(X**2 - X - 1, X**3))
         assert report.holds
         assert report.has_high_order_finite_pole
         assert report.residues_all_integer
@@ -39,45 +44,45 @@ class TestCheckH1:
 
     def test_pure_power_pole_vacuous_residues(self):
         for k in (2, 3, 5):
-            assert check_h1(RatFunc(1, X**k)).holds
+            assert _h1(RatFunc(1, X**k)).holds
 
     def test_half_residue_fails_both_readings(self):
         alpha = RatFunc(X + 1, 2 * X)
-        assert not check_h1(alpha, "literal").holds
-        assert not check_h1(alpha, "corrected").holds
+        assert not _h1(alpha, "literal").holds
+        assert not _h1(alpha, "corrected").holds
 
     def test_interpretations_disagree_on_degree_clause(self):
         # alpha = x has no finite pole; the degree clause decides
         alpha = RatFunc(X)
-        literal = check_h1(alpha, "literal")
-        corrected = check_h1(alpha, "corrected")
+        literal = _h1(alpha, "literal")
+        corrected = _h1(alpha, "corrected")
         assert not literal.degree_condition and corrected.degree_condition
         assert not literal.holds and corrected.holds
 
     def test_unknown_interpretation_rejected(self):
         with pytest.raises(ValueError):
-            check_h1(RatFunc.one(), "loose")
+            _h1(RatFunc.one(), "loose")
 
 
 class TestCheckHk:
     def test_cubic_example_obstruction(self):
         alpha = RatFunc(X**2 - X - 1, X**3)
         beta2 = -2 * (RatFunc(1, X**3) - RatFunc(X**2 - X - 1, X**6))
-        holds, outcome = check_hk(alpha, beta2, 2)
-        assert holds
-        assert outcome.case == "2d"
+        record = check_hk(alpha, beta2, 2)
+        assert record.holds and record.k == 2
+        assert record.outcome.case == "2d"
 
     def test_boundary_has_solution(self):
         alpha = RatFunc(X**2 + X - 1, X**3)
         beta2 = -2 * (RatFunc(3, X**3) - RatFunc(X**2 + X - 1, X**6))
-        holds, outcome = check_hk(alpha, beta2, 2)
-        assert not holds
-        assert outcome.solution == RatFunc(-6 * X**2 + 2, X**3)
+        record = check_hk(alpha, beta2, 2)
+        assert not record.holds
+        assert record.outcome.solution == RatFunc(-6 * X**2 + 2, X**3)
 
     def test_zero_beta_never_obstructs(self):
-        holds, outcome = check_hk(RatFunc(X**2 - X - 1, X**3), RatFunc.zero(), 2)
-        assert not holds
-        assert outcome.solution == RatFunc.zero()
+        record = check_hk(RatFunc(X**2 - X - 1, X**3), RatFunc.zero(), 2)
+        assert not record.holds
+        assert record.outcome.solution == RatFunc.zero()
 
 
 class TestAnalyze:
@@ -111,13 +116,13 @@ class TestAnalyze:
         cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
         assert len(cert.orders) == 4
         assert calls == {"build": 4, "invariant": 1}
+        assert [record.equation.order for record in cert.orders] == [2, 3, 4, 5]
         for record in cert.orders:
-            assert record.equation.provenance[0] == record.k
-            assert record.outcome.equation is record.equation
+            assert record.equation.alpha is cert.orders[0].equation.alpha
             assert verify_solution(record.equation, record.outcome.solution)
 
     def test_one_residue_report_per_analysis(self, monkeypatch):
-        # check_h1 and every order reuse alpha's report, scaled by k-1
+        # check_h1 and every order reuse alpha's report
         from ratcert import risch
 
         calls = []
@@ -149,13 +154,13 @@ class TestAnalyze:
             return real_split(p)
 
         def general(eq, **kwargs):
-            splits.append(list(kwargs["a_residues"].split))
+            splits.append(list(kwargs["alpha_residues"].split))
             return real_general(eq, **kwargs)
 
         monkeypatch.setattr(algebra, "squarefree_decompose", split)
         monkeypatch.setattr(analyzer, "solve_general", general)
         cert = analyze(elementary_example_field(), RatFunc.zero(), 5)
-        alpha_den = cert.orders[0].equation.a.den
+        alpha_den = cert.orders[0].equation.alpha.den
         assert alpha_den == X**2
         assert dens.count(alpha_den) == 1
         assert splits == [real_split(alpha_den)] * 4
@@ -164,8 +169,8 @@ class TestAnalyze:
         cert = analyze(cubic_example_field(), RatFunc.zero(), 2)
         (record,) = cert.orders
         assert record.outcome.solver == "specialized"
-        assert record.equation.provenance[0] == 2
-        assert record.equation.provenance[1].startswith("coefficient")
+        assert record.equation.order == 2
+        assert record.equation.a == record.equation.alpha == RatFunc(X**2 - X - 1, X**3)
 
     def test_half_slope_fails_h1(self):
         field = PlanarField(XV**2 - YV, YV * (Fraction(1, 2) * XV + BivarPoly.const(1)))
@@ -212,12 +217,20 @@ class TestAnalyze:
 
 class TestCertificateInvariants:
     def test_negative_verdict_survives_widened_bounds(self):
-        cert = analyze(cubic_example_field(), RatFunc.zero(), 2)
-        assert cert.verdict.status == "NotRationallyIntegrable"
-        witness = cert.orders[-1]
-        assert not witness.outcome.has_rational_solution
-        rerun = solve_general(witness.equation, pole_slack=2, degree_slack=6)
-        assert not rerun.has_rational_solution
+        # witnesses at order 2 and at order 3, where (k-1)*alpha != alpha
+        for field in (cubic_example_field(), cubic_example_field(1, 3, -1)):
+            cert = analyze(field, RatFunc.zero(), 3)
+            assert cert.verdict.status == "NotRationallyIntegrable"
+            witness = cert.orders[-1]
+            assert not witness.outcome.has_rational_solution
+            rerun = solve_general(witness.equation, pole_slack=2, degree_slack=6)
+            assert not rerun.has_rational_solution
+            # the report's strings alone rebuild the witness equation
+            o = cert.to_dict()["orders"][-1]
+            alpha, beta = parse_univar_ratfunc(o["alpha"]), parse_univar_ratfunc(o["beta"])
+            eq = RischEquation(alpha, beta, o["k"])
+            assert eq == witness.equation and eq.order == cert.verdict.k
+            assert not solve_general(eq, pole_slack=1, degree_slack=2).has_rational_solution
 
     def test_inconclusive_embeds_verified_solutions(self):
         cert = analyze(elementary_example_field(), RatFunc.zero(), 4)

@@ -60,7 +60,7 @@ class TestBuildRisch:
         alpha = RatFunc(X + 1, X**2)
         eq = build_risch(alpha, RatFunc.one(), 3)
         assert eq.a == 2 * alpha
-        assert eq.provenance[0] == 3
+        assert eq.alpha == alpha and eq.order == 3
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ class TestSolveUndetermined:
     def test_recurrence_matches_elimination(self, eq, pole_slack, degree_slack):
         a, b = eq
         assume(not b.is_zero)  # solve_general settles b = 0 before any bound
-        den = risch._candidate_denominator(a, b, residues(a), pole_slack)
+        den = risch._candidate_denominator(b, residues(a), 1, pole_slack)
         bound = risch._numerator_degree_bound(a, b, den) + degree_slack
         got = solve_undetermined(a, b, den, bound)
         assert got == _eliminated(a, b, den, bound)
@@ -320,9 +320,13 @@ def _candidate_by_division(a: RatFunc, b: RatFunc, rep, slack: int = 0) -> Poly:
     return den
 
 
-def _assert_matches_division(a: RatFunc, b: RatFunc, rep, slack: int) -> None:
-    expected = _candidate_by_division(a, b, rep, slack)
-    assert risch._candidate_denominator(a, b, rep, slack) == expected
+def _assert_matches_division(alpha: RatFunc, b: RatFunc, scale: int, slack: int) -> None:
+    """The bound for a = scale*alpha, from alpha's report at ``scale`` and
+    from a's own report at scale 1, equals the bound by division."""
+    a = scale * alpha
+    expected = _candidate_by_division(a, b, residues(a), slack)
+    assert risch._candidate_denominator(b, residues(alpha), scale, slack) == expected
+    assert risch._candidate_denominator(b, residues(a), 1, slack) == expected
 
 
 _POLE_FACTORS = [X, X - 1, X + 2, X**2 + 1, X**2 - 2]
@@ -353,21 +357,16 @@ class TestCandidateDenominator:
     )
     @settings(deadline=None, max_examples=100)
     def test_matches_multiplicities_by_division(self, a_data, b_data, a_num, b_num, scale, slack):
-        a = scale * (RatFunc(a_num, a_data[0]) + a_data[1])
+        alpha = RatFunc(a_num, a_data[0]) + a_data[1]
         b = RatFunc(b_num, b_data[0]) + b_data[1]
-        rep = residues(a)
-        expected = _candidate_by_division(a, b, rep, slack)
-        assert risch._candidate_denominator(a, b, rep, slack) == expected
-        if not slack:
-            assert risch._candidate_denominator(a, b, rep) == expected
+        _assert_matches_division(alpha, b, scale, slack)
 
     def test_high_powers_of_x(self):
         # the tower's shape at order 20: a = 19*alpha, b with den x**40
-        a = 19 * RatFunc(X + 1, X**2)
+        alpha = RatFunc(X + 1, X**2)
         b = RatFunc(X**3 + 5, X**40)
-        rep = residues(a)
         for slack in (0, 2):
-            _assert_matches_division(a, b, rep, slack)
+            _assert_matches_division(alpha, b, 19, slack)
 
     @given(
         simple=st.lists(st.sampled_from(_POLE_FACTORS), min_size=1, max_size=2, unique=True),
@@ -386,13 +385,22 @@ class TestCandidateDenominator:
         self, simple, fractions, powers, a_num, b_data, b_num, k, slack
     ):
         # residue 1/2, 1/3 or 2/3 at simple poles of alpha: a positive
-        # integer in the report scaled to order k when k - 1 clears it
+        # integer residue of (k - 1)*alpha when k - 1 clears it
         others = [q**m for q, m in zip(_POLE_FACTORS, powers) if q not in simple]
         alpha = RatFunc(a_num, prod(others, start=Poly.one()))
         for q, c in zip(simple, fractions):
             alpha = alpha + c * RatFunc(q.derivative(), q)
         b = RatFunc(b_num, b_data[0]) + b_data[1]
-        _assert_matches_division((k - 1) * alpha, b, residues(alpha).scaled(k - 1), slack)
+        _assert_matches_division(alpha, b, k - 1, slack)
+
+    def test_scaling_makes_a_half_residue_integral(self):
+        # alpha = 1/(2x) has residue 1/2 at 0; at order 3, a = 1/x has
+        # residue 1, which lets a solution have a simple pole at 0 although
+        # b = 1/x does not force one: y = 1 + c/x solves y' + y/x = 1/x
+        alpha, b = RatFunc(1, 2 * X), RatFunc(1, X)
+        assert risch._candidate_denominator(b, residues(alpha), 1, 0) == Poly.one()
+        assert risch._candidate_denominator(b, residues(alpha), 2, 0) == X
+        _assert_matches_division(alpha, b, 2, 0)
 
     @given(
         shared=st.lists(st.sampled_from(_POLE_FACTORS), min_size=1, max_size=3, unique=True),
@@ -410,7 +418,7 @@ class TestCandidateDenominator:
         for q, ca, cb in zip(shared, a_res, b_res):
             a = a + ca * RatFunc(q.derivative(), q)
             b = b + cb * RatFunc(q.derivative(), q)
-        _assert_matches_division(a, b, residues(a), slack)
+        _assert_matches_division(a, b, 1, slack)
 
     @given(
         split=st.integers(1, len(_POLE_FACTORS) - 1),
@@ -427,25 +435,23 @@ class TestCandidateDenominator:
         a_den = prod((q**m for q, m in zip(_POLE_FACTORS[:split], a_powers)), start=Poly.one())
         b_den = prod((q**m for q, m in zip(_POLE_FACTORS[split:], b_powers)), start=Poly.one())
         a, b = RatFunc(a_num, a_den), RatFunc(b_num, b_den)
-        _assert_matches_division(a, b, residues(a), slack)
+        _assert_matches_division(a, b, 1, slack)
 
     @given(b_num=nonzero_polys_st, slack=st.integers(0, 2))
     @settings(deadline=None, max_examples=30)
     def test_zero_a_and_polynomial_b(self, b_num, slack):
         a, b = RatFunc.zero(), RatFunc(b_num)
-        rep = residues(a)
-        assert risch._candidate_denominator(a, b, rep, slack) == Poly.one()
-        _assert_matches_division(a, b, rep, slack)
+        assert risch._candidate_denominator(b, residues(a), 1, slack) == Poly.one()
+        _assert_matches_division(a, b, 1, slack)
 
     def test_every_tower_order(self):
         # analyze --kmax 20 on (x^2 - 67/89*y, y*(x + 1)) along y = 0
         xv, yv = BivarPoly.var(0), BivarPoly.var(1)
         field = PlanarField(xv**2 - Fraction(67, 89) * yv, yv * (xv + BivarPoly.const(1)))
         betas = foliation_derivatives(field, RatFunc.zero(), 20)
-        rep = residues(betas[0])
         for k in range(2, 21):
             eq = build_risch(betas[0], betas[k - 1], k)
-            _assert_matches_division(eq.a, eq.b, rep.scaled(k - 1), 0)
+            _assert_matches_division(eq.alpha, eq.b, eq.order - 1, 0)
 
 
 class TestSubstitutionCheck:

@@ -1,5 +1,6 @@
 """The library carries only code that a command, a script or the benchmark
-reaches: a use in the tests alone does not count.  References that only
+reaches, and only fields that such code names: a use in the tests alone
+does not count.  References that only
 tests compare against live in ``tests/reference.py``."""
 
 import ast
@@ -30,6 +31,18 @@ def _definitions():
                         yield item.name, path, item.lineno
 
 
+def _fields():
+    """(name, path, line) of each class-level annotated field of a class
+    defined in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield item.target.id, path, item.lineno
+
+
 def _name_tokens() -> dict[str, set[tuple[Path, int]]]:
     """Where each NAME token occurs, as (path, line), over the package, the
     scripts and the benchmark's own modules, not its tests: comments and
@@ -48,14 +61,22 @@ def _name_tokens() -> dict[str, set[tuple[Path, int]]]:
     return where
 
 
-def test_every_definition_is_used():
+def _unnamed(items) -> list[str]:
+    """Each (name, path, line) whose name no token outside that line names."""
     where = _name_tokens()
-    unused = [
+    return [
         f"{path.relative_to(ROOT)}:{line} {name}"
-        for name, path, line in _definitions()
+        for name, path, line in items
         if not where[name] - {(path, line)}
     ]
-    assert unused == []
+
+
+def test_every_definition_is_used():
+    assert _unnamed(_definitions()) == []
+
+
+def test_every_field_is_read():
+    assert _unnamed(_fields()) == []
 
 
 def test_cli_import_loads_no_variational_and_root_defines_only_version():
