@@ -103,6 +103,12 @@ class RischEquation:
     b: RatFunc
     order: int = 2
 
+    def __post_init__(self):
+        # at order 1 the coefficient is 0, but alpha's residues would still
+        # bound the solution's poles
+        if self.order < 2:
+            raise ValueError("variational order must be >= 2")
+
     @cached_property
     def a(self) -> RatFunc:
         return (self.order - 1) * self.alpha
@@ -126,8 +132,6 @@ class RischOutcome:
 
 def build_risch(alpha: RatFunc, beta_k: RatFunc, k: int) -> RischEquation:
     """Equation deciding the order-k obstruction: y' + (k-1)*alpha*y = beta_k."""
-    if k < 2:
-        raise ValueError("variational order must be >= 2")
     return RischEquation(alpha, beta_k, k)
 
 

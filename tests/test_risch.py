@@ -63,6 +63,12 @@ class TestBuildRisch:
         assert eq.alpha == alpha and eq.order == 3
 
     def test_low_order_rejected(self):
+        # at order 1 the coefficient is 0 while the pole bound would still
+        # read alpha's residues: alpha = 1/x**2, b = 1/x**3 would get the
+        # candidate denominator x and miss the solution -1/(2*x**2)
+        for order in (1, 0, -1):
+            with pytest.raises(ValueError):
+                RischEquation(RatFunc(1, X**2), RatFunc(1, X**3), order)
         with pytest.raises(ValueError):
             build_risch(RatFunc.one(), RatFunc.one(), 1)
 
@@ -163,9 +169,10 @@ class TestSolveGeneral:
         assert verify_solution(eq, out.solution)
 
 
-def _product_system(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
+def _product_columns(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
     """The cleared system with one polynomial product chain per column:
-    column i is ((x**i)'*den - x**i*den')*qa*qb + pa*x**i*den*qb."""
+    column i is ((x**i)'*den - x**i*den')*qa*qb + pa*x**i*den*qb, and the
+    right side is pb*qa*den**2."""
     columns = []
     for i in range(num_degree + 1):
         xi = Poly.monomial(i)
@@ -173,18 +180,42 @@ def _product_system(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
             (xi.derivative() * den - xi * den.derivative()) * a.den * b.den
             + a.num * xi * den * b.den
         )
-    rhs = b.num * a.den * den * den
+    return columns, b.num * a.den * den * den
+
+
+def _coefficient_rows(columns: list[Poly], rhs: Poly):
     height = max([rhs.degree] + [c.degree for c in columns]) + 1
     rows = [[c.coeff(d) for c in columns] for d in range(height)]
     return rows, [rhs.coeff(d) for d in range(height)]
 
 
+def _product_system(a: RatFunc, b: RatFunc, den: Poly, num_degree: int):
+    return _coefficient_rows(*_product_columns(a, b, den, num_degree))
+
+
+def _solution(sol: list | None, den: Poly) -> RatFunc | None:
+    return None if sol is None else RatFunc(Poly(sol), den)
+
+
 def _eliminated(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
     """The particular solution elimination gives on the product-built
-    system: pivot columns in increasing order, free unknowns set to 0."""
-    rows, rhs = _product_system(a, b, den, num_degree)
-    sol = solve_linear_system(rows, rhs, num_degree + 1)
-    return None if sol is None else RatFunc(Poly(sol), den)
+    system: pivot columns in increasing order, free unknowns set to 0.
+
+    Every column is a multiple of d = gcd(den, den')*qb, so the system is
+    inconsistent unless d divides the right side.  Division by d is a linear
+    bijection from the multiples of d onto all polynomials, so dividing every
+    column and the right side by d keeps the column dependencies, hence the
+    pivot columns and the particular solution.  The divided system is the
+    one eliminated: where den is (x + 4)**129 it has about 140 rows of
+    small integers instead of 269 rows of entries near 2**250, and
+    elimination takes under a second instead of minutes."""
+    columns, rhs = _product_columns(a, b, den, num_degree)
+    d = poly_gcd(den, den.derivative()) * b.den
+    quotient, remainder = divmod(rhs, d)
+    if not remainder.is_zero:
+        return None
+    rows, values = _coefficient_rows([c.divexact(d) for c in columns], quotient)
+    return _solution(solve_linear_system(rows, values, num_degree + 1), den)
 
 
 def _no_elimination(*args):
@@ -239,7 +270,10 @@ class TestSolveUndetermined:
         den = den_factor.monic() * Poly.monomial(pole)
         with mock.patch.object(risch, "solve_linear_system", _no_elimination):
             got = solve_undetermined(a, b, den, num_degree)
-        assert got == _eliminated(a, b, den, num_degree)
+        # the undivided system, which also checks the division in _eliminated
+        rows, values = _product_system(a, b, den, num_degree)
+        undivided = _solution(solve_linear_system(rows, values, num_degree + 1), den)
+        assert got == undivided == _eliminated(a, b, den, num_degree)
 
     def test_cancelling_top_terms_are_trimmed(self):
         # a = 0, b = 1/(x**3+1), den = x**2: column 2 is x**2*B + 2*x*A = 0 with
@@ -264,6 +298,21 @@ class TestSolveUndetermined:
         assert got == _eliminated(a, b, den, bound)
         if got is not None:
             assert verify_solution(RischEquation(a, b), got)
+
+    def test_large_positive_integer_residue(self):
+        # a = -3x**2 + 9x - 32 + 129/(x + 4) allows a pole of order 129 at -4,
+        # so den = (x + 4)**129; the homogeneous solution
+        # (x + 4)**-129 * exp(x**3 - 9x**2/2 + 32x) is not rational, so the
+        # planted h is the only solution.  For b = 1/(x**2 + 1) there is none:
+        # where a is regular, y' + a*y has no simple pole
+        a = RatFunc(-3 * X**3 - 3 * X**2 + 4 * X + 1, X + 4)
+        h = RatFunc(1, (X + 4) ** 129) + X
+        for b, want in ((h.derivative() + a * h, h), (RatFunc(1, X**2 + 1), None)):
+            den = risch._candidate_denominator(b, residues(a), 1, 0)
+            assert den == (X + 4) ** 129
+            bound = risch._numerator_degree_bound(a, b, den)
+            got = solve_undetermined(a, b, den, bound)
+            assert got == want == _eliminated(a, b, den, bound)
 
     def test_free_parameter_is_set_to_zero(self):
         # a = -2/x: x**2 solves the homogeneous equation, so n_2 is free and,
