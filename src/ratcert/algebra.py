@@ -1,7 +1,7 @@
 """Exact univariate arithmetic over the rationals.
 
 Dense polynomials, reduced rational functions, and the classical reduction
-algorithms (GCD, squarefree split, Sylvester resultants, Hermite reduction,
+algorithms (GCD, squarefree split, resultants by Euclid, Hermite reduction,
 Rothstein-Trager residue extraction) that every layer above consumes, plus
 the one exact linear-system routine (``solve_linear_system``).
 
@@ -43,10 +43,10 @@ Representation notes:
     times its residues, so one report serves every order.  The order-k
     decider splits nothing else: it bounds den(beta_k)'s part of a
     solution's denominator with gcd(den, den') alone.
-  * Linear systems and determinants are solved by plain fraction-free
-    integer elimination (Bareiss 1968): at each pivot step every row below
-    the pivot row is updated, and every division is exact, see
-    ``_echelon`` and ``solve_linear_system``.
+  * Resultants run Euclid's remainder sequence on the kernel's own ``%``
+    (see ``_resultant_std``), so no determinant is formed anywhere.
+    ``solve_linear_system`` is the one elimination: plain fraction-free
+    integer elimination (Bareiss 1968), in which every division is exact.
 
 All values are immutable, which makes everything here safe to share between
 threads.
@@ -505,20 +505,18 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic() if q.is_zero else _ONE
 
 
-def extended_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Return (g, s, t) with s*p + t*q = g and g the monic gcd."""
-    r0, r1 = p, q
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
+def inverse_mod(a: Poly, m: Poly) -> Poly:
+    """s with s*a = 1 modulo m, for a coprime to m: the first cofactor of
+    the extended Euclidean algorithm, divided by the last nonzero remainder."""
+    r0, r1 = a, m
+    s0, s1 = _ONE, _ZERO
     while not r1.is_zero:
         quo, rem = divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    n, d = _inverse_lc(r0)
-    return r0.monic(), _times(s0, n, d), _times(t0, n, d)
+    if r0.degree != 0:
+        raise ValueError("not invertible: the polynomials share a factor")
+    return _times(s0, *_inverse_lc(r0))
 
 
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
@@ -560,55 +558,8 @@ def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# linear systems and resultants
 # ---------------------------------------------------------------------------
-
-
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free (Bareiss) forward elimination of an integer matrix, in
-    place, over its first ``ncols`` columns; further columns (a right-hand
-    side) are carried along.
-
-    Pivot columns are chosen in increasing order, each pivot being the first
-    row at or below the current rank with a nonzero entry.  At each step every
-    row below the pivot row becomes (p*row - f*pivot_row)/prev, with p the
-    pivot, f the row's entry in the pivot column and prev the pivot of the
-    step before (1 at the first).  Every division is exact: each entry is then
-    a minor of the matrix (Bareiss 1968).
-
-    Returns the pivot columns (row i holds the pivot of column pivots[i]),
-    the sign of the row permutation, and the last pivot, which is the
-    determinant of the rank x rank minor formed by the pivot rows and columns
-    (1 when the rank is 0).
-    """
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    rank = 0
-    for col in range(ncols):
-        piv = rank
-        while piv < len(rows) and not rows[piv][col]:
-            piv += 1
-        if piv == len(rows):
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        prow = rows[rank]
-        p = prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [(p * v - f * w) // prev for v, w in zip(rows[r], prow)]
-        prev = p
-        pivots.append(col)
-        rank += 1
-    return pivots, sign, prev
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (the rows are consumed)."""
-    pivots, sign, last = _echelon(rows, len(rows))
-    return sign * last if len(pivots) == len(rows) else 0
 
 
 def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> list[Fraction] | None:
@@ -617,11 +568,21 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> 
 
     Each augmented row is scaled by the lcm of its denominators, all-zero
     rows are dropped, and the integer matrix is brought to echelon form by
-    ``_echelon``.  The pivot columns are the columns independent of all
-    earlier ones, a property of the matrix, so the particular solution is
-    the one Gauss-Jordan elimination over Q gives.  Back-substitution stays
-    in the integers: with d the last pivot, d times each unknown is an
-    integer (Cramer's rule on the pivot minor), so every division is exact.
+    fraction-free (Bareiss) forward elimination over its first ``ncols``
+    columns, the right-hand side carried along.  Pivot columns are chosen in
+    increasing order, each pivot being the first row at or below the current
+    rank with a nonzero entry; every row below the pivot row then becomes
+    (p*row - f*pivot_row)/d, with p the pivot, f the row's entry in the
+    pivot column and d the pivot of the step before (1 at the first).
+    Every division is exact: each entry is then a minor of the matrix
+    (Bareiss 1968), and the last pivot d is the determinant of the minor
+    formed by the pivot rows and columns.
+
+    The pivot columns are the columns independent of all earlier ones, a
+    property of the matrix, so the particular solution is the one
+    Gauss-Jordan elimination over Q gives.  Back-substitution stays in the
+    integers: d times each unknown is an integer (Cramer's rule on the pivot
+    minor), so every division is exact.
     """
     aug: list[list[int]] = []
     for row, val in zip(rows, rhs):
@@ -635,12 +596,29 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> 
             aug.append([v.numerator for v in cells])
         else:
             aug.append([v.numerator * (den // v.denominator) for v in cells])
-    pivots, _, d = _echelon(aug, ncols)
-    for row in aug[len(pivots):]:
+    pivots: list[int] = []
+    d = 1
+    rank = 0
+    for col in range(ncols):
+        piv = rank
+        while piv < len(aug) and not aug[piv][col]:
+            piv += 1
+        if piv == len(aug):
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        prow = aug[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(aug)):
+            f = aug[r][col]
+            aug[r] = [(p * v - f * w) // d for v, w in zip(aug[r], prow)]
+        d = p
+        pivots.append(col)
+        rank += 1
+    for row in aug[rank:]:
         if row[ncols]:
             return None
     scaled = [0] * ncols  # d * solution
-    for r in range(len(pivots) - 1, -1, -1):
+    for r in range(rank - 1, -1, -1):
         row, col = aug[r], pivots[r]
         acc = row[ncols] * d
         for c in pivots[r + 1 :]:
@@ -654,24 +632,28 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> 
 
 
 def _resultant_std(a: Poly, b: Poly) -> Fraction:
-    """lc(a)**deg(b) * prod of b over the roots of a (Sylvester determinant)."""
+    """lc(a)**deg(b) * prod of b over the roots of a, by Euclid's remainder
+    sequence (Bronstein, Symbolic Integration I, ch. 1): for b of positive
+    degree and r = a mod b, res(a, b) is 0 when r vanishes and otherwise
+    (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * res(b, r); for a
+    nonzero constant c, res(a, c) = c**deg(a)."""
     if a.is_zero:
         raise ValueError("resultant of the zero polynomial")
     if b.is_zero:
         return Fraction(0) if a.degree > 0 else Fraction(1)
-    m, n = a.degree, b.degree
-    size = m + n
-    if size == 0:
-        return Fraction(1)
-    # the determinant is linear in each row: take the contents out
-    acs = list(reversed(a.ints))
-    bcs = list(reversed(b.ints))
-    rows = []
-    for r in range(n):
-        rows.append([0] * r + acs + [0] * (size - m - 1 - r))
-    for r in range(m):
-        rows.append([0] * r + bcs + [0] * (size - n - 1 - r))
-    return Fraction(a.cn**n * b.cn**m * _det(rows), a.cd**n * b.cd**m)
+    # the signed product of the powers of lc(b) = b.cn*lead/b.cd, as num/den
+    num = den = 1
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero:
+            return Fraction(0)
+        if a.degree & b.degree & 1:
+            num = -num
+        e = a.degree - r.degree
+        num *= (b.cn * b.ints[-1]) ** e
+        den *= b.cd**e
+        a, b = b, r
+    return Fraction(num * b.cn**a.degree, den * b.cd**a.degree)
 
 
 def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -983,7 +965,7 @@ def _hermite(a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]) -> tuple[Poly,
             continue
         u = d.divexact(v**i)
         uv = u * v.derivative()
-        _, inv, _ = extended_gcd(uv, v)
+        inv = inverse_mod(uv, v)
         for j in range(i - 1, 0, -1):
             rhs = _times(a, -1, j)
             b = (rhs * inv) % v

@@ -24,7 +24,8 @@ change, residue normalisation of a Risch equation (checked against
 ``risch.solve_general``), and a coprime refinement of squarefree
 polynomials, over which the tests bound the poles of a candidate
 denominator one element at a time (checked against
-``risch._candidate_denominator``).
+``risch._candidate_denominator``), and the resultant as a Sylvester
+determinant (checked against ``algebra._resultant_std``).
 """
 
 from __future__ import annotations
@@ -442,3 +443,48 @@ def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
     scale = lcm(*(f.ints[-1] for f in basis))
     basis.sort(key=lambda f: (f.degree, [c * (scale // f.ints[-1]) for c in f.ints]))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Sylvester resultant
+# ---------------------------------------------------------------------------
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): after step k every entry below row k is a minor of order
+    k + 1, so each division by the previous pivot is exact; a row swap
+    flips the sign."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            m[i] = [(m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev for j in range(n)]
+        prev = m[k][k]
+    return sign * prev
+
+
+def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
+    """lc(a)**deg(b) * prod of b over the roots of a, as the determinant of
+    the Sylvester matrix of a and b (checked against
+    ``algebra._resultant_std``).  The determinant is linear in each row, so
+    the rows hold the primitive integer coefficients and the contents are
+    taken out."""
+    if a.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    if b.is_zero:
+        return Fraction(0) if a.degree > 0 else Fraction(1)
+    m, n = a.degree, b.degree
+    size = m + n
+    acs = list(reversed(a.ints))
+    bcs = list(reversed(b.ints))
+    rows = [[0] * r + acs + [0] * (size - m - 1 - r) for r in range(n)]
+    rows += [[0] * r + bcs + [0] * (size - n - 1 - r) for r in range(m)]
+    return Fraction(a.cn**n * b.cn**m * bareiss_det(rows), a.cd**n * b.cd**m)

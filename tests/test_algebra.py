@@ -1,21 +1,21 @@
 """Exact-algebra layer: gcd, squarefree split, Hermite reduction, residues,
 resultants, rational roots, and canonical forms."""
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratcert.algebra import (
     Poly,
     RatFunc,
-    _det,
     _int_str,
     _resultant_std,
-    extended_gcd,
     hermite_reduce,
+    inverse_mod,
     poly_gcd,
     rational_roots,
     residues,
@@ -23,7 +23,7 @@ from ratcert.algebra import (
     squarefree_decompose,
 )
 from conftest import make_poly, rand_poly, rand_ratfunc
-from reference import coprime_refinement
+from reference import bareiss_det, coprime_refinement, sylvester_resultant
 
 X = Poly.x()
 
@@ -203,6 +203,46 @@ class TestResidues:
         assert rep.per_factor == ((X, Fraction(-1)), (X - 1, Fraction(1)))
         assert rep.all_integer
 
+    def test_reports_are_pinned(self):
+        # 200 seeded alphas whose denominators are products of these factors
+        # to powers 0..3 (degree at most 33; the workloads reach 3 at most);
+        # the digest was recorded when residues evaluated its resultants as
+        # Sylvester determinants
+        factors = (X, X - 1, X + 2, X**2 + 1, X**2 - 2, 2 * X + 3, X**3 - X + 1)
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            den = Poly.one()
+            for f in factors:
+                den = den * f ** rng.randint(0, 3)
+            num = rand_poly(rng, 6, 9, nonzero=True, max_den=4)
+            rep = residues(RatFunc(num, den))
+            for q, c in rep.per_factor:
+                digest.update(f"{q.to_str()}:{c};".encode())
+            for f, m in rep.split:
+                digest.update(f"{f.to_str()}^{m};".encode())
+            digest.update(f"{rep.all_integer}|".encode())
+        assert digest.hexdigest() == "e905a89997d7e65a40c8ee164f2a84172fde406dc82c4075c7c89586dbb7f12e"
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(q, p) with q nonzero of degree 0..6 and p zero or of degree 0..6,
+    with rational coefficients; half the pairs share a factor of degree 1
+    or 2."""
+
+    def of_degree(n):
+        low = draw(st.lists(fractions_st, min_size=n, max_size=n))
+        return Poly(low + [draw(fractions_st.filter(bool))])
+
+    q = of_degree(draw(st.integers(0, 6)))
+    dp = draw(st.integers(-1, 6))
+    p = of_degree(dp) if dp >= 0 else Poly.zero()
+    if draw(st.booleans()):
+        f = of_degree(draw(st.integers(1, 2)))
+        q, p = q * f, p * f
+    return q, p
+
 
 class TestResultant:
     # _resultant_std(q, p) = lc(q)**deg(p) * prod of p over the roots of q,
@@ -227,6 +267,17 @@ class TestResultant:
     @settings(deadline=None)
     def test_vanishes_iff_common_factor(self, p, q):
         assert (_resultant_std(q, p) == 0) == (poly_gcd(p, q).degree > 0)
+
+    @given(resultant_pairs())
+    @example((X**2 - 2, X**5 + X))  # deg p > deg q
+    @example((X**3 - X + 1, 2 * X**3 + Fraction(1, 3)))  # both degrees odd
+    @example((Fraction(3, 2) * X**3 - 1, Poly.const(Fraction(-2, 5))))  # constant p
+    @example((X**3 + X, Poly.zero()))
+    @example(((X - 1) * (X**2 + 1), (X - 1) * (2 * X - 3)))  # a shared factor
+    @settings(deadline=None, max_examples=300)
+    def test_matches_sylvester_determinant(self, pair):
+        q, p = pair
+        assert _resultant_std(q, p) == sylvester_resultant(q, p)
 
 
 class TestRationalRoots:
@@ -779,6 +830,7 @@ class TestSolveLinearSystem:
 
 
 class TestDeterminant:
+    # the determinant under the reference Sylvester resultant
     @given(
         st.integers(1, 5).flatmap(
             lambda n: st.lists(
@@ -796,12 +848,12 @@ class TestDeterminant:
                 for j in range(len(m))
             )
 
-        assert _det([row[:] for row in matrix]) == cofactor(matrix)
+        assert bareiss_det(matrix) == cofactor(matrix)
 
     def test_singular_and_permuted(self):
-        assert _det([[1, 2], [2, 4]]) == 0
-        assert _det([[0, 1], [1, 0]]) == -1
-        assert _det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert bareiss_det([[1, 2], [2, 4]]) == 0
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
 
 
 def _hermite_by_passes(r: RatFunc) -> tuple[RatFunc, RatFunc]:
@@ -818,7 +870,7 @@ def _hermite_by_passes(r: RatFunc) -> tuple[RatFunc, RatFunc]:
             break
         v, m = dec[-1]
         u = frac.den.divexact(v**m)
-        _, s0, _ = extended_gcd(u * v.derivative(), v)
+        s0 = inverse_mod(u * v.derivative(), v)
         s = (frac.num * s0) % v
         t = (frac.num - s * u * v.derivative()).divexact(v)
         h = h + RatFunc(-s, (m - 1) * v ** (m - 1))

@@ -167,6 +167,20 @@ class TestRischCommand:
         code, _ = run(["risch", "--alpha", "1/x", "--beta", "1", "--order", "1"])
         assert code == 2
 
+    def test_degree_200_residues_finish(self):
+        # the residues of alpha are p/150 at the roots p of x^200 - 3, none
+        # rational; evaluating the 201 resultants as Sylvester determinants
+        # of order 399 did not finish in this time
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "risch", "--alpha", "(x^200+1)/(x^200-3)",
+             "--beta", "1/(x^199+7)", "--order", "2"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("NoRationalSolution")
+
     def test_order_held_to_the_kmax_bound(self):
         # the candidate denominator for alpha = 1/x is x^(order-1): an
         # unbounded order ran for minutes or overflowed an index
