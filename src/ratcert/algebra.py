@@ -17,10 +17,15 @@ Representation notes:
     the product of the two contents, taken with cross gcds (a product of
     primitive polynomials is primitive, by Gauss's lemma, so it needs no
     further gcd); a sum brings the two contents to a common denominator and
-    takes one gcd; ``divmod`` and ``poly_gcd`` are pseudo-division and
-    primitive Euclid.  A ``fractions.Fraction`` is built only where a
-    rational leaves the kernel: ``coeffs``, ``coeff``, ``lc``, ``eval``,
-    resultants, roots and residues.
+    takes one gcd; ``divmod`` is pseudo-division.  A factor c*x**k, whose
+    ints are (0, ..., 0, 1), makes a product a shift of the other factor's
+    ints and a division a slice of the dividend's; ``ints[0]`` is tested
+    first, so a dense operand pays no scan.  ``poly_gcd`` is primitive
+    Euclid on the int vectors: each step keeps the primitive part of the
+    pseudo-remainder (``_prem``) and forms no quotient and no content.  A
+    ``fractions.Fraction`` is built only where a rational leaves the
+    kernel: ``coeffs``, ``coeff``, ``lc``, ``eval``, resultants, roots and
+    residues.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
     denominator, so structural equality is mathematical equality.  A
     product with (or a quotient by) a nonzero rational keeps both
@@ -148,6 +153,12 @@ def _from_ints(ints: list[int], cn: int, cd: int) -> "Poly":
         cn *= g
     cn, cd = _ratio(cn, cd)
     return _make(tuple(ints), cn, cd)
+
+
+def _is_monomial(ints: tuple[int, ...]) -> bool:
+    """True when nonzero canonical ``ints`` are (0, ..., 0, 1), those of
+    c*x**k.  ints[0] is tested first, so a dense vector costs no scan."""
+    return (not ints[0] or len(ints) == 1) and not any(ints[:-1])
 
 
 def _inverse_lc(p: "Poly") -> tuple[int, int]:
@@ -293,15 +304,21 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
+        c = _pair_mul(self.cn, self.cd, other.cn, other.cd)
+        # c*x**k, as candidate denominators often are, multiplies by a shift
+        if _is_monomial(b):
+            return _make((0,) * (len(b) - 1) + a, *c)
+        if _is_monomial(a):
+            return _make((0,) * (len(a) - 1) + b, *c)
         out = [0] * (len(a) + len(b) - 1)
-        # sparse operands such as the power-of-x candidate denominators are
-        # common: skip the zero coefficients of both
+        # sparse operands such as shifted columns are common: skip the zero
+        # coefficients of both
         right = [(j, v) for j, v in enumerate(b) if v]
         for i, u in enumerate(a):
             if u:
                 for j, v in right:
                     out[i + j] += u * v
-        return _make(tuple(out), *_pair_mul(self.cn, self.cd, other.cn, other.cd))
+        return _make(tuple(out), *c)
 
     __rmul__ = __mul__
 
@@ -309,7 +326,7 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         a = self.ints
-        if a and not any(a[:-1]):
+        if a and _is_monomial(a):
             # c*x**k: its ints are (0, ..., 0, 1), so the power is direct
             # (powers of coprime ints stay coprime)
             return _make((0,) * ((len(a) - 1) * n) + (1,), self.cn**n, self.cd**n)
@@ -334,6 +351,13 @@ class Poly:
         dd = len(d) - 1
         if len(self.ints) - 1 < dd:
             return _ZERO, self
+        if _is_monomial(d):
+            # by c*x**dd: the quotient and remainder are slices of the ints
+            a = self.ints
+            return (
+                _from_ints(list(a[dd:]), self.cn * other.cd, self.cd * other.cn),
+                _from_ints(list(a[:dd]), self.cn, self.cd),
+            )
         rem = list(self.ints)
         quo = [0] * (len(rem) - dd)
         lc = d[-1]
@@ -484,12 +508,43 @@ def _lowest_power(a: Sequence[int]) -> int:
     return k
 
 
+def _prem(a: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
+    """The primitive part, with a positive leading entry, of the pseudo-
+    remainder of the int vector a by d (len(a) >= len(d) > 1), or () when
+    d divides a.  The partial remainder is scaled only when its leading
+    entry is not a multiple of d's, and no quotient is formed."""
+    dd = len(d) - 1
+    rem = list(a)
+    lc = d[-1]
+    low = [(i, c) for i, c in enumerate(d[:-1]) if c]
+    for k in range(len(rem) - 1 - dd, -1, -1):
+        lead = rem[k + dd]
+        if not lead:
+            continue
+        if lead % lc:
+            s = lc // gcd(lead, lc)
+            rem = [v * s for v in rem[: k + dd + 1]]
+            lead *= s
+        f = lead // lc
+        for i, c in low:
+            rem[k + i] -= f * c
+    del rem[dd:]
+    while rem and not rem[-1]:
+        rem.pop()
+    if not rem:
+        return ()
+    g = gcd(*rem)
+    if rem[-1] < 0:
+        g = -g
+    return tuple(v // g for v in rem)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0.
 
-    Euclid on the canonical form: every remainder is kept as its primitive
-    int vector times a content, so this is primitive Euclid on the ints and
-    forms no fraction per coefficient."""
+    Primitive Euclid on the int vectors: each step keeps only the primitive
+    part of the pseudo-remainder (``_prem``), since a gcd over Q does not
+    see contents, and forms no quotient and no content."""
     if p.degree < q.degree:
         p, q = q, p
     if q.is_zero:
@@ -497,12 +552,13 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if q.degree == 0:
         return _ONE
     for mono, other in ((q, p), (p, q)):
-        if not any(mono.ints[:-1]):
+        if _is_monomial(mono.ints):
             # a multiple of x**m, as candidate denominators often are
             return Poly.monomial(min(mono.degree, _lowest_power(other.ints)))
-    while q.degree > 0:
-        p, q = q, p % q
-    return p.monic() if q.is_zero else _ONE
+    a, b = p.ints, q.ints
+    while len(b) > 1:
+        a, b = b, _prem(a, b)
+    return _ONE if b else _make(a, 1, a[-1])
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:

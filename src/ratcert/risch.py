@@ -60,7 +60,13 @@ coefficient in a row where the columns below it have none, so the kernel is
 at most one-dimensional, a kernel vector has its highest nonzero entry at
 rho, and when the kernel is not zero rho is the one column that is not a
 pivot.  All of this runs on ints, with one common denominator for the
-residual and one per n_i.
+residual and one per n_i, and on primitive parts: A and B are scaled by one
+integer read off their own contents, the recurrence runs on R's primitive
+ints and, R -> N being linear, the solution is multiplied once by R's
+content; the lowest power v of x in A, B and R divides every column, so
+every row is taken down by v; and for i > max(deg R - s, rho) row i + s of
+the residual is still R's, hence zero, while lc_i is not, so n_i = 0 and
+the loop starts at that cap (Bronstein's bound on deg N).
 
 Any returned solution is substitution-verified before being released, so a
 ``RationalSolution`` outcome is unconditionally sound; absence relies on the
@@ -83,6 +89,7 @@ from .algebra import (
     RatFunc,
     ResidueReport,
     _from_ints,
+    _lowest_power,
     poly_gcd,
     residues,
     solve_linear_system,
@@ -205,9 +212,10 @@ def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
     return den.degree + max(candidates)
 
 
-def _int_terms(p: Poly, scale: int) -> list[tuple[int, int]]:
-    """The nonzero coefficients of scale*ints(p), as (power, value) pairs."""
-    return [(j, scale * v) for j, v in enumerate(p.ints) if v]
+def _int_terms(p: Poly, scale: int, v: int) -> list[tuple[int, int]]:
+    """The nonzero coefficients of scale*ints(p)/x**v, as (power, value)
+    pairs."""
+    return [(j - v, scale * c) for j, c in enumerate(p.ints) if c]
 
 
 def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
@@ -216,16 +224,20 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     With a = pa/qa and b = pb/qb, multiplying through by den**2*qa*qb turns
     the equation into N'*A + N*B = R with A = den*qa*qb,
     B = (pa*den - den'*qa)*qb and R = pb*qa*den**2, that is
-    sum_i n_i*col_i = R with col_i = x**i*B + i*x**(i-1)*A.  A, B and R are
-    scaled by one common integer read off their contents, which leaves the
-    solution unchanged, and the system is solved from the top down (see the
-    module docstring): n_i is read off row i + s of an int residual, which
-    then loses n_i*col_i, touching only the nonzero coefficients of A and B.
-    A non-exact division scales the residual and a running denominator by
-    lc_i/g only.  At rho, where lc_rho = 0, n_rho is a parameter t carried
-    as a second residual; the rows that fix no unknown pin t, leave it free
-    (t = 0), or show that no solution exists.  With t = 0 the solution is
-    the particular one that elimination with increasing pivot columns gives.
+    sum_i n_i*col_i = R with col_i = x**i*B + i*x**(i-1)*A.  The system is
+    solved on primitive parts (see the module docstring): A and B at one
+    integer scale l/g of their own contents, R's primitive ints, with R's
+    content times l/g applied once to the solution, every row divided by
+    the lowest power v of x in A, B and R (column i starts at row
+    min(i + val B, i - 1 + val A)), and the loop started at the cap
+    max(deg R - s, rho).  It runs from the top down: n_i is read off row
+    i + s of an int residual, which then loses n_i*col_i, touching only
+    the nonzero coefficients of A and B.  A non-exact division scales the
+    residual and a running denominator by lc_i/g only.  At rho, where
+    lc_rho = 0, n_rho is a parameter t carried as a second residual; the
+    rows that fix no unknown pin t, leave it free (t = 0), or show that no
+    solution exists.  With t = 0 the solution is the particular one that
+    elimination with increasing pivot columns gives.
     """
     if num_degree < 0:
         return None
@@ -235,31 +247,36 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     B = (pa * den - den.derivative() * qa) * qb
     R = pb * qa * den * den
     s = max(B.degree, A.degree - 1)
-    top = num_degree + s
-    if R.degree > top:
+    if R.degree > num_degree + s:
         # no column reaches the top rows of R
         return None
-    # one integer scale for the three: each content times l/g is an integer
-    l = lcm(A.cd, B.cd, R.cd)
-    sa, sb, sr = (p.cn * (l // p.cd) for p in (A, B, R))
-    g = gcd(sa, sb, sr)
-    a_terms = _int_terms(A, sa // g)
-    b_terms = _int_terms(B, sb // g)
-    r0 = [sr // g * v for v in R.ints] + [0] * (top - R.degree)
+    # one integer scale for A and B: each content times l/g is an integer
+    l = lcm(A.cd, B.cd)
+    sa, sb = A.cn * (l // A.cd), B.cn * (l // B.cd)
+    g = gcd(sa, sb)
+    v = min(_lowest_power(p.ints) for p in (A, B, R) if p.ints)
+    a_terms = _int_terms(A, sa // g, v)
+    b_terms = _int_terms(B, sb // g, v)
     lead_b = b_terms[-1][1] if b_terms and B.degree == s else 0
     lead_a = a_terms[-1][1] if A.degree == s + 1 else 0
     rho = None
     if lead_a and lead_b % lead_a == 0 and 0 <= -lead_b // lead_a <= num_degree:
         rho = -lead_b // lead_a
+    # above Bronstein's cap every n_i is 0 (see the docstring)
+    cap = R.degree - s if rho is None else max(R.degree - s, rho)
+    start = min(num_degree, cap)
+    s -= v
+    r0 = list(R.ints[v:])
+    r0 += [0] * (start + s + 1 - len(r0))
     # true residual = (r0 + t*r1)/sigma and n_i = (q0 + t*q1)/sigma_i.  Rows
     # below `live` are untouched by every column so far and hold R at scale
     # 1; a column reaches them from the top, so each is brought to sigma once
     low = min([j for j, _ in b_terms] + [j - 1 for j, _ in a_terms])
-    live = top + 1
+    live = len(r0)
     r1: list[int] | None = None
     sigma = 1
     found = []
-    for i in range(num_degree, -1, -1):
+    for i in range(start, -1, -1):
         d = i + s
         lo = max(i + low, 0)
         if lo < live:
@@ -316,7 +333,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
         nums[i] = (q0 * tq + tp * q1) * (sigma // sig)
     if rho is not None:
         nums[rho] = tp * sigma
-    return RatFunc(_from_ints(nums, 1, tq * sigma), den)
+    return RatFunc(_from_ints(nums, R.cn * l, R.cd * g * tq * sigma), den)
 
 
 def solve_general(

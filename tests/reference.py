@@ -24,8 +24,9 @@ change, residue normalisation of a Risch equation (checked against
 ``risch.solve_general``), and a coprime refinement of squarefree
 polynomials, over which the tests bound the poles of a candidate
 denominator one element at a time (checked against
-``risch._candidate_denominator``), and the resultant as a Sylvester
-determinant (checked against ``algebra._resultant_std``).
+``risch._candidate_denominator``), the resultant as a Sylvester
+determinant (checked against ``algebra._resultant_std``), and the gcd by
+Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``).
 """
 
 from __future__ import annotations
@@ -488,3 +489,21 @@ def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
     rows = [[0] * r + acs + [0] * (size - m - 1 - r) for r in range(n)]
     rows += [[0] * r + bcs + [0] * (size - n - 1 - r) for r in range(m)]
     return Fraction(a.cn**n * b.cn**m * bareiss_det(rows), a.cd**n * b.cd**m)
+
+
+# ---------------------------------------------------------------------------
+# Euclid on the kernel's remainder
+# ---------------------------------------------------------------------------
+
+
+def divmod_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by Euclid on ``Poly.__mod__``, which forms each quotient
+    and reduces each remainder's rational content (checked against
+    ``algebra.poly_gcd``, which keeps only primitive pseudo-remainders)."""
+    if p.degree < q.degree:
+        p, q = q, p
+    if q.is_zero:
+        return p.monic()
+    while q.degree > 0:
+        p, q = q, p % q
+    return p.monic() if q.is_zero else Poly.one()

@@ -23,12 +23,16 @@ from ratcert.algebra import (
     squarefree_decompose,
 )
 from conftest import make_poly, rand_poly, rand_ratfunc
-from reference import bareiss_det, coprime_refinement, sylvester_resultant
+from reference import bareiss_det, coprime_refinement, divmod_gcd, sylvester_resultant
 
 X = Poly.x()
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 polys_st = st.lists(fractions_st, min_size=0, max_size=7).map(Poly)
+# numerator and denominator of up to 120 bits
+large_rationals_st = st.builds(
+    Fraction, st.integers(-(2**120), 2**120), st.integers(1, 2**120)
+).filter(bool)
 
 
 def _schoolbook_product(p: Poly, q: Poly) -> Poly:
@@ -82,6 +86,15 @@ class TestPolyGcd:
         assert (p % g).is_zero and (q % g).is_zero
         if g.degree > 0:
             assert poly_gcd(p.divexact(g), q.divexact(g)) == Poly.one()
+
+    @given(polys_st, polys_st, polys_st, large_rationals_st, st.integers(0, 3))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_euclid_on_divmod(self, f, g, h, c, k):
+        # shared factors, large contents and powers of x, in either order
+        pairs = [(f * g, f * h * c), (g * c, h), (f, Poly.zero()), (f.shift(k) * g, h.shift(k) * c)]
+        for p, q in pairs:
+            assert poly_gcd(p, q) == divmod_gcd(p, q)
+            assert poly_gcd(q, p) == divmod_gcd(q, p)
 
 
 class TestSquarefree:
@@ -686,6 +699,44 @@ class TestIntegerKernel:
                 _assert_canonical_ratfunc(scaled)
                 assert scaled.den == r.den
                 assert scaled.num.coeffs == tuple(c * factor for c in r.num.coeffs)
+
+
+monomial_scales_st = st.one_of(
+    st.integers(-9, -1),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    large_rationals_st,
+)
+
+
+class TestMonomialShifts:
+    """A product with c*x**k is a shift of the other factor's ints, and a
+    division by it slices them: both against Fraction arithmetic."""
+
+    @given(
+        any_lists_st | st.builds(lambda k, c: [Fraction(0)] * k + [Fraction(c)], st.integers(0, 6),
+                                 monomial_scales_st),
+        st.integers(0, 6),
+        monomial_scales_st,
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_convolution_and_long_division(self, a, k, c):
+        # the first draw is a monomial too in about half the examples
+        m, ms = Poly.monomial(k, c), [Fraction(0)] * k + [Fraction(c)]
+        p, ta = Poly(a), _trim(a)
+        product = tuple(_trim(_fraction_product(ta, ms)))
+        quo, rem = _fraction_divmod(ta, ms)
+        got_quo, got_rem = divmod(p, m)
+        for got, expected in ((p * m, product), (m * p, product), (got_quo, quo), (got_rem, rem)):
+            _assert_canonical(got)
+            assert got.coeffs == tuple(_trim(expected))
+
+    def test_both_operands_monomials(self):
+        m = Poly.monomial(3, Fraction(-2, 3))
+        n = Poly.monomial(2, 2**90 + 1)
+        assert m * n == n * m == Poly.monomial(5, Fraction(-2 * (2**90 + 1), 3))
+        assert divmod(m, n) == (Poly.monomial(1, Fraction(-2, 3 * (2**90 + 1))), Poly.zero())
+        assert divmod(n, m) == (Poly.zero(), n)
+        assert divmod(m, Poly.const(Fraction(-1, 7))) == (Poly.monomial(3, Fraction(14, 3)), Poly.zero())
 
 
 def _padded(a: list, b: list) -> list:

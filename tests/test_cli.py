@@ -181,6 +181,21 @@ class TestRischCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("NoRationalSolution")
 
+    def test_eight_simple_poles_finish(self):
+        # den = prod (x - i)**9 for i = 1..8: Euclid that kept the quotient
+        # and the rational content of every remainder took over 15 s on the
+        # final reduction of the solution
+        alpha = "+".join(f"1/(x-{i})" for i in range(1, 9))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", "risch", "--alpha", alpha,
+             "--beta", "1/(x-1)^2", "--order", "10"],
+            capture_output=True,
+            text=True,
+            timeout=8,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("RationalSolution")
+
     def test_order_held_to_the_kmax_bound(self):
         # the candidate denominator for alpha = 1/x is x^(order-1): an
         # unbounded order ran for minutes or overflowed an index

@@ -287,12 +287,22 @@ class TestSolveUndetermined:
             got = solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
         assert got == _eliminated(RatFunc.zero(), b, Poly.monomial(2), 2)
 
-    @given(eq=undetermined_equations(), pole_slack=st.integers(0, 3), degree_slack=st.integers(0, 3))
-    @settings(deadline=None, max_examples=150)
-    def test_recurrence_matches_elimination(self, eq, pole_slack, degree_slack):
+    @given(
+        eq=undetermined_equations(),
+        scale=st.just(1) | st.builds(Fraction, st.integers(2**99, 2**100), st.integers(2**99, 2**100)),
+        power=st.integers(0, 4),
+        pole_slack=st.integers(0, 3),
+        degree_slack=st.integers(0, 25),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_recurrence_matches_elimination(self, eq, scale, power, pole_slack, degree_slack):
+        # b times a content of about 100 bits, which stays outside the
+        # recurrence; den times x**power, a common power of x in every
+        # column; a degree slack that leaves most columns above the cap
         a, b = eq
+        b = b * scale
         assume(not b.is_zero)  # solve_general settles b = 0 before any bound
-        den = risch._candidate_denominator(b, residues(a), 1, pole_slack)
+        den = risch._candidate_denominator(b, residues(a), 1, pole_slack) * Poly.monomial(power)
         bound = risch._numerator_degree_bound(a, b, den) + degree_slack
         got = solve_undetermined(a, b, den, bound)
         assert got == _eliminated(a, b, den, bound)
