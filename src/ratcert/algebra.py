@@ -435,15 +435,6 @@ class Poly:
 
     # -- misc ----------------------------------------------------------------
 
-    def is_power_of_x(self) -> int | None:
-        """Degree k when the polynomial is exactly x**k (monic), else None."""
-        a = self.ints
-        if not a or a[-1] != 1 or self.cn != 1 or self.cd != 1:
-            return None
-        if any(a[:-1]):
-            return None
-        return len(a) - 1
-
     def to_str(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
@@ -794,25 +785,33 @@ def _rational_reconstruct(residue: int, modulus: int, num_bound: int, den_bound:
 
 def _candidate_rational_roots(poly: Poly) -> set[Fraction]:
     """Verified rational roots (without multiplicity) of a polynomial with
-    nonzero trailing coefficient."""
-    square = poly.divexact(poly_gcd(poly, poly.derivative()))
-    s_ints = square.ints
+    nonzero trailing coefficient.
+
+    The roots are lifted from a prime p that does not divide the leading
+    coefficient and modulo which the polynomial is squarefree.  A factor
+    repeated over Q stays repeated modulo such a p, so finding one shows
+    that poly is squarefree over Q; the squarefree part is taken by a gcd
+    over Q only after three primes fail."""
+    square = poly
+    s_ints = poly.ints
+    deriv = [c * i for i, c in enumerate(s_ints)][1:]
+    misses = 0
+    prime = 2
+    while len(s_ints) > 2:  # a linear polynomial needs no prime
+        prime += 1
+        if not _is_small_prime(prime) or s_ints[-1] % prime == 0:
+            continue
+        if _gf_gcd_degree([c % prime for c in s_ints], [c % prime for c in deriv], prime) == 0:
+            break
+        misses += 1
+        if misses == 3:
+            square = poly.divexact(poly_gcd(poly, poly.derivative()))
+            s_ints = square.ints
+            deriv = [c * i for i, c in enumerate(s_ints)][1:]
+    if len(s_ints) == 2:  # linear: read the root off directly
+        return {Fraction(-s_ints[0], s_ints[1])}
     num_bound = abs(s_ints[0])
     den_bound = abs(s_ints[-1])
-    deriv = [c * i for i, c in enumerate(s_ints)][1:]
-    if len(s_ints) == 2:  # linear: read the root off directly
-        root = Fraction(-s_ints[0], s_ints[1])
-        return {root}
-    prime = 2
-    while True:
-        prime += 1
-        if not _is_small_prime(prime):
-            continue
-        if s_ints[-1] % prime == 0:
-            continue
-        if _gf_gcd_degree([c % prime for c in s_ints], [c % prime for c in deriv], prime) != 0:
-            continue  # not squarefree modulo this prime
-        break
 
     def eval_mod(cs: list[int], at: int, modulus: int) -> int:
         acc = 0
@@ -897,12 +896,6 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def degree_at_infinity(self) -> int:
-        """deg(num) - deg(den): growth order at infinity (zero input -> raises)."""
-        if self.is_zero:
-            raise ValueError("zero function has no degree at infinity")
-        return self.num.degree - self.den.degree
 
     def __add__(self, other) -> "RatFunc":
         other = _ratfunc(other)

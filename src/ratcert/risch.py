@@ -6,11 +6,10 @@ holds alpha, b and k, and derives a.
 Two independent deciders are provided:
 
   * ``solve_general``: bounds the pole order of any rational solution at each
-    finite place, bounds the numerator degree by matching leading behaviour
-    at infinity, then settles existence by solving for the unknown numerator
-    coefficients exactly, from the top down (``solve_undetermined``).
-    The candidate denominator is built from gcds, with no factoring (see
-    below).
+    finite place, then settles existence by solving for the unknown numerator
+    coefficients exactly, from the top down (``solve_undetermined``), whose
+    own cap bounds the numerator degree.  The candidate denominator is built
+    from gcds, with no factoring (see below).
 
   * ``solve_xk_specialized``: the ad-hoc case analysis for coefficients of
     the shape a = A(x)/x**k, b = (2*A + 2*x**k*B)/x**(2*k) with k > 1 and
@@ -48,25 +47,36 @@ sum_i n_i*col_i = R with col_i = x**i*B + i*x**(i-1)*A.  Column i has degree
 at most i + s, with s = max(deg B, deg A - 1), and its coefficient there is
 lc_i = B[s] + i*A[s+1], which vanishes for at most one i, called rho
 (s = -1 when A is constant and B = 0, as for a = 0 with b and den
-polynomial: column 0 is then zero and rho = 0).  So for i = n..0, row i + s
-of what is left of R fixes n_i = r[i+s]/lc_i, and n_i*col_i is subtracted.
-At rho the row fixes nothing: n_rho is a parameter t, and the residual is
-carried as r0 + t*r1.  The rows that fix no unknown (above n + s, row
-rho + s and below s) must vanish at the end; they pin t, show that no
-solution exists, or vanish for every t.  In the last case t is set to 0,
-which is the particular solution elimination gives (pivot columns taken in
-increasing order, free unknowns 0): every column but rho has a nonzero
-coefficient in a row where the columns below it have none, so the kernel is
-at most one-dimensional, a kernel vector has its highest nonzero entry at
-rho, and when the kernel is not zero rho is the one column that is not a
-pivot.  All of this runs on ints, with one common denominator for the
+polynomial: column 0 is then zero and rho = 0).  The cap
+n = max(deg R - s, rho), or deg R - s when there is no rho, bounds deg N
+(Bronstein's bound): were n_i the highest nonzero coefficient and i > n,
+row i + s of N'*A + N*B = R would read n_i*lc_i = 0 with lc_i != 0.  So for
+i = n..0, row i + s of what is left of R fixes n_i = r[i+s]/lc_i, and
+n_i*col_i is subtracted.  At rho the row fixes nothing: n_rho is a
+parameter t, and the residual is carried as r0 + t*r1.  The rows that fix
+no unknown (above n + s, row rho + s and below s) must vanish at the end;
+they pin t, show that no solution exists, or vanish for every t.  In the
+last case t is set to 0, which is the particular solution elimination
+gives (pivot columns taken in increasing order, free unknowns 0): every
+column but rho has a nonzero coefficient in a row where the columns below
+it have none, so the kernel is at most one-dimensional, a kernel vector has
+its highest nonzero entry at rho, and when the kernel is not zero rho is
+the one column that is not a pivot.  All of this runs on ints, with one common denominator for the
 residual and one per n_i, and on primitive parts: A and B are scaled by one
 integer read off their own contents, the recurrence runs on R's primitive
 ints and, R -> N being linear, the solution is multiplied once by R's
-content; the lowest power v of x in A, B and R divides every column, so
-every row is taken down by v; and for i > max(deg R - s, rho) row i + s of
-the residual is still R's, hence zero, while lc_i is not, so n_i = 0 and
-the loop starts at that cap (Bronstein's bound on deg N).
+content; and the lowest power v of x in A, B and R divides every column,
+so every row is taken down by v.
+
+The cap is the decider's only bound on deg N.  It is never above the bound
+that matches degrees at infinity, d + max(0, db + 1, db - da, -lam), with
+d = deg den, da and db the degrees at infinity (deg num - deg den) of a and
+b, and lam = lc(num a), den and den a being monic:
+
+  * da >= 0: A[s+1] = 0, so there is no rho, and the cap is d + db - da;
+  * da = -1: lc_i = lam - d + i, so rho = d - lam when that is a
+    non-negative integer, and the cap is max(d + db + 1, d - lam);
+  * da <= -2 or a = 0: rho = d, and the cap is max(d + db + 1, d).
 
 Any returned solution is substitution-verified before being released, so a
 ``RationalSolution`` outcome is unconditionally sound; absence relies on the
@@ -89,6 +99,7 @@ from .algebra import (
     RatFunc,
     ResidueReport,
     _from_ints,
+    _is_monomial,
     _lowest_power,
     poly_gcd,
     residues,
@@ -98,7 +109,6 @@ from .algebra import (
 
 REASON_DEGREE_MISMATCH = "degree-mismatch"
 REASON_INCONSISTENT = "inconsistent-linear-system"
-REASON_POLE_BOUND = "pole-bound-exclusion"
 
 
 @dataclass(frozen=True)
@@ -197,29 +207,14 @@ def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: in
     return den
 
 
-def _numerator_degree_bound(a: RatFunc, b: RatFunc, den: Poly) -> int:
-    candidates = [0, b.degree_at_infinity() + 1]
-    if not a.is_zero:
-        delta_a = a.degree_at_infinity()
-        if delta_a >= 0:
-            candidates.append(b.degree_at_infinity() - delta_a)
-        if delta_a == -1:
-            # den(a) is monic, so lam = lc(num(a)) = cn*lead/cd
-            num = a.num
-            lam, rem = divmod(num.cn * num.ints[-1], num.cd)
-            if not rem and lam < 0:
-                candidates.append(-lam)
-    return den.degree + max(candidates)
-
-
 def _int_terms(p: Poly, scale: int, v: int) -> list[tuple[int, int]]:
     """The nonzero coefficients of scale*ints(p)/x**v, as (power, value)
     pairs."""
     return [(j - v, scale * c) for j, c in enumerate(p.ints) if c]
 
 
-def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> RatFunc | None:
-    """Solve y' + a*y = b for y = N/den with deg N <= num_degree, exactly.
+def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
+    """Solve y' + a*y = b for y = N/den, N a polynomial, exactly.
 
     With a = pa/qa and b = pb/qb, multiplying through by den**2*qa*qb turns
     the equation into N'*A + N*B = R with A = den*qa*qb,
@@ -230,26 +225,21 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     content times l/g applied once to the solution, every row divided by
     the lowest power v of x in A, B and R (column i starts at row
     min(i + val B, i - 1 + val A)), and the loop started at the cap
-    max(deg R - s, rho).  It runs from the top down: n_i is read off row
-    i + s of an int residual, which then loses n_i*col_i, touching only
-    the nonzero coefficients of A and B.  A non-exact division scales the
-    residual and a running denominator by lc_i/g only.  At rho, where
-    lc_rho = 0, n_rho is a parameter t carried as a second residual; the
-    rows that fix no unknown pin t, leave it free (t = 0), or show that no
-    solution exists.  With t = 0 the solution is the particular one that
+    max(deg R - s, rho), which bounds deg N.  It runs from the top down:
+    n_i is read off row i + s of an int residual, which then loses
+    n_i*col_i, touching only the nonzero coefficients of A and B.  A
+    non-exact division scales the residual and a running denominator by
+    lc_i/g only.  At rho, where lc_rho = 0, n_rho is a parameter t carried
+    as a second residual; the rows that fix no unknown pin t, leave it free
+    (t = 0), or show that no solution exists.  With t = 0 the solution is the particular one that
     elimination with increasing pivot columns gives.
     """
-    if num_degree < 0:
-        return None
     qa, pa = a.den, a.num
     qb, pb = b.den, b.num
     A = den * qa * qb
     B = (pa * den - den.derivative() * qa) * qb
     R = pb * qa * den * den
     s = max(B.degree, A.degree - 1)
-    if R.degree > num_degree + s:
-        # no column reaches the top rows of R
-        return None
     # one integer scale for A and B: each content times l/g is an integer
     l = lcm(A.cd, B.cd)
     sa, sb = A.cn * (l // A.cd), B.cn * (l // B.cd)
@@ -260,14 +250,13 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     lead_b = b_terms[-1][1] if b_terms and B.degree == s else 0
     lead_a = a_terms[-1][1] if A.degree == s + 1 else 0
     rho = None
-    if lead_a and lead_b % lead_a == 0 and 0 <= -lead_b // lead_a <= num_degree:
+    if lead_a and lead_b % lead_a == 0 and -lead_b // lead_a >= 0:
         rho = -lead_b // lead_a
-    # above Bronstein's cap every n_i is 0 (see the docstring)
+    # above Bronstein's cap every n_i is 0 (see the module docstring)
     cap = R.degree - s if rho is None else max(R.degree - s, rho)
-    start = min(num_degree, cap)
     s -= v
     r0 = list(R.ints[v:])
-    r0 += [0] * (start + s + 1 - len(r0))
+    r0 += [0] * (cap + s + 1 - len(r0))
     # true residual = (r0 + t*r1)/sigma and n_i = (q0 + t*q1)/sigma_i.  Rows
     # below `live` are untouched by every column so far and hold R at scale
     # 1; a column reaches them from the top, so each is brought to sigma once
@@ -276,7 +265,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
     r1: list[int] | None = None
     sigma = 1
     found = []
-    for i in range(start, -1, -1):
+    for i in range(cap, -1, -1):
         d = i + s
         lo = max(i + low, 0)
         if lo < live:
@@ -328,7 +317,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
                 break
         if any(v0 * tq + tp * v1 for v0, v1 in zip(r0, r1)):
             return None
-    nums = [0] * (num_degree + 1)
+    nums = [0] * (cap + 1)
     for i, q0, q1, sig in found:
         nums[i] = (q0 * tq + tp * q1) * (sigma // sig)
     if rho is not None:
@@ -337,16 +326,14 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly, num_degree: int) -> Ra
 
 
 def solve_general(
-    eq: RischEquation,
-    pole_slack: int = 0,
-    degree_slack: int = 0,
-    alpha_residues: ResidueReport | None = None,
+    eq: RischEquation, pole_slack: int = 0, alpha_residues: ResidueReport | None = None
 ) -> RischOutcome:
-    """Decide existence of a rational solution by pole/degree bounding plus
-    undetermined coefficients.
+    """Decide existence of a rational solution by pole bounding plus
+    undetermined coefficients; the recurrence's own cap bounds the degree of
+    the numerator.
 
-    ``pole_slack`` and ``degree_slack`` widen the bounds; they exist so that
-    an absence verdict can be re-checked under strictly larger search spaces.
+    ``pole_slack`` widens the candidate denominator; it exists so that an
+    absence verdict can be re-checked under a strictly larger search space.
     ``alpha_residues`` is the residue report of ``eq.alpha``, with the
     squarefree split of its denominator, when the caller already has it
     (``check_hk`` passes one report to every order); otherwise it is
@@ -357,10 +344,7 @@ def solve_general(
         return RischOutcome(RatFunc.zero(), "general")
     rep = alpha_residues if alpha_residues is not None else residues(eq.alpha)
     den = _candidate_denominator(b, rep, eq.order - 1, pole_slack)
-    bound = _numerator_degree_bound(a, b, den) + degree_slack
-    if bound < 0:
-        return RischOutcome(None, "general", reason=REASON_POLE_BOUND)
-    solution = solve_undetermined(a, b, den, bound)
+    solution = solve_undetermined(a, b, den)
     if solution is None:
         return RischOutcome(None, "general", reason=REASON_INCONSISTENT)
     if not verify_solution(eq, solution):
@@ -465,15 +449,16 @@ class KaltofenInstance:
 
 
 def match_kaltofen(eq: RischEquation) -> KaltofenInstance | None:
-    """Recognise the power-pole shape; None when the equation does not fit."""
-    k = eq.a.den.is_power_of_x()
-    if k is None or k < 2:
+    """Recognise the power-pole shape; None when the equation does not fit.
+    A ``RatFunc`` denominator is monic, so c*x**k there is x**k."""
+    qa, qb = eq.a.den, eq.b.den
+    k, jb = qa.degree, qb.degree
+    if k < 2 or not _is_monomial(qa.ints):
         return None
     a_num = eq.a.num
     if a_num.degree >= k:
         return None
-    jb = eq.b.den.is_power_of_x()
-    if jb is None or jb > 2 * k:
+    if jb > 2 * k or not _is_monomial(qb.ints):
         return None
     w = eq.b.num.shift(2 * k - jb)
     rem_poly = w - 2 * a_num

@@ -21,9 +21,11 @@ Beside them: the closed-form second-order coefficients read from the
 homogeneous parts of a pre-transform field (checked against
 ``planar.foliation_derivatives``), the projective relations of the chart
 change, residue normalisation of a Risch equation (checked against
-``risch.solve_general``), and a coprime refinement of squarefree
-polynomials, over which the tests bound the poles of a candidate
-denominator one element at a time (checked against
+``risch.solve_general``), the bound on a solution's numerator degree from
+degrees at infinity (the size of the elimination that
+``risch.solve_undetermined`` is checked against), a coprime refinement of
+squarefree polynomials, over which the tests bound the poles of a
+candidate denominator one element at a time (checked against
 ``risch._candidate_denominator``), the resultant as a Sylvester
 determinant (checked against ``algebra._resultant_std``), and the gcd by
 Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``).
@@ -403,6 +405,34 @@ def residue_normalize(eq: RischEquation) -> tuple[RischEquation, RatFunc]:
         a_new = a_new - ell * RatFunc(q.derivative(), q)
         u = u * RatFunc(q) ** ell
     return RischEquation(a_new, eq.b * u), u
+
+
+# ---------------------------------------------------------------------------
+# numerator degree at infinity
+# ---------------------------------------------------------------------------
+
+
+def degree_bound_at_infinity(a: RatFunc, b: RatFunc, den: Poly) -> int:
+    """Bound on deg N over the solutions y = N/den of y' + a*y = b, from
+    matching degrees at infinity: deg den + max(0, db + 1, db - da, -lam),
+    with da and db the degrees at infinity (deg num - deg den) of a and b and
+    lam = lc(num a), den a being monic.  A term in db is left out when b = 0,
+    where 0 is the particular solution, and a term in da when a = 0.  The
+    recurrence's cap is never above this bound (``risch``'s module
+    docstring), so it sizes the elimination the recurrence is checked
+    against, which then searches degrees the recurrence never visits."""
+    candidates = [0]
+    db = b.num.degree - b.den.degree
+    if not b.is_zero:
+        candidates.append(db + 1)
+    if not a.is_zero:
+        da = a.num.degree - a.den.degree
+        if da >= 0 and not b.is_zero:
+            candidates.append(db - da)
+        lam = a.num.lc
+        if da == -1 and lam.denominator == 1 and lam < 0:
+            candidates.append(-int(lam))
+    return den.degree + max(candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,29 @@ class TestRischCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("RationalSolution")
 
+    @pytest.mark.parametrize(
+        "args, verdict",
+        [
+            (["risch", "--alpha", "(2*x^59+x^5-2)/(x^60+3*x^7-5)", "--beta", "1/(x^3+2)^3",
+              "--order", "2"], "NoRationalSolution [general] inconsistent-linear-system"),
+            (["analyze", "--p", "x^60+3*x^7-5-y", "--q", "y*(2*x^59+x^5-2-y)", "--kmax", "2"],
+             "verdict: Inconclusive (H1Failed)"),
+        ],
+        ids=["risch", "analyze"],
+    )
+    def test_dense_degree_60_residues_finish(self, args, verdict):
+        # the Rothstein-Trager resultant of alpha has degree 60 and is
+        # squarefree; its squarefree part by a gcd over Q took 4-7 s, while
+        # one prime modulo which it is squarefree shows that it already is
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", *args],
+            capture_output=True,
+            text=True,
+            timeout=3,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert verdict in proc.stdout.splitlines()
+
     def test_order_held_to_the_kmax_bound(self):
         # the candidate denominator for alpha = 1/x is x^(order-1): an
         # unbounded order ran for minutes or overflowed an index
@@ -252,6 +275,17 @@ class TestTransformCommand:
         assert report["field"] == {"p": "x^2 - 1", "q": "x*y"}
         out = capsys.readouterr().out
         assert "p = x^2 - 1" in out and "q = x*y" in out
+
+    def test_json_report_is_canonical(self, tmp_path):
+        path = tmp_path / "t.json"
+        code, report = run(["transform", "--p", "z2", "--q", "z1", "--json", str(path)])
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == analyzer.canonical_json(report) + "\n"
+        assert read_json(path)["field"] == {"p": "x^2 - 1", "q": "x*y"}
+
+    def test_zero_field_rejected(self, capsys):
+        assert run(["transform", "--p", "0", "--q", "0"]) == (2, None)
+        assert "must not be identically zero" in capsys.readouterr().err
 
     def test_duplicate_variable_names_rejected(self, capsys):
         code, report = run(["transform", "--p", "z1", "--q", "z1", "--vars", "z1,z1"])

@@ -7,7 +7,7 @@ from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ratcert import risch
 from ratcert.algebra import (
@@ -30,7 +30,12 @@ from ratcert.risch import (
     verify_solution,
 )
 from conftest import rand_poly
-from reference import NonIntegerResidueError, coprime_refinement, residue_normalize
+from reference import (
+    NonIntegerResidueError,
+    coprime_refinement,
+    degree_bound_at_infinity,
+    residue_normalize,
+)
 
 X = Poly.x()
 
@@ -261,19 +266,21 @@ class TestSolveUndetermined:
         b=ratfuncs_st,
         den_factor=nonzero_polys_st,
         pole=st.integers(0, 4),
-        num_degree=st.integers(0, 6),
+        slack=st.integers(0, 6),
     )
     @settings(deadline=None, max_examples=120)
-    def test_shift_built_system_matches_products(self, a, b, den_factor, pole, num_degree):
-        # a = None stands for a = 0, where column deg(den) vanishes identically
+    def test_shift_built_system_matches_products(self, a, b, den_factor, pole, slack):
+        # a = None stands for a = 0, where column deg(den) vanishes identically;
+        # the elimination also searches ``slack`` degrees above the bound
         a = RatFunc.zero() if a is None else a
         den = den_factor.monic() * Poly.monomial(pole)
         with mock.patch.object(risch, "solve_linear_system", _no_elimination):
-            got = solve_undetermined(a, b, den, num_degree)
+            got = solve_undetermined(a, b, den)
+        bound = degree_bound_at_infinity(a, b, den) + slack
         # the undivided system, which also checks the division in _eliminated
-        rows, values = _product_system(a, b, den, num_degree)
-        undivided = _solution(solve_linear_system(rows, values, num_degree + 1), den)
-        assert got == undivided == _eliminated(a, b, den, num_degree)
+        rows, values = _product_system(a, b, den, bound)
+        undivided = _solution(solve_linear_system(rows, values, bound + 1), den)
+        assert got == undivided == _eliminated(a, b, den, bound)
 
     def test_cancelling_top_terms_are_trimmed(self):
         # a = 0, b = 1/(x**3+1), den = x**2: column 2 is x**2*B + 2*x*A = 0 with
@@ -284,7 +291,7 @@ class TestSolveUndetermined:
         rows, _ = _product_system(RatFunc.zero(), b, Poly.monomial(2), 2)
         assert len(rows) == 6 and not any(row[2] for row in rows)
         with mock.patch.object(risch, "solve_linear_system", _no_elimination):
-            got = solve_undetermined(RatFunc.zero(), b, Poly.monomial(2), 2)
+            got = solve_undetermined(RatFunc.zero(), b, Poly.monomial(2))
         assert got == _eliminated(RatFunc.zero(), b, Poly.monomial(2), 2)
 
     @given(
@@ -298,14 +305,13 @@ class TestSolveUndetermined:
     def test_recurrence_matches_elimination(self, eq, scale, power, pole_slack, degree_slack):
         # b times a content of about 100 bits, which stays outside the
         # recurrence; den times x**power, a common power of x in every
-        # column; a degree slack that leaves most columns above the cap
+        # column; elimination up to a degree slack above the bound at
+        # infinity, so that most of its columns lie above the recurrence's cap
         a, b = eq
         b = b * scale
-        assume(not b.is_zero)  # solve_general settles b = 0 before any bound
         den = risch._candidate_denominator(b, residues(a), 1, pole_slack) * Poly.monomial(power)
-        bound = risch._numerator_degree_bound(a, b, den) + degree_slack
-        got = solve_undetermined(a, b, den, bound)
-        assert got == _eliminated(a, b, den, bound)
+        got = solve_undetermined(a, b, den)
+        assert got == _eliminated(a, b, den, degree_bound_at_infinity(a, b, den) + degree_slack)
         if got is not None:
             assert verify_solution(RischEquation(a, b), got)
 
@@ -320,14 +326,13 @@ class TestSolveUndetermined:
         for b, want in ((h.derivative() + a * h, h), (RatFunc(1, X**2 + 1), None)):
             den = risch._candidate_denominator(b, residues(a), 1, 0)
             assert den == (X + 4) ** 129
-            bound = risch._numerator_degree_bound(a, b, den)
-            got = solve_undetermined(a, b, den, bound)
-            assert got == want == _eliminated(a, b, den, bound)
+            got = solve_undetermined(a, b, den)
+            assert got == want == _eliminated(a, b, den, degree_bound_at_infinity(a, b, den))
 
     def test_free_parameter_is_set_to_zero(self):
         # a = -2/x: x**2 solves the homogeneous equation, so n_2 is free and,
         # as in elimination, set to 0; b = 1 gives y = -x + t*x**2
-        got = solve_undetermined(RatFunc(-2, X), RatFunc.one(), Poly.one(), 3)
+        got = solve_undetermined(RatFunc(-2, X), RatFunc.one(), Poly.one())
         assert got == RatFunc(-X)
         assert got == _eliminated(RatFunc(-2, X), RatFunc.one(), Poly.one(), 3)
 
@@ -338,7 +343,7 @@ class TestSolveUndetermined:
         a = RatFunc(-2, X) + RatFunc(1, X**2)
         h = RatFunc(X**3 + 3 * X - 1, X)
         b = h.derivative() + a * h
-        assert solve_undetermined(a, b, X, 4) == h == _eliminated(a, b, X, 4)
+        assert solve_undetermined(a, b, X) == h == _eliminated(a, b, X, 4)
 
 
 def _candidate_by_division(a: RatFunc, b: RatFunc, rep, slack: int = 0) -> Poly:
@@ -534,8 +539,8 @@ class TestSubstitutionCheck:
         assert solve_general(eq).solution == RatFunc(4 * X + 2, X**2)
         real = risch.solve_undetermined
 
-        def corrupted(a, b, den, num_degree):
-            sol = real(a, b, den, num_degree)
+        def corrupted(a, b, den):
+            sol = real(a, b, den)
             return RatFunc(sol.num + 1, sol.den)
 
         monkeypatch.setattr(risch, "solve_undetermined", corrupted)
@@ -655,11 +660,9 @@ class TestSpecializedCases:
             if out.has_rational_solution:
                 continue
             eq = inst.equation()
-            widened = solve_undetermined(
-                eq.a, eq.b, Poly.monomial(2 * k), inst.degree_cap + 10 + 2 * k
-            )
-            assert widened is None or not verify_solution(eq, widened)
-            assert widened is None
+            den = Poly.monomial(2 * k)
+            assert solve_undetermined(eq.a, eq.b, den) is None
+            assert _eliminated(eq.a, eq.b, den, inst.degree_cap + 10 + 2 * k) is None
             checked += 1
 
 
@@ -681,6 +684,17 @@ class TestMatchKaltofen:
     def test_rejects_mismatched_numerator(self):
         # b lacking the 2*A/x^(2k) structure
         eq = RischEquation(RatFunc(1, X**2), RatFunc(1, X**4))
+        assert match_kaltofen(eq) is None
+
+    def test_rejects_improper_coefficient(self):
+        # a = (x^3 + 1)/x^2 has a power pole, but deg num a >= 2
+        eq = RischEquation(RatFunc(X**3 + 1, X**2), RatFunc(1, X**4))
+        assert match_kaltofen(eq) is None
+
+    def test_rejects_shift_without_constant_term(self):
+        # b = (2*A + 2*x**k*B)/x**(2k) with B = x: B(0) = 0
+        a_num = X + 1
+        eq = RischEquation(RatFunc(a_num, X**2), RatFunc(2 * a_num + 2 * X**3, X**4))
         assert match_kaltofen(eq) is None
 
     def test_rejects_higher_order_beta(self):
