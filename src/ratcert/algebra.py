@@ -24,8 +24,11 @@ Representation notes:
     Euclid on the int vectors: each step keeps the primitive part of the
     pseudo-remainder (``_prem``) and forms no quotient and no content.  A
     ``fractions.Fraction`` is built only where a rational leaves the
-    kernel: ``coeffs``, ``coeff``, ``lc``, ``eval``, resultants, roots and
-    residues.
+    kernel: ``coeff``, ``lc``, ``eval``, resultants, roots and residues.
+  * Printing runs on ints too: ``Poly.to_str`` and ``planar.BivarPoly``'s
+    printer pass their int coefficients and one content n/d to
+    ``_terms_str``, the one term printer, which reduces each n*u/d by
+    gcd(u, d) alone.
   * ``RatFunc`` keeps numerator and denominator coprime with a monic
     denominator, so structural equality is mathematical equality.  A
     product with (or a quotient by) a nonzero rational keeps both
@@ -124,9 +127,37 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).zfill(half)
 
 
-def _ratio_str(n: int, d: int) -> str:
-    """n/d, for d > 0, as "n" or "n/d"."""
-    return _int_str(n) if d == 1 else f"{_int_str(n)}/{_int_str(d)}"
+def _power_str(var: str, i: int) -> str:
+    """var**i as printed: "" for i = 0, "var" or "var^i"."""
+    return f"{var}^{i}" if i > 1 else var if i else ""
+
+
+def _terms_str(n: int, d: int, terms: Iterable[tuple[int, str]]) -> str:
+    """The sum of (n*u/d)*monomial over ``terms``, in their order: each u a
+    nonzero int, "" the monomial 1, and n/d a pair in lowest terms with
+    d > 0, so that n*u/d is in lowest terms once divided by gcd(u, d).
+    "0" when there are no terms."""
+    parts: list[str] = []
+    neg = n < 0
+    for u, mono in terms:
+        top, bot = abs(n * u), d
+        if d != 1:
+            g = gcd(u, d)
+            top //= g
+            bot //= g
+        # _int_str's own test first: a call fewer for most terms
+        mag = str(top) if top < _STR_BOUND else _int_str(top)
+        if bot != 1:
+            mag = f"{mag}/{str(bot) if bot < _STR_BOUND else _int_str(bot)}"
+        term = mag
+        if mono:
+            term = mono if mag == "1" else f"{mag}*{mono}"
+        parts.append(f" - {term}" if (u < 0) != neg else f" + {term}")
+    if not parts:
+        return "0"
+    # the first term takes no " + " and a bare "-"
+    parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
+    return "".join(parts)
 
 
 def _make(ints: tuple[int, ...], cn: int, cd: int) -> "Poly":
@@ -228,12 +259,6 @@ class Poly:
         return _make((0,) * deg + (1,), *_scalar(c))
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, lowest degree first."""
-        cn, cd = self.cn, self.cd
-        return tuple(Fraction(cn * v, cd) for v in self.ints)
 
     @property
     def degree(self) -> int:
@@ -436,29 +461,9 @@ class Poly:
     # -- misc ----------------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
-        # coefficient i is n*u/d in lowest terms after dividing by gcd(u, d),
-        # since n/d, the content, is already in lowest terms
-        n, d = self.cn, self.cd
-        parts: list[str] = []
-        for i in range(len(self.ints) - 1, -1, -1):
-            u = self.ints[i]
-            if not u:
-                continue
-            g = gcd(u, d)
-            top, bot = abs(n * u) // g, d // g
-            mag = _ratio_str(top, bot)
-            if i == 0:
-                body = mag
-            else:
-                v = var if i == 1 else f"{var}^{i}"
-                body = v if mag == "1" else f"{mag}*{v}"
-            if (n < 0) != (u < 0):
-                parts.append(f" - {body}" if parts else f"-{body}")
-            else:
-                parts.append(f" + {body}" if parts else body)
-        return "".join(parts)
+        a = self.ints
+        terms = [(a[i], _power_str(var, i)) for i in range(len(a) - 1, -1, -1) if a[i]]
+        return _terms_str(self.cn, self.cd, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -43,10 +43,9 @@ from .analyzer import (
 from .parsing import let_value, parse_lets, parse_poly, parse_univar_ratfunc
 from .planar import InputError, PlanarField, infinity_transform
 
-# refused input: a deliberate refusal, a file that cannot be read, written
-# or decoded as UTF-8, or a batch line that is not JSON; any other exception
-# is a fault of the program
-_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError)
+# refused input: a deliberate refusal, or a file that cannot be read,
+# written or decoded as UTF-8; any other exception is a fault of the program
+_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,9 @@ def _batch_line(line: str) -> dict:
     try:
         try:
             payload = json.loads(line)
-        except RecursionError as exc:
-            # json.loads recurses once per nesting level of a line
+        except (RecursionError, ValueError) as exc:
+            # not JSON, nested past the recursion limit (json.loads recurses
+            # per level), or an integer over the int-to-str digit limit
             raise InputError(str(exc)) from None
         if not isinstance(payload, dict):
             raise InputError(f"a batch line must be a JSON object, got {type(payload).__name__}")

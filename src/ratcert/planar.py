@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _ratio_str, _times
+from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _power_str, _terms_str, _times
 
 
 class InputError(ValueError):
@@ -222,31 +222,22 @@ class BivarPoly:
         )
 
     def to_str(self, variables: tuple[str, str] = ("x", "y")) -> str:
-        terms = self.terms
-        if not terms:
-            return "0"
+        # every term over the one denominator den, in the graded order
+        # (-(i+j), -i, -j); the first two keys already tell terms apart
         vx, vy = variables
-        keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1]))
-        parts: list[str] = []
-        for i, j in keys:
-            c = terms[(i, j)]
-            mag = _ratio_str(abs(c.numerator), c.denominator)
-            factors = []
-            if i:
-                factors.append(vx if i == 1 else f"{vx}^{i}")
-            if j:
-                factors.append(vy if j == 1 else f"{vy}^{j}")
-            if not factors:
-                body = mag
-            else:
-                body = "*".join(factors)
-                if mag != "1":
-                    body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        den = lcm(*(row.cd for row in self.rows.values()))
+        keyed = []
+        for j, row in self.rows.items():
+            scale = row.cn * (den // row.cd)
+            for i, v in enumerate(row.ints):
+                if v:
+                    keyed.append((-(i + j), -i, j, scale * v))
+        keyed.sort()
+        terms = [
+            (u, "*".join(m for m in (_power_str(vx, -ni), _power_str(vy, j)) if m))
+            for _, ni, j, u in keyed
+        ]
+        return _terms_str(1, den, terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -14,9 +14,11 @@ Two independent deciders are provided:
   * ``solve_xk_specialized``: the ad-hoc case analysis for coefficients of
     the shape a = A(x)/x**k, b = (2*A + 2*x**k*B)/x**(2*k) with k > 1 and
     deg A < k.  Clearing denominators with y = Y/x**k pins the constant
-    coefficient of Y to 2 and caps deg Y, leaving a small linear system,
-    solved with ``algebra.solve_linear_system`` (fraction-free integer
-    elimination) through this module's global of that name.
+    coefficient of Y to 2 and caps deg Y, leaving a small linear system
+    whose integer rows are read off the int vectors of A and B, scaled by
+    their content denominators (``_specialized_system``), and solved with
+    ``algebra.solve_linear_system`` (fraction-free integer elimination)
+    through this module's global of that name.
     Outcomes carry the matched case label (1, 2a, 2b, 2c, 2d).
 
 The pole bound (Bronstein, Symbolic Integration I, ch. 6).  Take an
@@ -90,7 +92,6 @@ when h' + a*h = b because D, qa and qb are nonzero.  No gcd is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -160,18 +161,6 @@ def verify_solution(eq: RischEquation, h: RatFunc) -> bool:
     qb, pb = eq.b.den, eq.b.num
     lhs = ((n.derivative() * d - n * d.derivative()) * qa + pa * n * d) * qb
     return lhs == pb * qa * d * d
-
-
-def _poly_rows(columns: list[Poly], rhs: Poly) -> tuple[list[list[Fraction]], list[Fraction]]:
-    maxdeg = rhs.degree
-    for c in columns:
-        maxdeg = max(maxdeg, c.degree)
-    rows = []
-    vec = []
-    for d in range(maxdeg + 1):
-        rows.append([c.coeff(d) for c in columns])
-        vec.append(rhs.coeff(d))
-    return rows, vec
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +393,17 @@ class KaltofenInstance:
         return RischEquation(self.alpha, self.beta)
 
     @property
-    def v_leading(self) -> Fraction:
-        """Coefficient of x**(k-1) in v = alpha_num - k*x**(k-1)."""
-        k = self.pole_order
-        n = self.alpha_num.degree
-        if n < k - 1:
-            return Fraction(-k)
-        return self.alpha_num.lc - k
-
-    @property
     def rho(self) -> int:
-        v = self.v_leading
-        if v.denominator == 1 and v < 0:
-            return int(-v)
-        return 0
+        """-v when the coefficient v of x**(k-1) in v = alpha_num - k*x**(k-1)
+        is a negative integer, else 0."""
+        k = self.pole_order
+        a = self.alpha_num
+        if a.degree < k - 1:
+            return k
+        top = a.cn * a.ints[-1]
+        if top % a.cd:
+            return 0
+        return max(k - top // a.cd, 0)
 
     @property
     def degree_cap(self) -> int:
@@ -464,48 +450,64 @@ def match_kaltofen(eq: RischEquation) -> KaltofenInstance | None:
     rem_poly = w - 2 * a_num
     if rem_poly.is_zero:
         return KaltofenInstance(a_num, None, k)
-    if any(rem_poly.coeff(i) != 0 for i in range(k)):
+    if any(rem_poly.ints[:k]):
         return None
-    shift = Poly(tuple(c / 2 for c in rem_poly.coeffs[k:]))
-    if shift.coeff(0) == 0:
+    shift = _from_ints(list(rem_poly.ints[k:]), rem_poly.cn, 2 * rem_poly.cd)
+    if not shift.ints[0]:
         return None
     return KaltofenInstance(a_num, shift, k)
 
 
-def _specialized_system(inst: KaltofenInstance) -> tuple[list[Poly], Poly]:
-    """Column polynomials for y_1..y_cap and right-hand side of the cleared
-    equation with the forced constant coefficient Y(0) = 2 moved across:
+def _specialized_system(inst: KaltofenInstance) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows for y_1..y_cap, the right-hand side and its degree, of
+    the cleared equation with the forced constant coefficient Y(0) = 2 moved
+    across:
 
         sum_i y_i * ((i-k)*x**(i+k-1) + alpha_num*x**i)
-            = 2*x**k*beta_shift + 2*k*x**(k-1).
+            = 2*k*x**(k-1) + 2*x**k*beta_shift.
+
+    Row d, column i is (i-k)*[d = i+k-1] + alpha_num[d-i], read off the int
+    vectors: the whole system is multiplied by the content denominators of
+    alpha_num and beta_shift, which changes neither its solutions nor its
+    pivot columns.  Rows above every column's top and deg(rhs) are zero.
     """
     k = inst.pole_order
     cap = inst.degree_cap
-    columns = []
+    a, shift = inst.alpha_num, inst.beta_shift
+    bd = shift.cd if shift is not None else 1
+    scale = a.cd * bd
+    an = a.cn * bd  # scale*alpha_num = an*ints
+    deg_rhs = k + shift.degree if shift is not None else k - 1
+    nrows = max(cap + k - 1, deg_rhs) + 1
+    rows = [[0] * cap for _ in range(nrows)]
     for i in range(1, cap + 1):
-        columns.append(Poly.monomial(i + k - 1, i - k) + inst.alpha_num.shift(i))
-    rhs = Poly.monomial(k - 1, 2 * k)
-    if inst.beta_shift is not None:
-        rhs = rhs + 2 * inst.beta_shift.shift(k)
-    return columns, rhs
+        rows[i + k - 1][i - 1] = (i - k) * scale
+        for j, c in enumerate(a.ints):
+            if c:
+                rows[i + j][i - 1] += an * c
+    rhs = [0] * nrows
+    rhs[k - 1] = 2 * k * scale
+    if shift is not None:
+        sn = 2 * shift.cn * a.cd  # scale*2*beta_shift = sn*ints
+        for j, c in enumerate(shift.ints):
+            rhs[k + j] = sn * c
+    return rows, rhs, deg_rhs
 
 
 def solve_xk_specialized(inst: KaltofenInstance) -> RischOutcome:
     """Decide the power-pole instance through its case analysis."""
     case = inst.case
-    columns, rhs = _specialized_system(inst)
-    rows, vec = _poly_rows(columns, rhs)
-    sol = solve_linear_system(rows, vec, len(columns))
+    rows, rhs, deg_rhs = _specialized_system(inst)
+    ncols = inst.degree_cap
+    sol = solve_linear_system(rows, rhs, ncols)
     if sol is None:
         reason = REASON_INCONSISTENT
-        keep_rows = [r for d, r in enumerate(rows) if d <= rhs.degree]
-        keep_vec = [v for d, v in enumerate(vec) if d <= rhs.degree]
-        if solve_linear_system(keep_rows, keep_vec, len(columns)) is not None:
+        if solve_linear_system(rows[: deg_rhs + 1], rhs[: deg_rhs + 1], ncols) is not None:
             # solvable once the forced coefficients above deg(rhs) are
             # ignored: the obstruction is purely a degree mismatch
             reason = REASON_DEGREE_MISMATCH
         return RischOutcome(None, "specialized", case=case, reason=reason)
-    y_poly = Poly([Fraction(2)] + sol)
+    y_poly = Poly([2, *sol])
     solution = RatFunc(y_poly, Poly.monomial(inst.pole_order))
     if not verify_solution(inst.equation(), solution):
         raise RuntimeError("internal error: candidate solution failed substitution check")

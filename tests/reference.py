@@ -27,8 +27,11 @@ degrees at infinity (the size of the elimination that
 squarefree polynomials, over which the tests bound the poles of a
 candidate denominator one element at a time (checked against
 ``risch._candidate_denominator``), the resultant as a Sylvester
-determinant (checked against ``algebra._resultant_std``), and the gcd by
-Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``).
+determinant (checked against ``algebra._resultant_std``), the gcd by
+Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``),
+the power-pole system built from polynomial columns with one ``Fraction``
+per cell (checked against ``risch._specialized_system``), and the bivariate
+printer on ``Fraction`` terms (checked against ``BivarPoly.to_str``).
 """
 
 from __future__ import annotations
@@ -38,9 +41,16 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from ratcert.algebra import Poly, RatFunc, poly_gcd, residues
+from ratcert.algebra import Poly, RatFunc, poly_gcd, residues, solve_linear_system
 from ratcert.planar import BivarPoly, InputError, PlanarField, _part_at_one
-from ratcert.risch import RischEquation
+from ratcert.risch import (
+    REASON_DEGREE_MISMATCH,
+    REASON_INCONSISTENT,
+    KaltofenInstance,
+    RischEquation,
+    RischOutcome,
+    verify_solution,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +547,80 @@ def divmod_gcd(p: Poly, q: Poly) -> Poly:
     while q.degree > 0:
         p, q = q, p % q
     return p.monic() if q.is_zero else Poly.one()
+
+
+# ---------------------------------------------------------------------------
+# Fractions read off the kernel's ints
+# ---------------------------------------------------------------------------
+
+
+def coeffs(p: Poly) -> tuple[Fraction, ...]:
+    """The coefficients of p as Fractions, lowest degree first."""
+    return tuple(Fraction(p.cn * v, p.cd) for v in p.ints)
+
+
+def specialized_columns_system(
+    inst: KaltofenInstance,
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The power-pole system of ``risch._specialized_system`` built from the
+    column polynomials (i-k)*x**(i+k-1) + alpha_num*x**i for y_1..y_cap and
+    the right side 2*k*x**(k-1) + 2*x**k*beta_shift, one ``Fraction`` per
+    cell, up to the highest degree a column or the right side reaches."""
+    k = inst.pole_order
+    columns = [
+        Poly.monomial(i + k - 1, i - k) + inst.alpha_num.shift(i)
+        for i in range(1, inst.degree_cap + 1)
+    ]
+    rhs = Poly.monomial(k - 1, 2 * k)
+    if inst.beta_shift is not None:
+        rhs = rhs + 2 * inst.beta_shift.shift(k)
+    top = max([rhs.degree] + [c.degree for c in columns])
+    rows = [[c.coeff(d) for c in columns] for d in range(top + 1)]
+    return rows, [rhs.coeff(d) for d in range(top + 1)]
+
+
+def specialized_by_columns(inst: KaltofenInstance) -> RischOutcome:
+    """``risch.solve_xk_specialized`` on ``specialized_columns_system``: a
+    degree mismatch when the rows up to deg(rhs) alone are solvable."""
+    rows, vec = specialized_columns_system(inst)
+    ncols = inst.degree_cap
+    sol = solve_linear_system(rows, vec, ncols)
+    if sol is None:
+        top = max(d for d, v in enumerate(vec) if v)  # deg(rhs)
+        reason = REASON_INCONSISTENT
+        if solve_linear_system(rows[: top + 1], vec[: top + 1], ncols) is not None:
+            reason = REASON_DEGREE_MISMATCH
+        return RischOutcome(None, "specialized", case=inst.case, reason=reason)
+    solution = RatFunc(Poly([Fraction(2)] + sol), Poly.monomial(inst.pole_order))
+    assert verify_solution(inst.equation(), solution)
+    return RischOutcome(solution, "specialized", case=inst.case)
+
+
+def bivar_terms_str(p: BivarPoly, variables: tuple[str, str] = ("x", "y")) -> str:
+    """``BivarPoly.to_str`` from the ``(i, j) -> Fraction`` terms, in the
+    graded order (-(i+j), -i, -j), each coefficient printed from its own
+    Fraction."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    vx, vy = variables
+    parts: list[str] = []
+    for i, j in sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1])):
+        c = terms[(i, j)]
+        mag = str(abs(c.numerator)) if c.denominator == 1 else f"{abs(c.numerator)}/{c.denominator}"
+        factors = []
+        if i:
+            factors.append(vx if i == 1 else f"{vx}^{i}")
+        if j:
+            factors.append(vy if j == 1 else f"{vy}^{j}")
+        if not factors:
+            body = mag
+        else:
+            body = "*".join(factors)
+            if mag != "1":
+                body = f"{mag}*{body}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts)

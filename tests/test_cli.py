@@ -417,6 +417,29 @@ class TestBatchCommand:
         assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
         assert lines[3] == {"error": f"k_max must be <= {MAX_KMAX}, got 100000000000"}
 
+    def test_integers_past_the_digit_limit_keep_their_neighbours(self, tmp_path):
+        # json.loads refuses an integer over 4300 digits with a ValueError
+        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+        nines = "9" * 5000
+        tasks = [
+            json.dumps(good),
+            '{"p": "x^3 - y", "q": "y*(x^2-x-1-y)", "kmax": %s}' % nines,
+            json.dumps(good),
+            '{"p": "x^3 - a*y", "q": "y", "lets": {"a": %s}}' % nines,
+            json.dumps(good),
+        ]
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text("\n".join(tasks) + "\n", encoding="utf-8")
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2
+        assert report["lines"] == 5 and report["failed"] == 2 and report["internal"] == 0
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == lines[2] == lines[4]
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        for line in (lines[1], lines[3]):
+            assert list(line) == ["error"] and "4300" in line["error"]
+
     def test_internal_error_keeps_its_neighbours(self, tmp_path, monkeypatch):
         good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
         other = {"p": "x^2-y", "q": "y*(x+1)", "kmax": 2}

@@ -21,7 +21,13 @@ from ratcert.planar import (
     verify_darboux_integral,
 )
 from conftest import projective_relations_hold, rand_bivar, rand_family
-from reference import fields_equivalent, homogeneous_parts, lve2_coefficients_from_parts
+from reference import (
+    bivar_terms_str,
+    coeffs,
+    fields_equivalent,
+    homogeneous_parts,
+    lve2_coefficients_from_parts,
+)
 
 Z1, Z2 = BivarPoly.var(0), BivarPoly.var(1)
 XV, YV = BivarPoly.var(0), BivarPoly.var(1)
@@ -30,7 +36,7 @@ X = Poly.x()
 
 def _in_x(p: Poly) -> BivarPoly:
     """p as a bivariate polynomial in the first variable alone."""
-    return BivarPoly({(i, 0): c for i, c in enumerate(p.coeffs)})
+    return BivarPoly({(i, 0): c for i, c in enumerate(coeffs(p))})
 
 
 def cubic_example_field(a=1, b=1, c=1) -> PlanarField:
@@ -338,6 +344,9 @@ class TestFieldEquivalence:
 # ---------------------------------------------------------------------------
 
 small_fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+wide_fractions_st = st.builds(
+    Fraction, st.integers(-(2**100), 2**100).filter(bool), st.integers(1, 2**100)
+)
 term_dicts_st = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), small_fractions_st, max_size=7
 )
@@ -456,6 +465,32 @@ class TestRowKernel:
         p = (XV + YV + 1) ** 60
         assert p.coeff(20, 20) == factorial(60) // factorial(20) ** 3
         assert p.total_degree == 60 and len(p.terms) == 61 * 62 // 2
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_printer_matches_fraction_terms(self, data):
+        # rows with their own 100-bit contents, negative leads and gaps, so
+        # the common denominator is far from every row's own
+        terms = {}
+        for j in data.draw(st.sets(st.integers(0, 4), max_size=4)):
+            content = data.draw(wide_fractions_st)
+            ints = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+            for i, v in enumerate(ints):
+                if v:
+                    terms[(i, j)] = content * v
+        p = BivarPoly(terms)
+        assert p.to_str() == bivar_terms_str(p)
+        assert p.to_str(("z1", "z2")) == bivar_terms_str(p, ("z1", "z2"))
+
+    def test_printer_on_rows_with_unlike_denominators(self):
+        big = 2**100 + 277
+        p = BivarPoly(
+            {(2, 0): Fraction(1, 6), (0, 0): Fraction(-3, 4), (1, 1): Fraction(-5, big), (0, 2): Fraction(big, 9)}
+        )
+        assert p.to_str() == bivar_terms_str(p)
+        assert p.to_str() == f"1/6*x^2 - 5/{big}*x*y + {big}/9*y^2 - 3/4"
+        assert BivarPoly({(0, 0): Fraction(-7, 3)}).to_str() == "-7/3"
+        assert BivarPoly.zero().to_str() == "0"
 
     def test_constructor_rejects_inexact_and_negative(self):
         with pytest.raises(TypeError):

@@ -32,9 +32,12 @@ from ratcert.risch import (
 from conftest import rand_poly
 from reference import (
     NonIntegerResidueError,
+    coeffs,
     coprime_refinement,
     degree_bound_at_infinity,
     residue_normalize,
+    specialized_by_columns,
+    specialized_columns_system,
 )
 
 X = Poly.x()
@@ -604,7 +607,7 @@ class TestSpecializedCases:
             k = rng.randint(2, 6)
             n = rng.randint(0, k - 1)
             a = rand_poly(rng, n, nonzero=True)
-            cs = list(a.coeffs)
+            cs = list(coeffs(a))
             if cs[0] == 0:
                 cs[0] = Fraction(1)
             if cs[-1] == 0:
@@ -666,6 +669,70 @@ class TestSpecializedCases:
             checked += 1
 
 
+@st.composite
+def kaltofen_instances(draw):
+    """Power-pole instances with fractional contents on both polynomials;
+    alpha_num's top coefficient is at times k - j, which makes rho = j and
+    cancels the top term of column j."""
+    k = draw(st.integers(2, 5))
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    a = draw(st.lists(fracs, min_size=1, max_size=k))
+    a[0] = a[0] or Fraction(1)
+    if len(a) == k and draw(st.booleans()):
+        a[-1] = Fraction(k - draw(st.integers(1, k + 2)))
+    a[-1] = a[-1] or Fraction(-1, 3)
+    shift = None
+    if draw(st.booleans()):
+        b = draw(st.lists(fracs, min_size=1, max_size=k + 1))
+        b[0] = b[0] or Fraction(5, 7)
+        shift = Poly(b)
+    return KaltofenInstance(Poly(a), shift, k)
+
+
+def _common_multiple(inst: KaltofenInstance) -> Fraction:
+    """The one c with row d of the integer system (the right side
+    appended) equal to c times row d of the column system for every d, a
+    column-system row past its end being zero; fails when there is none or
+    c = 0."""
+    rows, rhs, deg_rhs = risch._specialized_system(inst)
+    ref_rows, ref_vec = specialized_columns_system(inst)
+    assert deg_rhs == max(d for d, v in enumerate(rhs) if v)
+    assert len(rows) >= len(ref_rows)
+    c = None
+    for d, (row, v) in enumerate(zip(rows, rhs)):
+        got = row + [v]
+        assert all(isinstance(cell, int) for cell in got)
+        ref = ref_rows[d] + [ref_vec[d]] if d < len(ref_rows) else [0] * len(got)
+        for cell, w in zip(got, ref):
+            if c is None and w:
+                c = Fraction(cell) / w
+            assert cell == (c or 0) * w, (d, got, ref)
+    assert c
+    return c
+
+
+class TestSpecializedSystem:
+    @given(inst=kaltofen_instances())
+    @settings(deadline=None, max_examples=150)
+    def test_integer_rows_are_a_multiple_of_the_column_system(self, inst):
+        _common_multiple(inst)
+        assert solve_xk_specialized(inst) == specialized_by_columns(inst)
+
+    def test_fractional_contents_and_a_cancelled_column_top(self):
+        # alpha_num = 2/3 - x**2/2 over x**3: no integer rho; and
+        # alpha_num = 5/4 + x + x**2, whose top 1 = k - 2 cancels the top
+        # of column 2
+        thirds = Poly([Fraction(2, 3), 0, Fraction(-1, 2)])
+        quarters = Poly([Fraction(5, 4), 1, 1])
+        for inst in (
+            KaltofenInstance(thirds, Poly([Fraction(3, 5), Fraction(1, 7)]), 3),
+            KaltofenInstance(quarters, Poly([Fraction(-2, 9), 0, Fraction(4, 3)]), 3),
+        ):
+            # the content denominators of both polynomials
+            assert _common_multiple(inst) == inst.alpha_num.cd * inst.beta_shift.cd
+            assert solve_xk_specialized(inst) == specialized_by_columns(inst)
+
+
 class TestMatchKaltofen:
     def test_round_trip(self):
         inst = KaltofenInstance(X**2 - X - 1, Poly.const(-1), 3)
@@ -696,6 +763,11 @@ class TestMatchKaltofen:
         a_num = X + 1
         eq = RischEquation(RatFunc(a_num, X**2), RatFunc(2 * a_num + 2 * X**3, X**4))
         assert match_kaltofen(eq) is None
+
+    @given(inst=kaltofen_instances())
+    @settings(deadline=None, max_examples=100)
+    def test_round_trip_with_fractional_contents(self, inst):
+        assert match_kaltofen(inst.equation()) == inst
 
     def test_rejects_higher_order_beta(self):
         # order-3 data over a squared pole: denominator x^6 exceeds 2k = 4

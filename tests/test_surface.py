@@ -7,7 +7,6 @@ import ast
 import json
 import subprocess
 import sys
-import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,32 +42,57 @@ def _fields():
                         yield item.target.id, path, item.lineno
 
 
-def _name_tokens() -> dict[str, set[tuple[Path, int]]]:
-    """Where each NAME token occurs, as (path, line), over the package, the
-    scripts and the benchmark's own modules, not its tests: comments and
-    strings do not count."""
-    paths = [
+def _scanned() -> list[Path]:
+    """The package, the scripts and the benchmark's own modules, not its
+    tests."""
+    return [
         *(ROOT / "src").rglob("*.py"),
         *(ROOT / "scripts").glob("*.py"),
         *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")),
     ]
+
+
+def _uses(paths: list[Path]) -> dict[str, set[tuple[Path, int]]]:
+    """Where each name is used in ``paths``, as (path, line): a name read
+    or called (f-strings included), an attribute, or a keyword argument.
+    An import line, a definition, a comment or a string is no use."""
     where: dict[str, set[tuple[Path, int]]] = defaultdict(set)
     for path in paths:
-        with open(path, "rb") as handle:
-            for tok in tokenize.tokenize(handle.readline):
-                if tok.type == tokenize.NAME:
-                    where[tok.string].add((path, tok.start[0]))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                where[node.id].add((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                where[node.attr].add((path, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                where[node.arg].add((path, node.lineno))
     return where
 
 
 def _unnamed(items) -> list[str]:
-    """Each (name, path, line) whose name no token outside that line names."""
-    where = _name_tokens()
+    """Each (name, path, line) whose name is used nowhere but that line."""
+    where = _uses(_scanned())
     return [
         f"{path.relative_to(ROOT)}:{line} {name}"
         for name, path, line in items
         if not where[name] - {(path, line)}
     ]
+
+
+def test_imports_are_no_use_and_f_strings_are(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from pkg import only_imported, called\n"
+        "print(f'{called(1)}', key=3)\n"
+        "# only_imported\n"
+        "x = 'only_imported'\n"
+        "def defined(): pass\n"
+        "obj.attr\n",
+        encoding="utf-8",
+    )
+    where = _uses([path])
+    assert "only_imported" not in where and "defined" not in where
+    assert where["called"] == where["key"] == where["print"] == {(path, 2)}
+    assert where["attr"] == {(path, 6)}
 
 
 def test_every_definition_is_used():
