@@ -17,14 +17,18 @@ Representation notes:
     the product of the two contents, taken with cross gcds (a product of
     primitive polynomials is primitive, by Gauss's lemma, so it needs no
     further gcd); a sum brings the two contents to a common denominator and
-    takes one gcd; ``divmod`` is pseudo-division.  A factor c*x**k, whose
-    ints are (0, ..., 0, 1), makes a product a shift of the other factor's
-    ints and a division a slice of the dividend's; ``ints[0]`` is tested
-    first, so a dense operand pays no scan.  ``poly_gcd`` is primitive
-    Euclid on the int vectors: each step keeps the primitive part of the
-    pseudo-remainder (``_prem``) and forms no quotient and no content.  A
-    ``fractions.Fraction`` is built only where a rational leaves the
-    kernel: ``coeff``, ``lc``, ``eval``, resultants, roots and residues.
+    takes one gcd.  A factor c*x**k, whose ints are (0, ..., 0, 1), makes a
+    product a shift of the other factor's ints and a division a slice of
+    the dividend's; ``ints[0]`` is tested first, so a dense operand pays no
+    scan.  Every other division is the one pseudo-division loop on int
+    vectors, ``_pseudo_divmod``, which scales only where a leading entry
+    is not a multiple of the divisor's: ``divmod`` applies the two contents
+    to its quotient and remainder, ``poly_gcd`` (primitive Euclid) keeps
+    the primitive part of each remainder and builds no ``Poly`` per step,
+    and the gcd modulo a prime of the rational-root search reduces each
+    remainder mod p.  A ``fractions.Fraction`` is built only where a
+    rational leaves the kernel: ``coeff``, ``lc``, ``eval``, resultants,
+    roots and residues.
   * Printing runs on ints too: ``Poly.to_str`` and ``planar.BivarPoly``'s
     printer pass their int coefficients and one content n/d to
     ``_terms_str``, the one term printer, which reduces each n*u/d by
@@ -205,6 +209,38 @@ def _times(p: "Poly", n: int, d: int) -> "Poly":
     return _make(p.ints, *_pair_mul(p.cn, p.cd, n, d))
 
 
+def _pseudo_divmod(a: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of the int vector a by d, whose last entry is
+    nonzero: (quo, rem, scale) with scale*a = quo*d + rem and rem shorter
+    than d (it may end in zeros).  The partial remainder, and the quotient
+    built so far, are scaled only when the leading entry is not a multiple
+    of lc(d), so an exact division never scales; each step's factor divides
+    lc(d)."""
+    dd = len(d) - 1
+    rem = list(a)
+    quo = [0] * (len(rem) - dd)
+    lc = d[-1]
+    low = [(i, c) for i, c in enumerate(d[:-1]) if c]
+    scale = 1
+    for k in range(len(quo) - 1, -1, -1):
+        lead = rem[k + dd]
+        if not lead:
+            continue
+        if lead % lc:
+            s = lc // gcd(lead, lc)
+            rem = [v * s for v in rem[: k + dd + 1]]
+            for j in range(k + 1, len(quo)):
+                quo[j] *= s
+            scale *= s
+            lead *= s
+        f = lead // lc
+        quo[k] = f
+        for i, c in low:
+            rem[k + i] -= f * c
+    del rem[dd:]
+    return quo, rem, scale
+
+
 class Poly:
     """Univariate polynomial over Q, dense, lowest degree first, stored as
     primitive integer coefficients ``ints`` times a rational content
@@ -366,9 +402,9 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Quotient and remainder over Q, by pseudo-division of the int
-        vectors that scales the partial remainder only when its leading
-        coefficient is not a multiple of the divisor's."""
+        """Quotient and remainder over Q: ``_pseudo_divmod`` of the int
+        vectors, with its scale and the two contents folded into each
+        result's content."""
         other = _poly(other)
         d = other.ints
         if not d:
@@ -383,36 +419,12 @@ class Poly:
                 _from_ints(list(a[dd:]), self.cn * other.cd, self.cd * other.cn),
                 _from_ints(list(a[:dd]), self.cn, self.cd),
             )
-        rem = list(self.ints)
-        quo = [0] * (len(rem) - dd)
-        lc = d[-1]
-        low = [(i, c) for i, c in enumerate(d[:-1]) if c]
-        # quotient = quo / scale and remainder = rem / scale, on the ints
-        scale = 1
-        for k in range(len(quo) - 1, -1, -1):
-            lead = rem[k + dd]
-            if not lead:
-                continue
-            if lead % lc:
-                s = lc // gcd(lead, lc)
-                rem = [v * s for v in rem[: k + dd + 1]]
-                for j in range(k + 1, len(quo)):
-                    quo[j] *= s
-                scale *= s
-                lead *= s
-            f = lead // lc
-            quo[k] = f
-            rem[k + dd] = 0
-            for i, c in low:
-                rem[k + i] -= f * c
+        quo, rem, scale = _pseudo_divmod(self.ints, d)
         cn, cd = self.cn, self.cd * scale
         return (
             _from_ints(quo, cn * other.cd, cd * other.cn),
-            _from_ints(rem[:dd], cn, cd),
+            _from_ints(rem, cn, cd),
         )
-
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
@@ -504,43 +516,12 @@ def _lowest_power(a: Sequence[int]) -> int:
     return k
 
 
-def _prem(a: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-    """The primitive part, with a positive leading entry, of the pseudo-
-    remainder of the int vector a by d (len(a) >= len(d) > 1), or () when
-    d divides a.  The partial remainder is scaled only when its leading
-    entry is not a multiple of d's, and no quotient is formed."""
-    dd = len(d) - 1
-    rem = list(a)
-    lc = d[-1]
-    low = [(i, c) for i, c in enumerate(d[:-1]) if c]
-    for k in range(len(rem) - 1 - dd, -1, -1):
-        lead = rem[k + dd]
-        if not lead:
-            continue
-        if lead % lc:
-            s = lc // gcd(lead, lc)
-            rem = [v * s for v in rem[: k + dd + 1]]
-            lead *= s
-        f = lead // lc
-        for i, c in low:
-            rem[k + i] -= f * c
-    del rem[dd:]
-    while rem and not rem[-1]:
-        rem.pop()
-    if not rem:
-        return ()
-    g = gcd(*rem)
-    if rem[-1] < 0:
-        g = -g
-    return tuple(v // g for v in rem)
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0.
 
     Primitive Euclid on the int vectors: each step keeps only the primitive
-    part of the pseudo-remainder (``_prem``), since a gcd over Q does not
-    see contents, and forms no quotient and no content."""
+    part, with a positive leading entry, of the remainder of
+    ``_pseudo_divmod``, since a gcd over Q does not see contents."""
     if p.degree < q.degree:
         p, q = q, p
     if q.is_zero:
@@ -553,7 +534,15 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             return Poly.monomial(min(mono.degree, _lowest_power(other.ints)))
     a, b = p.ints, q.ints
     while len(b) > 1:
-        a, b = b, _prem(a, b)
+        rem = _pseudo_divmod(a, b)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        if rem:
+            g = gcd(*rem)
+            if rem[-1] < 0:
+                g = -g
+            rem = tuple(v // g for v in rem)
+        a, b = b, rem
     return _ONE if b else _make(a, 1, a[-1])
 
 
@@ -751,24 +740,14 @@ def _gf_trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _gf_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    a = a[:]
-    inv = pow(b[-1], -1, q)
-    while len(a) >= len(b):
-        factor = a[-1] * inv % q
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % q
-        _gf_trim(a)
-        if not a:
-            break
-    return a
-
-
 def _gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
+    """Degree of gcd(a, b) modulo the prime q, for vectors of residues
+    (-1 when both vanish).  Euclid on ``_pseudo_divmod``: each step's factor
+    divides the divisor's leading entry, in 1..q-1, so the scale is a unit
+    modulo q and the gcd is unchanged."""
     a, b = _gf_trim(a[:]), _gf_trim(b[:])
     while b:
-        a, b = b, _gf_mod(a, b, q)
+        a, b = b, _gf_trim([v % q for v in _pseudo_divmod(a, b)[1]])
     return len(a) - 1
 
 
@@ -1004,16 +983,22 @@ def _ratfunc(value) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-def _hermite(a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]) -> tuple[Poly, Poly]:
-    """Hermite reduction of a proper a/d, d monic, from ``split``, the
-    squarefree split of d (Bronstein, Symbolic Integration I, sec. 2.2,
-    quadratic version).
+def hermite_reduce(r: RatFunc, split: Sequence[tuple[Poly, int]]) -> RatFunc:
+    """The simple-pole part g of r = h' + g: g is proper with a squarefree
+    denominator, and unique.  The polynomial part of r goes into h, so the
+    residues of r are exactly the residues of g.
 
-    Returns (a', d') with a/d = h' + a'/d' for a proper h, d' squarefree.
-    For each factor v of multiplicity i >= 2, with u = d/v**i, step
-    j = i-1, ..., 1 solves b*u*v' + c*v = -a/j with deg b < deg v; then
-    a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with a_new = -j*c - u*b'.
-    The inverse of u*v' modulo v serves every step."""
+    ``split`` is the squarefree split of den(r), which ``residues`` makes:
+    the proper part a/d of r keeps r's denominator, since num and den of r
+    are coprime.  Hermite reduction (Bronstein, Symbolic Integration I,
+    sec. 2.2, quadratic version) then lowers each factor v of multiplicity
+    i >= 2, with u = d/v**i: step j = i-1, ..., 1 solves b*u*v' + c*v = -a/j
+    with deg b < deg v, and a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with
+    a_new = -j*c - u*b'.  The inverse of u*v' modulo v serves every step."""
+    a = r.num % r.den
+    if a.is_zero:
+        return _RATFUNC_ZERO
+    d = r.den
     for v, i in split:
         if i < 2:
             continue
@@ -1026,21 +1011,6 @@ def _hermite(a: Poly, d: Poly, split: Sequence[tuple[Poly, int]]) -> tuple[Poly,
             c = (rhs - b * uv).divexact(v)
             a = c * -j - u * b.derivative()
         d = u * v
-    return a, d
-
-
-def hermite_reduce(r: RatFunc, split: Sequence[tuple[Poly, int]]) -> RatFunc:
-    """The simple-pole part g of r = h' + g: g is proper with a squarefree
-    denominator, and unique.  The polynomial part of r goes into h, so the
-    residues of r are exactly the residues of g.
-
-    ``split`` is the squarefree split of den(r), which ``residues`` makes:
-    the proper part of r keeps r's denominator, since num and den of r are
-    coprime."""
-    _, rem = divmod(r.num, r.den)
-    if rem.is_zero:
-        return _RATFUNC_ZERO
-    a, d = _hermite(rem, r.den, split)
     return RatFunc(a, d)
 
 

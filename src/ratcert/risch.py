@@ -367,12 +367,12 @@ class KaltofenInstance:
             raise ValueError("pole order must exceed 1")
         if a.is_zero or a.degree >= k:
             raise ValueError("numerator degree must be smaller than the pole order")
-        if a.coeff(0) == 0:
+        if not a.ints[0]:
             raise ValueError("constant coefficient of the numerator must be nonzero")
         if self.beta_shift is not None:
             if self.beta_shift.is_zero:
                 raise ValueError("encode an identically zero shift as None")
-            if self.beta_shift.coeff(0) == 0:
+            if not self.beta_shift.ints[0]:
                 raise ValueError("shift polynomial must have nonzero constant term")
 
     # derived data -----------------------------------------------------------
@@ -419,17 +419,16 @@ class KaltofenInstance:
 
     @property
     def case(self) -> str:
-        """Dispatch label; total and exclusive over valid instances."""
-        k = self.pole_order
-        n = self.alpha_num.degree
-        if n < k - 1:
+        """Dispatch label; total and exclusive over valid instances.  With
+        deg alpha_num = k-1, rho is the gap k - lc(alpha_num) when that is a
+        positive integer and 0 otherwise."""
+        if self.alpha_num.degree < self.pole_order - 1:
             return "1"
-        a_n = self.alpha_num.lc
-        gap_positive = a_n.denominator == 1 and (k - a_n) >= 1
+        rho = self.rho
         m = self.beta_shift.degree if self.beta_shift is not None else None
-        if not gap_positive:
-            return "2a" if (m is None or m == 0) else "2b"
-        if m is not None and m >= int(k - a_n):
+        if not rho:
+            return "2a" if m is None or m == 0 else "2b"
+        if m is not None and m >= rho:
             return "2c"
         return "2d"
 

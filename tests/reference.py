@@ -30,8 +30,12 @@ candidate denominator one element at a time (checked against
 determinant (checked against ``algebra._resultant_std``), the gcd by
 Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``),
 the power-pole system built from polynomial columns with one ``Fraction``
-per cell (checked against ``risch._specialized_system``), and the bivariate
-printer on ``Fraction`` terms (checked against ``BivarPoly.to_str``).
+per cell (checked against ``risch._specialized_system``), the power-pole
+case label from the gap k - lc(alpha_num) as a ``Fraction`` (checked
+against ``KaltofenInstance.case``), the gcd degree modulo a prime by long
+division reduced mod p at every step (checked against
+``algebra._gf_gcd_degree``), and the bivariate printer on ``Fraction``
+terms (checked against ``BivarPoly.to_str``).
 """
 
 from __future__ import annotations
@@ -549,6 +553,34 @@ def divmod_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic() if q.is_zero else Poly.one()
 
 
+def gf_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """a mod b over GF(q), for residue vectors with b's last entry nonzero:
+    long division by the inverse of lc(b), every entry reduced mod q."""
+    a = a[:]
+    inv = pow(b[-1], -1, q)
+    while len(a) >= len(b):
+        factor = a[-1] * inv % q
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - factor * c) % q
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
+    """Degree of gcd(a, b) over GF(q) by Euclid on ``gf_mod`` (checked
+    against ``algebra._gf_gcd_degree``, which divides on ints)."""
+    a, b = [v % q for v in a], [v % q for v in b]
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, gf_mod(a, b, q)
+    return len(a) - 1
+
+
 # ---------------------------------------------------------------------------
 # Fractions read off the kernel's ints
 # ---------------------------------------------------------------------------
@@ -594,6 +626,23 @@ def specialized_by_columns(inst: KaltofenInstance) -> RischOutcome:
     solution = RatFunc(Poly([Fraction(2)] + sol), Poly.monomial(inst.pole_order))
     assert verify_solution(inst.equation(), solution)
     return RischOutcome(solution, "specialized", case=inst.case)
+
+
+def kaltofen_case_by_gap(inst: KaltofenInstance) -> str:
+    """The power-pole case label from the gap k - lc(alpha_num), taken as a
+    ``Fraction`` (checked against ``KaltofenInstance.case``, which reads
+    ``rho``)."""
+    k = inst.pole_order
+    if inst.alpha_num.degree < k - 1:
+        return "1"
+    a_n = inst.alpha_num.lc
+    gap_positive = a_n.denominator == 1 and (k - a_n) >= 1
+    m = inst.beta_shift.degree if inst.beta_shift is not None else None
+    if not gap_positive:
+        return "2a" if (m is None or m == 0) else "2b"
+    if m is not None and m >= int(k - a_n):
+        return "2c"
+    return "2d"
 
 
 def bivar_terms_str(p: BivarPoly, variables: tuple[str, str] = ("x", "y")) -> str:

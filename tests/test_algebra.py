@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from ratcert.algebra import (
     Poly,
     RatFunc,
+    _gf_gcd_degree,
     _int_str,
     _resultant_std,
     _terms_str,
@@ -24,7 +25,14 @@ from ratcert.algebra import (
     squarefree_decompose,
 )
 from conftest import make_poly, rand_poly, rand_ratfunc
-from reference import bareiss_det, coeffs, coprime_refinement, divmod_gcd, sylvester_resultant
+from reference import (
+    bareiss_det,
+    coeffs,
+    coprime_refinement,
+    divmod_gcd,
+    gf_gcd_degree,
+    sylvester_resultant,
+)
 
 X = Poly.x()
 
@@ -340,6 +348,45 @@ class TestRationalRoots:
         if add_irreducible:
             p = p * Poly([1, 0, 1])  # no rational roots
         assert rational_roots(p) == tuple(sorted(expected))
+
+
+small_primes_st = st.sampled_from([2, 3, 5, 7, 13])
+int_vectors_st = st.lists(st.integers(-40, 40), max_size=9)
+
+
+class TestGfGcdDegree:
+    """The gcd degree modulo p by pseudo-division on ints, against long
+    division reduced mod p at every step."""
+
+    @given(small_primes_st, int_vectors_st, int_vectors_st, int_vectors_st, int_vectors_st)
+    @settings(deadline=None, max_examples=300)
+    def test_matches_long_division_mod_p(self, p, f, g, h, sparse):
+        # x**(p*i) terms have a derivative that vanishes mod p, and entries
+        # times p reduce to zero
+        lacunary = [0] * (p * len(sparse))
+        lacunary[::p] = sparse
+        thinned = [v * p if i % 2 else v for i, v in enumerate(f)]
+        pairs = [
+            (f, g),
+            (_fraction_product(f, h), _fraction_product(g, h)),
+            (lacunary, [i * c for i, c in enumerate(lacunary)][1:]),
+            (_fraction_product(lacunary, h), _fraction_product(thinned, h)),
+            (thinned, [i * c for i, c in enumerate(thinned)][1:]),
+        ]
+        for a, b in pairs:
+            ra, rb = [int(v) % p for v in a], [int(v) % p for v in b]
+            expected = gf_gcd_degree(ra, rb, p)
+            assert _gf_gcd_degree(ra, rb, p) == expected
+            assert _gf_gcd_degree(rb, ra, p) == expected
+
+    def test_vanishing_derivative_and_shared_factors(self):
+        # x**3 + 1 = (x + 1)**3 mod 3, whose derivative 3*x**2 vanishes
+        assert _gf_gcd_degree([1, 0, 0, 1], [0, 0, 0], 3) == 3
+        # (x + 1)**2 * (x + 2) = x**3 + 4*x**2 + 5*x + 2 and its derivative
+        # 3*x**2 + 8*x + 5 share x + 1 mod 5
+        assert _gf_gcd_degree([2, 0, 4, 1], [0, 3, 3], 5) == 1
+        assert _gf_gcd_degree([], [], 7) == -1
+        assert _gf_gcd_degree([0, 0], [3, 1], 7) == 1
 
 
 def _plain_yun(p: Poly) -> list[tuple[Poly, int]]:

@@ -358,6 +358,26 @@ class TestBatchCommand:
         lines = outfile.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
 
+    def test_blank_lines_get_no_output_line(self, tmp_path):
+        # output line i answers the i-th non-blank input line
+        infile = tmp_path / "tasks.jsonl"
+        infile.write_text(
+            json.dumps({"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}) + "\n"
+            + "\n"
+            + json.dumps({"p": "x^3-", "q": "y"}) + "\n"
+            + " \t \n"
+            + json.dumps({"p": "x^2-y", "q": "y*(x+1)", "kmax": 2}) + "\n",
+            encoding="utf-8",
+        )
+        outfile = tmp_path / "out.jsonl"
+        code, report = run(["batch", "--input", str(infile), "--output", str(outfile)])
+        assert code == 2 and report["lines"] == 3 and report["failed"] == 1
+        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == 3
+        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+        assert list(lines[1]) == ["error"]
+        assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
     def test_deeply_nested_lines_keep_their_neighbours(self, tmp_path):
         deep = "(" * 2000 + "x" + ")" * 2000
         tasks = [
@@ -598,6 +618,15 @@ class TestUsage:
         code, report = run(["transform", "--p", "z2", "--q", "z1"])
         assert code == 0 and report["field"] == {"p": "x^2 - 1", "q": "x*y"}
         assert run(["risch", "--alpha", "1/x"]) == (2, None)
+
+    def test_leading_minus_value_needs_the_equals_form(self):
+        # argparse reads "-y" and "-1/x" as options, not as values
+        assert run(["analyze", "--p", "x^3-y", "--q", "-y"]) == (2, None)
+        assert run(["risch", "--alpha", "-1/x", "--beta", "1/x^2", "--order", "2"]) == (2, None)
+        code, report = run(["analyze", "--p", "x^3-y", "--q=-y"])
+        assert code == 0 and report["field"] == {"p": "x^3 - y", "q": "-y"}
+        code, report = run(["risch", "--alpha=-1/x", "--beta", "1/x^2", "--order", "2"])
+        assert code == 0 and report["outcome"]["solution"] == "(-1/2)/(x)"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

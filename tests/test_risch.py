@@ -35,6 +35,7 @@ from reference import (
     coeffs,
     coprime_refinement,
     degree_bound_at_infinity,
+    kaltofen_case_by_gap,
     residue_normalize,
     specialized_by_columns,
     specialized_columns_system,
@@ -551,7 +552,42 @@ class TestSubstitutionCheck:
             solve_general(eq)
 
 
+@st.composite
+def case_instances(draw):
+    """Power-pole instances around every case boundary: deg alpha_num is
+    k - 1 in most draws, its top coefficient is fractional, at least k, or
+    k - j (so rho = j), and the shift's degree m is rho - 1, rho or rho + 1
+    in most draws."""
+    k = draw(st.integers(2, 6))
+    fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    n = draw(st.sampled_from([k - 1, k - 1, k - 1, draw(st.integers(0, k - 2))]))
+    a = draw(st.lists(fracs, min_size=n + 1, max_size=n + 1))
+    a[0] = a[0] or Fraction(1)
+    gap = st.integers(1, k + 2).filter(lambda j: j != k).map(lambda j: Fraction(k - j))
+    top = draw(
+        st.one_of(
+            fracs.filter(lambda f: f.denominator > 1), st.integers(k, k + 4).map(Fraction), gap, gap
+        )
+    )
+    a[-1] = top
+    rho = int(k - top) if top.denominator == 1 and k - top >= 1 else 0
+    near = st.sampled_from([rho - 1, rho, rho + 1])
+    m = draw(st.one_of(st.none(), near, near, near, st.integers(0, k + 2)))
+    shift = None
+    if m is not None and m >= 0:
+        b = draw(st.lists(fracs, min_size=m + 1, max_size=m + 1))
+        b[0] = b[0] or Fraction(5, 7)
+        b[-1] = b[-1] or Fraction(-2, 3)
+        shift = Poly(b)
+    return KaltofenInstance(Poly(a), shift, k)
+
+
 class TestSpecializedCases:
+    @given(inst=case_instances())
+    @settings(deadline=None, max_examples=250)
+    def test_case_matches_the_gap_formula(self, inst):
+        assert inst.case == kaltofen_case_by_gap(inst)
+
     def test_case_1_threshold(self):
         # constant profiles: solvable at pole order 2, unsolvable above
         sol = solve_xk_specialized(KaltofenInstance(Poly.const(1), Poly.const(1), 2))
