@@ -7,28 +7,28 @@ the one exact linear-system routine (``solve_linear_system``).
 
 Representation notes:
 
-  * ``Poly`` stores ``(cn/cd) * sum(ints[i] * x**i)``: ``ints`` is a tuple of
-    Python ints, lowest degree first, with no trailing zeros, gcd 1 and a
-    positive leading coefficient; the content is the int pair ``cn``/``cd``
+  * ``Poly`` stores ``(cn/cd) * x**val * sum(ints[i] * x**i)``: ``ints`` is
+    a tuple of Python ints, lowest degree first, with ``ints[0] != 0``, gcd
+    1 and a positive last entry; the content is the int pair ``cn``/``cd``
     in lowest terms with ``cd > 0``, carrying the sign and the scale.  Zero
-    is ``()`` with content 0/1 and has degree -1.  The form is canonical, so
-    structural equality and hashing are mathematical equality.
-  * Arithmetic runs on ints only: a product is an integer convolution times
-    the product of the two contents, taken with cross gcds (a product of
-    primitive polynomials is primitive, by Gauss's lemma, so it needs no
-    further gcd); a sum brings the two contents to a common denominator and
-    takes one gcd.  A factor c*x**k, whose ints are (0, ..., 0, 1), makes a
-    product a shift of the other factor's ints and a division a slice of
-    the dividend's; ``ints[0]`` is tested first, so a dense operand pays no
-    scan.  Every other division is the one pseudo-division loop on int
-    vectors, ``_pseudo_divmod``, which scales only where a leading entry
-    is not a multiple of the divisor's: ``divmod`` applies the two contents
-    to its quotient and remainder, ``poly_gcd`` (primitive Euclid) keeps
-    the primitive part of each remainder and builds no ``Poly`` per step,
-    and the gcd modulo a prime of the rational-root search reduces each
-    remainder mod p.  A ``fractions.Fraction`` is built only where a
-    rational leaves the kernel: ``coeff``, ``lc``, ``eval``, resultants,
-    roots and residues.
+    is ``()`` with ``val`` 0 and content 0/1, and has degree -1.  The form
+    is canonical, so structural equality and hashing are mathematical
+    equality.  A power of x, as in P(x, 0) = x**k, is one int.
+  * Arithmetic runs on ints only: a product adds the ``val``s and convolves
+    the ``ints`` (so by c*x**k it copies nothing), times the product of the
+    two contents, taken with cross gcds (a product of primitive polynomials
+    is primitive, by Gauss's lemma, so it needs no further gcd); a sum
+    aligns the ``val``s, brings the two contents to a common denominator
+    and takes one gcd.  Every division is the one pseudo-division loop on
+    int vectors, ``_pseudo_divmod``, which scales only where a leading
+    entry is not a multiple of the divisor's: ``divmod`` applies the two
+    contents to its quotient and remainder; ``divexact`` divides the
+    ``ints`` alone;
+    ``poly_gcd`` is x**min(val) times the primitive Euclid gcd of the
+    ``ints``, which builds no ``Poly`` per step; the gcd modulo a prime of
+    the rational-root search reduces each remainder mod p.  A
+    ``fractions.Fraction`` is built only where a rational leaves the
+    kernel: ``coeff``, ``lc``, ``eval``, resultants, roots and residues.
   * Printing runs on ints too: ``Poly.to_str`` and ``planar.BivarPoly``'s
     printer pass their int coefficients and one content n/d to
     ``_terms_str``, the one term printer, which reduces each n*u/d by
@@ -37,13 +37,14 @@ Representation notes:
     denominator, so structural equality is mathematical equality.  A
     product with (or a quotient by) a nonzero rational keeps both
     properties, so it scales the numerator and takes no gcd.
-  * ``squarefree_decompose`` is Yun's algorithm with an early exit.  At
+  * ``squarefree_decompose`` runs Yun's algorithm on p/x**val(p) and puts
+    x into the entry of multiplicity val(p).  Yun's loop exits early.  At
     step i, with c the product of the factors q_j (j >= i) still to be
     found, Yun's d is sum_{j>=i} (j-i)*q_j'*prod_{l!=j} q_l.  So d = s*c'
     for a rational s exactly when every factor left in c has multiplicity
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
-    the full loop would give.  On a high power such as x**40 the loop
-    ends at its first step instead of after forty.
+    the full loop would give.  On a high power such as (x - 1)**40 the
+    loop ends at its first step instead of after forty.
   * ``hermite_reduce`` takes the split that ``residues`` makes and lowers
     each multiple factor one power at a time against it (Bronstein's
     quadratic Hermite reduction); it returns only the simple-pole part g,
@@ -55,8 +56,8 @@ Representation notes:
     times its residues, so one report serves every order.  The order-k
     decider splits nothing else: it bounds den(beta_k)'s part of a
     solution's denominator with gcd(den, den') alone.
-  * Resultants run Euclid's remainder sequence on the kernel's own ``%``
-    (see ``_resultant_std``), so no determinant is formed anywhere.
+  * Resultants run Euclid's remainder sequence on ``_pseudo_divmod``, so
+    no determinant is formed anywhere.
     ``solve_linear_system`` is the one elimination: plain fraction-free
     integer elimination (Bareiss 1968), in which every division is exact.
 
@@ -164,22 +165,27 @@ def _terms_str(n: int, d: int, terms: Iterable[tuple[int, str]]) -> str:
     return "".join(parts)
 
 
-def _make(ints: tuple[int, ...], cn: int, cd: int) -> "Poly":
+def _make(ints: tuple[int, ...], val: int, cn: int, cd: int) -> "Poly":
     """A Poly from parts already in canonical form."""
     p = object.__new__(Poly)
     p.ints = ints
+    p.val = val
     p.cn = cn
     p.cd = cd
     return p
 
 
-def _from_ints(ints: list[int], cn: int, cd: int) -> "Poly":
-    """(cn/cd) * ints, brought to canonical form (any ints, any pair with
-    cd nonzero)."""
+def _from_ints(ints: list[int], val: int, cn: int, cd: int) -> "Poly":
+    """(cn/cd) * x**val * ints, brought to canonical form (any ints, any
+    pair with cd nonzero)."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints or not cn:
         return _ZERO
+    if not ints[0]:
+        k = next(i for i, v in enumerate(ints) if v)
+        del ints[:k]
+        val += k
     g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
@@ -187,13 +193,7 @@ def _from_ints(ints: list[int], cn: int, cd: int) -> "Poly":
         ints = [v // g for v in ints]
         cn *= g
     cn, cd = _ratio(cn, cd)
-    return _make(tuple(ints), cn, cd)
-
-
-def _is_monomial(ints: tuple[int, ...]) -> bool:
-    """True when nonzero canonical ``ints`` are (0, ..., 0, 1), those of
-    c*x**k.  ints[0] is tested first, so a dense vector costs no scan."""
-    return (not ints[0] or len(ints) == 1) and not any(ints[:-1])
+    return _make(tuple(ints), val, cn, cd)
 
 
 def _inverse_lc(p: "Poly") -> tuple[int, int]:
@@ -206,7 +206,7 @@ def _times(p: "Poly", n: int, d: int) -> "Poly":
     """p * (n/d) for a reduced pair, d > 0."""
     if not n or not p.ints:
         return _ZERO
-    return _make(p.ints, *_pair_mul(p.cn, p.cd, n, d))
+    return _make(p.ints, p.val, *_pair_mul(p.cn, p.cd, n, d))
 
 
 def _pseudo_divmod(a: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -242,12 +242,12 @@ def _pseudo_divmod(a: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[
 
 
 class Poly:
-    """Univariate polynomial over Q, dense, lowest degree first, stored as
-    primitive integer coefficients ``ints`` times a rational content
-    ``cn/cd`` (see the module docstring).  All attributes are read-only by
-    contract."""
+    """Univariate polynomial over Q, stored as a rational content ``cn/cd``
+    times x**``val`` times primitive integer coefficients ``ints``, lowest
+    degree first, the first one nonzero (see the module docstring).  All
+    attributes are read-only by contract."""
 
-    __slots__ = ("ints", "cn", "cd")
+    __slots__ = ("ints", "val", "cn", "cd")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
@@ -263,10 +263,8 @@ class Poly:
             ints = [c.numerator for c in cs]
         else:
             ints = [c.numerator * (den // c.denominator) for c in cs]
-        p = _from_ints(ints, 1, den)
-        self.ints = p.ints
-        self.cn = p.cn
-        self.cd = p.cd
+        p = _from_ints(ints, 0, 1, den)
+        self.ints, self.val, self.cn, self.cd = p.ints, p.val, p.cn, p.cd
 
     # -- constructors ------------------------------------------------------
 
@@ -284,7 +282,7 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return _make((0, 1), 1, 1)
+        return _make((1,), 1, 1, 1)
 
     @classmethod
     def monomial(cls, deg: int, c=1) -> "Poly":
@@ -292,13 +290,13 @@ class Poly:
             raise ValueError("monomial degree must be >= 0")
         if not c:
             return _ZERO
-        return _make((0,) * deg + (1,), *_scalar(c))
+        return _make((1,), deg, *_scalar(c))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.ints) - 1
+        return len(self.ints) + self.val - 1
 
     @property
     def is_zero(self) -> bool:
@@ -311,6 +309,7 @@ class Poly:
         return Fraction(self.cn * self.ints[-1], self.cd)
 
     def coeff(self, i: int) -> Fraction:
+        i -= self.val
         if 0 <= i < len(self.ints):
             return Fraction(self.cn * self.ints[i], self.cd)
         return _FRACTION_ZERO
@@ -322,7 +321,7 @@ class Poly:
             return self
         bn = -other.cn if negate else other.cn
         if not self.ints:
-            return _make(other.ints, bn, other.cd)
+            return _make(other.ints, other.val, bn, other.cd)
         # ca*a + cb*b = (g/q) * (ma*a + mb*b) with q the common denominator
         da, db = self.cd, other.cd
         q = da * db // gcd(da, db)
@@ -331,14 +330,17 @@ class Poly:
         g = gcd(ma, mb)
         ma //= g
         mb //= g
-        a, b = self.ints, other.ints
-        if len(a) < len(b):
-            a, b, ma, mb = b, a, mb, ma
+        # b's terms start `off` places above a's
+        a, b, val = self.ints, other.ints, self.val
+        off = other.val - val
+        if off < 0:
+            a, b, ma, mb, val, off = b, a, mb, ma, other.val, -off
         out = list(a) if ma == 1 else [ma * v for v in a]
-        for i, v in enumerate(b):
+        out += [0] * (off + len(b) - len(out))
+        for i, v in enumerate(b, off):
             if v:
                 out[i] += mb * v
-        return _from_ints(out, g, q)
+        return _from_ints(out, val, g, q)
 
     def __add__(self, other) -> "Poly":
         return self._add(_poly(other), False)
@@ -348,7 +350,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         if not self.ints:
             return self
-        return _make(self.ints, -self.cn, self.cd)
+        return _make(self.ints, self.val, -self.cn, self.cd)
 
     def __sub__(self, other) -> "Poly":
         return self._add(_poly(other), True)
@@ -365,12 +367,12 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
+        # the powers of x add; by c*x**k, whose ints are (1,), the other
+        # factor's ints are kept as they are
+        val = self.val + other.val
         c = _pair_mul(self.cn, self.cd, other.cn, other.cd)
-        # c*x**k, as candidate denominators often are, multiplies by a shift
-        if _is_monomial(b):
-            return _make((0,) * (len(b) - 1) + a, *c)
-        if _is_monomial(a):
-            return _make((0,) * (len(a) - 1) + b, *c)
+        if len(a) == 1 or len(b) == 1:
+            return _make(b if len(a) == 1 else a, val, *c)
         out = [0] * (len(a) + len(b) - 1)
         # sparse operands such as shifted columns are common: skip the zero
         # coefficients of both
@@ -379,18 +381,13 @@ class Poly:
             if u:
                 for j, v in right:
                     out[i + j] += u * v
-        return _make(tuple(out), *c)
+        return _make(tuple(out), val, *c)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        a = self.ints
-        if a and _is_monomial(a):
-            # c*x**k: its ints are (0, ..., 0, 1), so the power is direct
-            # (powers of coprime ints stay coprime)
-            return _make((0,) * ((len(a) - 1) * n) + (1,), self.cn**n, self.cd**n)
         result = _ONE
         base = self
         while n:
@@ -402,44 +399,47 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Quotient and remainder over Q: ``_pseudo_divmod`` of the int
-        vectors, with its scale and the two contents folded into each
-        result's content."""
+        """Quotient and remainder over Q: ``_pseudo_divmod`` of the two int
+        vectors from x**min(val) up, with its scale and the two contents
+        folded into each result's content."""
         other = _poly(other)
         d = other.ints
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
-        dd = len(d) - 1
-        if len(self.ints) - 1 < dd:
+        if self.degree < other.degree:
             return _ZERO, self
-        if _is_monomial(d):
-            # by c*x**dd: the quotient and remainder are slices of the ints
-            a = self.ints
-            return (
-                _from_ints(list(a[dd:]), self.cn * other.cd, self.cd * other.cn),
-                _from_ints(list(a[:dd]), self.cn, self.cd),
-            )
-        quo, rem, scale = _pseudo_divmod(self.ints, d)
+        m = min(self.val, other.val)
+        a = (0,) * (self.val - m) + self.ints
+        quo, rem, scale = _pseudo_divmod(a, (0,) * (other.val - m) + d)
         cn, cd = self.cn, self.cd * scale
         return (
-            _from_ints(quo, cn * other.cd, cd * other.cn),
-            _from_ints(rem, cn, cd),
+            _from_ints(quo, 0, cn * other.cd, cd * other.cn),
+            _from_ints(rem, m, cn, cd),
         )
 
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
     def divexact(self, other) -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """self/other for a divisor of self: the ``val``s subtract and the
+        ``ints`` divide."""
+        other = _poly(other)
+        if not other.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.val < other.val and self.ints:
             raise ValueError("inexact polynomial division")
-        return q
+        quo, rem, scale = _pseudo_divmod(self.ints, other.ints)
+        if any(rem):
+            raise ValueError("inexact polynomial division")
+        return _from_ints(quo, self.val - other.val, self.cn * other.cd, self.cd * scale * other.cn)
 
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
-        a = self.ints
-        return _from_ints([i * a[i] for i in range(1, len(a))], self.cn, self.cd)
+        # the term of ints[i] has power v + i; a constant term drops out
+        a, v = self.ints, self.val
+        ints = [(v + i) * c for i, c in enumerate(a)] if v else [i * a[i] for i in range(1, len(a))]
+        return _from_ints(ints, max(v - 1, 0), self.cn, self.cd)
 
     def eval(self, v) -> Fraction:
         v = _as_fraction(v)
@@ -451,30 +451,30 @@ class Poly:
         if q == 1:
             for c in reversed(a):
                 acc = acc * p + c
-            return Fraction(self.cn * acc, self.cd)
-        # homogeneous Horner: acc = sum a_i * p**i * q**(deg - i)
+            return Fraction(self.cn * acc * p**self.val, self.cd)
+        # homogeneous Horner: acc = sum a_i * p**i * q**(len(a) - 1 - i)
         qpow = 1
         for c in reversed(a):
             acc = acc * p + c * qpow
             qpow *= q
-        return Fraction(self.cn * acc, self.cd * (qpow // q))
+        return Fraction(self.cn * acc * p**self.val, self.cd * (qpow // q) * q**self.val)
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
+        """Multiply by x**k; a negative k, down to -val, divides."""
         if not self.ints:
             return _ZERO
-        return _make((0,) * k + self.ints, self.cn, self.cd)
+        return _make(self.ints, self.val + k, self.cn, self.cd)
 
     def monic(self) -> "Poly":
         if not self.ints:
             return self
-        return _make(self.ints, 1, self.ints[-1])
+        return _make(self.ints, self.val, 1, self.ints[-1])
 
     # -- misc ----------------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
-        a = self.ints
-        terms = [(a[i], _power_str(var, i)) for i in range(len(a) - 1, -1, -1) if a[i]]
+        a, v = self.ints, self.val
+        terms = [(a[i], _power_str(var, v + i)) for i in range(len(a) - 1, -1, -1) if a[i]]
         return _terms_str(self.cn, self.cd, terms)
 
     def __eq__(self, other) -> bool:
@@ -482,17 +482,18 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other)
-        return self.ints == other.ints and self.cn == other.cn and self.cd == other.cd
+        a, b = self, other
+        return (a.ints, a.val, a.cn, a.cd) == (b.ints, b.val, b.cn, b.cd)
 
     def __hash__(self):
-        return hash((self.ints, self.cn, self.cd))
+        return hash((self.ints, self.val, self.cn, self.cd))
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
 
 
-_ZERO = _make((), 0, 1)
-_ONE = _make((1,), 1, 1)
+_ZERO = _make((), 0, 0, 1)
+_ONE = _make((1,), 0, 1, 1)
 
 
 def _poly(value) -> Poly:
@@ -508,30 +509,17 @@ def _poly(value) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _lowest_power(a: Sequence[int]) -> int:
-    """Index of the lowest nonzero coefficient."""
-    k = 0
-    while not a[k]:
-        k += 1
-    return k
-
-
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0.
 
-    Primitive Euclid on the int vectors: each step keeps only the primitive
-    part, with a positive leading entry, of the remainder of
+    x**min(val) times the gcd of the int vectors, which x does not divide:
+    primitive Euclid from the longer vector, each step keeping only the
+    primitive part, with a positive leading entry, of the remainder of
     ``_pseudo_divmod``, since a gcd over Q does not see contents."""
-    if p.degree < q.degree:
+    if len(p.ints) < len(q.ints):
         p, q = q, p
     if q.is_zero:
         return p.monic()
-    if q.degree == 0:
-        return _ONE
-    for mono, other in ((q, p), (p, q)):
-        if _is_monomial(mono.ints):
-            # a multiple of x**m, as candidate denominators often are
-            return Poly.monomial(min(mono.degree, _lowest_power(other.ints)))
     a, b = p.ints, q.ints
     while len(b) > 1:
         rem = _pseudo_divmod(a, b)[1]
@@ -543,7 +531,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
                 g = -g
             rem = tuple(v // g for v in rem)
         a, b = b, rem
-    return _ONE if b else _make(a, 1, a[-1])
+    # a nonzero constant b: the int vectors are coprime
+    return _make((1,) if b else a, min(p.val, q.val), 1, 1 if b else a[-1])
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
@@ -563,39 +552,39 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
 def squarefree_decompose(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = lc * prod q_i**m_i with q_i monic squarefree,
     pairwise coprime, and the multiplicities m_i strictly increasing.  The
-    loop stops as soon as the factors left share one multiplicity (see the
-    module docstring)."""
+    loop runs on the monic p/x**val(p) and stops as soon as the factors
+    left share one multiplicity (see the module docstring); x then joins
+    the entry of multiplicity val(p)."""
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
-        return []
+    f = _make(p.ints, 0, 1, p.ints[-1])
     df = f.derivative()
     g = poly_gcd(f, df)
-    if g.degree == 0:
-        return [(f, 1)]
-    out: list[tuple[Poly, int]] = []
     c = f.divexact(g)
     dc = c.derivative()
     d = df.divexact(g) - dc
+    parts: dict[int, Poly] = {}  # multiplicity -> factor
     i = 1
     while c.degree > 0:
         # d = s*c' exactly when every factor left in c has multiplicity i + s
         # (see the module docstring): c is then the last entry
-        if d.ints == dc.ints:
+        if d.ints == dc.ints and d.val == dc.val:
             s, r = divmod(d.cn * dc.cd, d.cd * dc.cn)
             if not r and s > 0:
-                out.append((c, i + s))
+                parts[i + s] = c
                 break
         h = poly_gcd(c, d)
         if h.degree > 0:
-            out.append((h, i))
+            parts[i] = h
             c = c.divexact(h)
             d = d.divexact(h)
             dc = c.derivative()
         d = d - dc
         i += 1
-    return out
+    if p.val:
+        h = parts.get(p.val)
+        parts[p.val] = h.shift(1) if h is not None else Poly.x()
+    return [(q, m) for m, q in sorted(parts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -677,24 +666,35 @@ def _resultant_std(a: Poly, b: Poly) -> Fraction:
     sequence (Bronstein, Symbolic Integration I, ch. 1): for b of positive
     degree and r = a mod b, res(a, b) is 0 when r vanishes and otherwise
     (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * res(b, r); for a
-    nonzero constant c, res(a, c) = c**deg(a)."""
+    nonzero constant c, res(a, c) = c**deg(a).  Each term is a content
+    pair times a primitive int vector: with scale*u = quo*w + r from
+    ``_pseudo_divmod``, a mod b is content(a)*(g/scale)*(r/g), g = cont(r)."""
     if a.is_zero:
         raise ValueError("resultant of the zero polynomial")
     if b.is_zero:
         return Fraction(0) if a.degree > 0 else Fraction(1)
-    # the signed product of the powers of lc(b) = b.cn*lead/b.cd, as num/den
+    # the signed product of the powers of lc(b), as num/den
     num = den = 1
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero:
+    m, n = a.degree, b.degree
+    u, (ucn, ucd) = (0,) * a.val + a.ints, (a.cn, a.cd)
+    w, (wcn, wcd) = (0,) * b.val + b.ints, (b.cn, b.cd)
+    while n:
+        _, r, scale = _pseudo_divmod(u, w)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             return Fraction(0)
-        if a.degree & b.degree & 1:
+        if m & n & 1:
             num = -num
-        e = a.degree - r.degree
-        num *= (b.cn * b.ints[-1]) ** e
-        den *= b.cd**e
-        a, b = b, r
-    return Fraction(num * b.cn**a.degree, den * b.cd**a.degree)
+        e = m - len(r) + 1
+        num *= (wcn * w[-1]) ** e
+        den *= wcd**e
+        g = gcd(*r)
+        rcn, rcd = _pair_mul(ucn, ucd, *_ratio(g, scale))
+        u, ucn, ucd = w, wcn, wcd
+        w, wcn, wcd = [v // g for v in r], rcn, rcd
+        m, n = n, len(w) - 1
+    return Fraction(num * (wcn * w[0]) ** m, den * wcd**m)
 
 
 def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -828,16 +828,14 @@ def rational_roots(p: Poly) -> tuple[Fraction, ...]:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every root")
-    roots: list[Fraction] = []
-    k = _lowest_power(p.ints)
-    roots.extend([Fraction(0)] * k)
-    work = _make(p.ints[k:], p.cn, p.cd)
+    roots = [Fraction(0)] * p.val
+    work = _make(p.ints, 0, p.cn, p.cd)
     if work.degree == 0:
         return tuple(sorted(roots))
     for cand in sorted(_candidate_rational_roots(work)):
         # x - n/d is (1/d) * (d*x - n), already canonical
         n, d = cand.numerator, cand.denominator
-        linear = _make((-n, d), 1, d)
+        linear = _make((-n, d), 0, 1, d)
         while work.degree >= 1 and work.eval(cand) == 0:
             work = work.divexact(linear)
             roots.append(cand)

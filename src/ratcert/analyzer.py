@@ -45,7 +45,7 @@ REASON_ALL_ELEMENTARY = "AllOrdersElementary"
 
 # highest order an analysis may be asked for: the betas and the order-k
 # solutions grow with k, and on the tower field (x^2 - 67/89*y, y*(x + 1))
-# k_max 200 takes about 0.5 s of analysis and 1.3 s with printing its 18 MB
+# k_max 200 takes about 0.3 s of analysis and 0.8 s with printing its 18 MB
 # (Python 3.11 on a shared 2-core x86-64 machine)
 MAX_KMAX = 200
 

@@ -60,7 +60,6 @@ from .algebra import (
     RatFunc,
     _from_ints,
     _inverse_lc,
-    _lowest_power,
     _make,
     _pair_mul,
     _ratfunc_parts,
@@ -144,10 +143,8 @@ class _Ratio:
         if not num.ints:
             self.num, self.den = num, Poly.one()
             return
-        k = min(_lowest_power(num.ints), _lowest_power(den.ints))
-        if k:
-            num = _make(num.ints[k:], num.cn, num.cd)
-            den = _make(den.ints[k:], den.cn, den.cd)
+        k = min(num.val, den.val)
+        num, den = num.shift(-k), den.shift(-k)
         self.num = _times(num, *_inverse_lc(den))
         self.den = den.monic()
 
@@ -175,12 +172,12 @@ def _row(terms: dict[int, tuple[int, int]]) -> Poly:
     """The Poly sum of c * x**i over {i: c} with c a reduced pair."""
     if len(terms) == 1:
         ((i, (n, d)),) = terms.items()
-        return _make((0,) * i + (1,), n, d)
+        return _make((1,), i, n, d)
     den = lcm(*(d for _, d in terms.values()))
     ints = [0] * (max(terms) + 1)
     for i, (n, d) in terms.items():
         ints[i] = n * (den // d)
-    return _from_ints(ints, 1, den)
+    return _from_ints(ints, 0, 1, den)
 
 
 def _poly_terms(p: BivarPoly | Poly) -> dict:
@@ -189,7 +186,7 @@ def _poly_terms(p: BivarPoly | Poly) -> dict:
     out = {}
     for j, r in rows:
         cn, cd = r.cn, r.cd
-        for i, v in enumerate(r.ints):
+        for i, v in enumerate(r.ints, r.val):
             if v:
                 # cn/cd is reduced, so gcd(cn*v, cd) = gcd(v, cd)
                 g = gcd(v, cd)
@@ -201,7 +198,7 @@ def _poly_bits(p: BivarPoly | Poly) -> int:
     """Bit length of the largest numerator or denominator among a kernel
     polynomial's coefficients, read off each row's content cn/cd and its
     largest int v: cn*v has bits(cn) + bits(v) - 1 bits or one more, and a
-    single term's row is (0, ..., 0, 1), so for a single term this is
+    single term's row has the ints (1,), so for a single term this is
     exact."""
     out = 0
     for r in p.rows.values() if type(p) is BivarPoly else (p,) if p.ints else ():
@@ -261,10 +258,8 @@ def _term_times(term: dict, p: BivarPoly | Poly) -> BivarPoly | Poly:
         return p * 0
     (((i, j), (n, d)),) = term.items()
     if type(p) is Poly:
-        return _make((0,) * i + p.ints, *_pair_mul(p.cn, p.cd, n, d))
-    return _from_rows(
-        {k + j: _make((0,) * i + r.ints, *_pair_mul(r.cn, r.cd, n, d)) for k, r in p.rows.items()}
-    )
+        return _times(p, n, d).shift(i)
+    return _from_rows({k + j: _times(r, n, d).shift(i) for k, r in p.rows.items()})
 
 
 def _negated(v: _Value) -> _Value:

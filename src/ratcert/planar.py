@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _inverse_lc, _lowest_power, _make, _power_str, _terms_str, _times
+from .algebra import Poly, RatFunc, _from_ints, _inverse_lc, _power_str, _terms_str, _times
 
 
 class InputError(ValueError):
@@ -109,7 +109,7 @@ class BivarPoly:
         out: dict[tuple[int, int], Fraction] = {}
         for j, row in self.rows.items():
             cn, cd = row.cn, row.cd
-            for i, v in enumerate(row.ints):
+            for i, v in enumerate(row.ints, row.val):
                 if v:
                     out[(i, j)] = Fraction(cn * v, cd)
         return out
@@ -211,15 +211,13 @@ class BivarPoly:
 
     def divexact_first(self) -> "BivarPoly":
         """Exact division by the first variable."""
-        if any(r.ints[0] for r in self.rows.values()):
+        if not all(r.val for r in self.rows.values()):
             raise ValueError("polynomial is not divisible by the first variable")
-        return _from_rows({j: _make(r.ints[1:], r.cn, r.cd) for j, r in self.rows.items()})
+        return _from_rows({j: r.shift(-1) for j, r in self.rows.items()})
 
     def is_homogeneous(self, degree: int) -> bool:
         # row j must be a single monomial of degree degree - j
-        return all(
-            r.degree == degree - j and not any(r.ints[:-1]) for j, r in self.rows.items()
-        )
+        return all(r.val == degree - j and len(r.ints) == 1 for j, r in self.rows.items())
 
     def to_str(self, variables: tuple[str, str] = ("x", "y")) -> str:
         # every term over the one denominator den, in the graded order
@@ -229,7 +227,7 @@ class BivarPoly:
         keyed = []
         for j, row in self.rows.items():
             scale = row.cn * (den // row.cd)
-            for i, v in enumerate(row.ints):
+            for i, v in enumerate(row.ints, row.val):
                 if v:
                     keyed.append((-(i + j), -i, j, scale * v))
         keyed.sort()
@@ -263,7 +261,7 @@ def _bivar(value) -> BivarPoly:
 
 def _lowered(p: BivarPoly, i: int, j: int) -> BivarPoly:
     """p / (first**i * second**j), for a monomial that divides p."""
-    return _from_rows({k - j: _make(r.ints[i:], r.cn, r.cd) for k, r in p.rows.items()})
+    return _from_rows({k - j: r.shift(-i) for k, r in p.rows.items()})
 
 
 class BivarRatFunc:
@@ -286,7 +284,7 @@ class BivarRatFunc:
             self.num, self.den = BivarPoly.zero(), BivarPoly.const(1)
             return
         rows = (*num.rows.values(), *den.rows.values())
-        i_min = min(_lowest_power(r.ints) for r in rows)
+        i_min = min(r.val for r in rows)
         j_min = min(min(num.rows), min(den.rows))
         if i_min or j_min:
             num = _lowered(num, i_min, j_min)
@@ -383,8 +381,14 @@ class PlanarField:
 
 def _part_at_one(p: BivarPoly, degree: int) -> Poly:
     """P_degree(1, t): the homogeneous part of the given degree with the
-    first variable set to 1, as a polynomial in the second."""
-    return Poly([p.coeff(degree - b, b) for b in range(degree + 1)])
+    first variable set to 1, as a polynomial in the second: row b's term
+    of power degree - b, read off its ints and content, for each b."""
+    rows = [(b, r) for b, r in p.rows.items() if 0 <= degree - b - r.val < len(r.ints)]
+    den = lcm(*(r.cd for _, r in rows))
+    ints = [0] * (degree + 1)
+    for b, r in rows:
+        ints[b] = r.cn * (den // r.cd) * r.ints[degree - b - r.val]
+    return _from_ints(ints, 0, 1, den)
 
 
 def infinity_transform(field: PlanarField) -> PlanarField:
@@ -432,7 +436,7 @@ def family_from_P(parts: Sequence[BivarPoly], n: int, k: int) -> PlanarField:
     if not parts[0].is_zero:
         raise ValueError("part 0 must vanish")
     for i in range(1, n + 1):
-        if any(r.ints[0] for r in parts[i].rows.values()):
+        if not all(r.val for r in parts[i].rows.values()):
             raise ValueError(f"part {i} must vanish on the line z1 = 0")
     z1 = BivarPoly.var(0)
     z2 = BivarPoly.var(1)

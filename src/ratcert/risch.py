@@ -100,8 +100,7 @@ from .algebra import (
     RatFunc,
     ResidueReport,
     _from_ints,
-    _is_monomial,
-    _lowest_power,
+    _times,
     poly_gcd,
     residues,
     solve_linear_system,
@@ -197,9 +196,9 @@ def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: in
 
 
 def _int_terms(p: Poly, scale: int, v: int) -> list[tuple[int, int]]:
-    """The nonzero coefficients of scale*ints(p)/x**v, as (power, value)
-    pairs."""
-    return [(j - v, scale * c) for j, c in enumerate(p.ints) if c]
+    """The nonzero coefficients of scale*p/(p's content*x**v), as (power,
+    value) pairs."""
+    return [(j - v, scale * c) for j, c in enumerate(p.ints, p.val) if c]
 
 
 def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
@@ -233,7 +232,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
     l = lcm(A.cd, B.cd)
     sa, sb = A.cn * (l // A.cd), B.cn * (l // B.cd)
     g = gcd(sa, sb)
-    v = min(_lowest_power(p.ints) for p in (A, B, R) if p.ints)
+    v = min(p.val for p in (A, B, R) if p.ints)
     a_terms = _int_terms(A, sa // g, v)
     b_terms = _int_terms(B, sb // g, v)
     lead_b = b_terms[-1][1] if b_terms and B.degree == s else 0
@@ -244,7 +243,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
     # above Bronstein's cap every n_i is 0 (see the module docstring)
     cap = R.degree - s if rho is None else max(R.degree - s, rho)
     s -= v
-    r0 = list(R.ints[v:])
+    r0 = [0] * (R.val - v) + list(R.ints)
     r0 += [0] * (cap + s + 1 - len(r0))
     # true residual = (r0 + t*r1)/sigma and n_i = (q0 + t*q1)/sigma_i.  Rows
     # below `live` are untouched by every column so far and hold R at scale
@@ -311,7 +310,7 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
         nums[i] = (q0 * tq + tp * q1) * (sigma // sig)
     if rho is not None:
         nums[rho] = tp * sigma
-    return RatFunc(_from_ints(nums, R.cn * l, R.cd * g * tq * sigma), den)
+    return RatFunc(_from_ints(nums, 0, R.cn * l, R.cd * g * tq * sigma), den)
 
 
 def solve_general(
@@ -367,12 +366,12 @@ class KaltofenInstance:
             raise ValueError("pole order must exceed 1")
         if a.is_zero or a.degree >= k:
             raise ValueError("numerator degree must be smaller than the pole order")
-        if not a.ints[0]:
+        if a.val:
             raise ValueError("constant coefficient of the numerator must be nonzero")
         if self.beta_shift is not None:
             if self.beta_shift.is_zero:
                 raise ValueError("encode an identically zero shift as None")
-            if not self.beta_shift.ints[0]:
+            if self.beta_shift.val:
                 raise ValueError("shift polynomial must have nonzero constant term")
 
     # derived data -----------------------------------------------------------
@@ -438,22 +437,21 @@ def match_kaltofen(eq: RischEquation) -> KaltofenInstance | None:
     A ``RatFunc`` denominator is monic, so c*x**k there is x**k."""
     qa, qb = eq.a.den, eq.b.den
     k, jb = qa.degree, qb.degree
-    if k < 2 or not _is_monomial(qa.ints):
+    if k < 2 or qa.ints != (1,):
         return None
     a_num = eq.a.num
     if a_num.degree >= k:
         return None
-    if jb > 2 * k or not _is_monomial(qb.ints):
+    if jb > 2 * k or qb.ints != (1,):
         return None
     w = eq.b.num.shift(2 * k - jb)
     rem_poly = w - 2 * a_num
     if rem_poly.is_zero:
         return KaltofenInstance(a_num, None, k)
-    if any(rem_poly.ints[:k]):
+    # rem_poly = 2*x**k*beta_shift, with beta_shift(0) != 0
+    if rem_poly.val != k:
         return None
-    shift = _from_ints(list(rem_poly.ints[k:]), rem_poly.cn, 2 * rem_poly.cd)
-    if not shift.ints[0]:
-        return None
+    shift = _times(rem_poly, 1, 2).shift(-k)
     return KaltofenInstance(a_num, shift, k)
 
 
@@ -481,14 +479,14 @@ def _specialized_system(inst: KaltofenInstance) -> tuple[list[list[int]], list[i
     rows = [[0] * cap for _ in range(nrows)]
     for i in range(1, cap + 1):
         rows[i + k - 1][i - 1] = (i - k) * scale
-        for j, c in enumerate(a.ints):
+        for j, c in enumerate(a.ints, a.val):
             if c:
                 rows[i + j][i - 1] += an * c
     rhs = [0] * nrows
     rhs[k - 1] = 2 * k * scale
     if shift is not None:
         sn = 2 * shift.cn * a.cd  # scale*2*beta_shift = sn*ints
-        for j, c in enumerate(shift.ints):
+        for j, c in enumerate(shift.ints, shift.val):
             rhs[k + j] = sn * c
     return rows, rhs, deg_rhs
 

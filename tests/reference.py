@@ -34,8 +34,10 @@ per cell (checked against ``risch._specialized_system``), the power-pole
 case label from the gap k - lc(alpha_num) as a ``Fraction`` (checked
 against ``KaltofenInstance.case``), the gcd degree modulo a prime by long
 division reduced mod p at every step (checked against
-``algebra._gf_gcd_degree``), and the bivariate printer on ``Fraction``
-terms (checked against ``BivarPoly.to_str``).
+``algebra._gf_gcd_degree``), the bivariate printer on ``Fraction``
+terms (checked against ``BivarPoly.to_str``), and schoolbook arithmetic on
+lists of ``Fraction`` coefficients, lowest degree first, zeros included
+(checked against every ``Poly`` operation).
 """
 
 from __future__ import annotations
@@ -483,10 +485,12 @@ def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
         if placed:
             basis.append(p)
     # sorted by (degree, coeffs) without building a Fraction: each element is
-    # monic, so coefficient i is ints[i]/ints[-1], and times a common multiple
-    # of the leads it is an integer
+    # monic, so coefficient val + i is ints[i]/ints[-1], those below val are
+    # 0, and times a common multiple of the leads each is an integer
     scale = lcm(*(f.ints[-1] for f in basis))
-    basis.sort(key=lambda f: (f.degree, [c * (scale // f.ints[-1]) for c in f.ints]))
+    basis.sort(
+        key=lambda f: (f.degree, [0] * f.val + [c * (scale // f.ints[-1]) for c in f.ints])
+    )
     return basis
 
 
@@ -528,8 +532,8 @@ def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
         return Fraction(0) if a.degree > 0 else Fraction(1)
     m, n = a.degree, b.degree
     size = m + n
-    acs = list(reversed(a.ints))
-    bcs = list(reversed(b.ints))
+    acs = list(reversed((0,) * a.val + a.ints))
+    bcs = list(reversed((0,) * b.val + b.ints))
     rows = [[0] * r + acs + [0] * (size - m - 1 - r) for r in range(n)]
     rows += [[0] * r + bcs + [0] * (size - n - 1 - r) for r in range(m)]
     return Fraction(a.cn**n * b.cn**m * bareiss_det(rows), a.cd**n * b.cd**m)
@@ -582,13 +586,88 @@ def gf_gcd_degree(a: list[int], b: list[int], q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fractions read off the kernel's ints
+# Fractions read off the kernel's ints, and arithmetic on Fraction lists
 # ---------------------------------------------------------------------------
 
 
 def coeffs(p: Poly) -> tuple[Fraction, ...]:
-    """The coefficients of p as Fractions, lowest degree first."""
-    return tuple(Fraction(p.cn * v, p.cd) for v in p.ints)
+    """The coefficients of p as Fractions, lowest degree first: val(p)
+    zeros, then one per entry of ints."""
+    return (Fraction(0),) * p.val + tuple(Fraction(p.cn * v, p.cd) for v in p.ints)
+
+
+def trim(cs: Sequence) -> list:
+    """cs without its trailing zeros."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def padded(a: list, b: list) -> list:
+    """The pairs (a[i], b[i]), the shorter list padded with zeros."""
+    n = max(len(a), len(b))
+    return list(zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))))
+
+
+def fraction_product(a: list, b: list) -> list:
+    """Every pair of nonzero coefficients."""
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def fraction_power(a: list, n: int) -> list:
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = fraction_product(out, a)
+    return out
+
+
+def fraction_divmod(a: list, b: list) -> tuple[list, list]:
+    """Schoolbook long division over Q (b trimmed and nonzero)."""
+    rem = trim(a)
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        quo[k] = f
+        for i, c in enumerate(b):
+            if c:
+                rem[k + i] -= f * c
+        rem = trim(rem)
+    return quo, rem
+
+
+def fraction_gcd(a: list, b: list) -> list:
+    """Monic gcd by Euclid on ``fraction_divmod`` (zero for two zeros)."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def fraction_to_str(cs: list, var: str = "x") -> str:
+    """The rendering through one Fraction per coefficient."""
+    parts = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            body = v if mag == 1 else f"{mag}*{v}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts) or "0"
 
 
 def specialized_columns_system(

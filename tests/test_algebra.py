@@ -30,8 +30,15 @@ from reference import (
     coeffs,
     coprime_refinement,
     divmod_gcd,
+    fraction_divmod,
+    fraction_gcd,
+    fraction_power,
+    fraction_product,
+    fraction_to_str,
     gf_gcd_degree,
+    padded,
     sylvester_resultant,
+    trim,
 )
 
 X = Poly.x()
@@ -46,7 +53,7 @@ large_rationals_st = st.builds(
 
 def _schoolbook_product(p: Poly, q: Poly) -> Poly:
     """Every pair of coefficients, zeros included."""
-    out = [Fraction(0)] * max(0, len(p.ints) + len(q.ints) - 1)
+    out = [Fraction(0)] * max(0, p.degree + q.degree + 1)
     for i, u in enumerate(coeffs(p)):
         for j, v in enumerate(coeffs(q)):
             out[i + j] += u * v
@@ -251,7 +258,7 @@ class TestResidues:
 def resultant_pairs(draw):
     """(q, p) with q nonzero of degree 0..6 and p zero or of degree 0..6,
     with rational coefficients; half the pairs share a factor of degree 1
-    or 2."""
+    or 2, and each may take a factor x**j, j <= 4, so that some share x."""
 
     def of_degree(n):
         low = draw(st.lists(fractions_st, min_size=n, max_size=n))
@@ -263,7 +270,7 @@ def resultant_pairs(draw):
     if draw(st.booleans()):
         f = of_degree(draw(st.integers(1, 2)))
         q, p = q * f, p * f
-    return q, p
+    return q.shift(draw(st.integers(0, 4))), p.shift(draw(st.integers(0, 4)))
 
 
 class TestResultant:
@@ -296,6 +303,9 @@ class TestResultant:
     @example((Fraction(3, 2) * X**3 - 1, Poly.const(Fraction(-2, 5))))  # constant p
     @example((X**3 + X, Poly.zero()))
     @example(((X - 1) * (X**2 + 1), (X - 1) * (2 * X - 3)))  # a shared factor
+    @example((X**3 * (X - 2), X**2 + 1))  # x**3 against no power of x
+    @example((X**2 + Fraction(1, 2), Fraction(-3, 4) * X**4 * (X - 1)))
+    @example((X**2 * (X + 1), X * (2 * X - 5)))  # x shared: zero
     @settings(deadline=None, max_examples=300)
     def test_matches_sylvester_determinant(self, pair):
         q, p = pair
@@ -368,9 +378,9 @@ class TestGfGcdDegree:
         thinned = [v * p if i % 2 else v for i, v in enumerate(f)]
         pairs = [
             (f, g),
-            (_fraction_product(f, h), _fraction_product(g, h)),
+            (fraction_product(f, h), fraction_product(g, h)),
             (lacunary, [i * c for i, c in enumerate(lacunary)][1:]),
-            (_fraction_product(lacunary, h), _fraction_product(thinned, h)),
+            (fraction_product(lacunary, h), fraction_product(thinned, h)),
             (thinned, [i * c for i, c in enumerate(thinned)][1:]),
         ]
         for a, b in pairs:
@@ -492,28 +502,6 @@ class TestRatFuncScalars:
         assert (0 * r) == RatFunc.zero()
 
 
-def _fraction_to_str(p: Poly, var: str = "x") -> str:
-    """The rendering through one Fraction per coefficient."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
-
-
 class TestPolyToStr:
     @given(
         st.lists(
@@ -530,7 +518,7 @@ class TestPolyToStr:
     @settings(deadline=None, max_examples=200)
     def test_matches_fraction_rendering(self, cs, var):
         p = Poly(cs)
-        assert p.to_str(var) == _fraction_to_str(p, var)
+        assert p.to_str(var) == fraction_to_str(list(coeffs(p)), var)
 
     def test_examples(self):
         assert Poly([Fraction(-1, 3), 0, 1, Fraction(7, 5)]).to_str() == "7/5*x^3 + x^2 - 1/3"
@@ -629,13 +617,6 @@ sparse_lists_st = st.lists(st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
 any_lists_st = coeff_lists_st | sparse_lists_st
 
 
-def _trim(cs: list) -> list:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 class TestIntegerKernel:
     @given(any_lists_st, any_lists_st)
     @settings(deadline=None, max_examples=120)
@@ -648,17 +629,17 @@ class TestIntegerKernel:
             for j, v in enumerate(b):
                 product[i + j] += u * v
         p, q = Poly(a), Poly(b)
-        assert coeffs(p + q) == tuple(_trim([u + v for u, v in zip(pad_a, pad_b)]))
-        assert coeffs(p - q) == tuple(_trim([u - v for u, v in zip(pad_a, pad_b)]))
-        assert coeffs(p * q) == tuple(_trim(product))
-        assert coeffs(-p) == tuple(_trim([-u for u in a]))
+        assert coeffs(p + q) == tuple(trim([u + v for u, v in zip(pad_a, pad_b)]))
+        assert coeffs(p - q) == tuple(trim([u - v for u, v in zip(pad_a, pad_b)]))
+        assert coeffs(p * q) == tuple(trim(product))
+        assert coeffs(-p) == tuple(trim([-u for u in a]))
 
     @given(any_lists_st, coeff_lists_st.filter(lambda cs: any(cs)))
     @settings(deadline=None, max_examples=120)
     def test_divmod_matches_long_division(self, a, b):
         # schoolbook long division over Q
-        b = _trim(b)
-        rem = _trim(a)
+        b = trim(b)
+        rem = trim(a)
         quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
         while len(rem) >= len(b):
             k = len(rem) - len(b)
@@ -666,25 +647,25 @@ class TestIntegerKernel:
             quo[k] = f
             for i, c in enumerate(b):
                 rem[k + i] -= f * c
-            rem = _trim(rem)
+            rem = trim(rem)
         q, r = divmod(Poly(a), Poly(b))
-        assert coeffs(q) == tuple(_trim(quo))
+        assert coeffs(q) == tuple(trim(quo))
         assert coeffs(r) == tuple(rem)
 
     @given(any_lists_st, any_lists_st)
     @settings(deadline=None, max_examples=120)
     def test_gcd_matches_fraction_euclid(self, a, b):
         def remainder(x, y):
-            x = _trim(x)
+            x = trim(x)
             while len(x) >= len(y):
                 k = len(x) - len(y)
                 f = x[-1] / y[-1]
                 for i, c in enumerate(y):
                     x[k + i] -= f * c
-                x = _trim(x)
+                x = trim(x)
             return x
 
-        x, y = _trim(a), _trim(b)
+        x, y = trim(a), trim(b)
         while y:
             x, y = y, remainder(x, y)
         expected = tuple(c / x[-1] for c in x) if x else ()
@@ -694,9 +675,9 @@ class TestIntegerKernel:
     @settings(deadline=None, max_examples=120)
     def test_calculus_evaluation_and_monic(self, a, v):
         p = Poly(a)
-        assert coeffs(p.derivative()) == tuple(_trim([i * c for i, c in enumerate(a)][1:]))
+        assert coeffs(p.derivative()) == tuple(trim([i * c for i, c in enumerate(a)][1:]))
         assert p.eval(v) == sum((c * v**i for i, c in enumerate(a)), Fraction(0))
-        t = _trim(a)
+        t = trim(a)
         assert coeffs(p.monic()) == (tuple(c / t[-1] for c in t) if t else ())
 
     @given(any_lists_st, st.fractions(max_denominator=9).filter(bool))
@@ -705,16 +686,19 @@ class TestIntegerKernel:
         from math import gcd
 
         p = Poly(a)
-        assert all(type(v) is int for v in (*p.ints, p.cn, p.cd))
+        assert all(type(v) is int for v in (*p.ints, p.val, p.cn, p.cd))
         assert p.cd > 0 and gcd(p.cn, p.cd) == 1
         if p.is_zero:
-            assert p.ints == () and (p.cn, p.cd) == (0, 1)
+            assert (p.ints, p.val, p.cn, p.cd) == ((), 0, 0, 1)
         else:
+            # x**val holds the low zeros: the first entry of ints is nonzero
+            t = trim(a)
+            assert p.ints[0] != 0 and p.val == next(i for i, c in enumerate(t) if c)
             assert gcd(*p.ints) == 1 and p.ints[-1] > 0
-            assert Fraction(p.cn * p.ints[-1], p.cd) == _trim(a)[-1]
+            assert Fraction(p.cn * p.ints[-1], p.cd) == t[-1]
         scaled = Poly([c * s for c in a])
         assert scaled == p * s and hash(scaled) == hash(p * s)
-        assert scaled.ints == p.ints
+        assert (scaled.ints, scaled.val) == (p.ints, p.val)
         assert Poly([2, 4]) == 2 * Poly([1, 2]) and hash(Poly([2, 4])) == hash(2 * Poly([1, 2]))
         assert Poly([Fraction(1, 2), 1]) == Poly([1, 2]) * Fraction(1, 2)
 
@@ -734,13 +718,13 @@ class TestIntegerKernel:
     @settings(deadline=None, max_examples=150)
     def test_every_result_is_canonical(self, a, b, s, n, k):
         p, q = Poly(a), Poly(b)
-        ta, tb = _trim(a), _trim(b)
+        ta, tb = trim(a), trim(b)
         # (result, schoolbook Fraction coefficients)
         cases = [
-            (p + q, [u + v for u, v in _padded(ta, tb)]),
-            (p - q, [u - v for u, v in _padded(ta, tb)]),
-            (p * q, _fraction_product(ta, tb)),
-            (p**n, _fraction_power(ta, n)),
+            (p + q, [u + v for u, v in padded(ta, tb)]),
+            (p - q, [u - v for u, v in padded(ta, tb)]),
+            (p * q, fraction_product(ta, tb)),
+            (p**n, fraction_power(ta, n)),
             (p.derivative(), [i * c for i, c in enumerate(ta)][1:]),
             (p.monic(), [c / ta[-1] for c in ta] if ta else []),
             (p.shift(k), [Fraction(0)] * k + ta if ta else []),
@@ -749,11 +733,11 @@ class TestIntegerKernel:
         ]
         if tb:
             got_quo, got_rem = divmod(p, q)
-            quo, rem = _fraction_divmod(ta, tb)
+            quo, rem = fraction_divmod(ta, tb)
             cases += [(got_quo, quo), (got_rem, rem)]
         for got, expected in cases:
             _assert_canonical(got)
-            assert coeffs(got) == tuple(_trim(expected))
+            assert coeffs(got) == tuple(trim(expected))
             twin = Poly(expected)
             assert got == twin and hash(got) == hash(twin)
         if tb:
@@ -761,7 +745,7 @@ class TestIntegerKernel:
             r = RatFunc(p, q)
             _assert_canonical_ratfunc(r)
             num, den = list(coeffs(r.num)), list(coeffs(r.den))
-            assert _trim(_fraction_product(num, tb)) == _trim(_fraction_product(ta, den))
+            assert trim(fraction_product(num, tb)) == trim(fraction_product(ta, den))
             for scaled, factor in ((r * s, s), (s * r, s), (r / s, 1 / s)):
                 _assert_canonical_ratfunc(scaled)
                 assert scaled.den == r.den
@@ -776,8 +760,9 @@ monomial_scales_st = st.one_of(
 
 
 class TestMonomialShifts:
-    """A product with c*x**k is a shift of the other factor's ints, and a
-    division by it slices them: both against Fraction arithmetic."""
+    """A product with c*x**k adds k to the other factor's val and keeps its
+    ints, and a division by it splits the terms at power k: both against
+    Fraction arithmetic."""
 
     @given(
         any_lists_st | st.builds(lambda k, c: [Fraction(0)] * k + [Fraction(c)], st.integers(0, 6),
@@ -789,13 +774,13 @@ class TestMonomialShifts:
     def test_matches_convolution_and_long_division(self, a, k, c):
         # the first draw is a monomial too in about half the examples
         m, ms = Poly.monomial(k, c), [Fraction(0)] * k + [Fraction(c)]
-        p, ta = Poly(a), _trim(a)
-        product = tuple(_trim(_fraction_product(ta, ms)))
-        quo, rem = _fraction_divmod(ta, ms)
+        p, ta = Poly(a), trim(a)
+        product = tuple(trim(fraction_product(ta, ms)))
+        quo, rem = fraction_divmod(ta, ms)
         got_quo, got_rem = divmod(p, m)
         for got, expected in ((p * m, product), (m * p, product), (got_quo, quo), (got_rem, rem)):
             _assert_canonical(got)
-            assert coeffs(got) == tuple(_trim(expected))
+            assert coeffs(got) == tuple(trim(expected))
 
     def test_both_operands_monomials(self):
         m = Poly.monomial(3, Fraction(-2, 3))
@@ -806,50 +791,68 @@ class TestMonomialShifts:
         assert divmod(m, Poly.const(Fraction(-1, 7))) == (Poly.monomial(3, Fraction(14, 3)), Poly.zero())
 
 
-def _padded(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return list(zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))))
+# a coefficient list times x**k, k up to 400: analyze --kmax 200 reaches
+# x**400 in its denominators
+x_power_lists_st = st.builds(
+    lambda cs, k: [Fraction(0)] * k + cs, any_lists_st, st.integers(0, 400) | st.integers(0, 4)
+)
 
 
-def _fraction_product(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return out
+class TestPowersOfXInVal:
+    """Poly keeps its power of x in val: every result on operands with
+    factors up to x**400, against Fraction-list arithmetic, in canonical
+    form."""
 
+    @given(x_power_lists_st, x_power_lists_st, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(deadline=None, max_examples=60)
+    def test_every_result_matches_fraction_lists(self, a, b, v):
+        p, q = Poly(a), Poly(b)
+        ta, tb = trim(a), trim(b)
+        cases = [
+            (p + q, [u + w for u, w in padded(ta, tb)]),
+            (p - q, [u - w for u, w in padded(ta, tb)]),
+            (p * q, fraction_product(ta, tb)),
+            (p.derivative(), [i * c for i, c in enumerate(ta)][1:]),
+            (poly_gcd(p, q), fraction_gcd(ta, tb)),
+        ]
+        if tb:
+            quo, rem = fraction_divmod(ta, tb)
+            got_quo, got_rem = divmod(p, q)
+            cases += [(got_quo, quo), (got_rem, rem)]
+            if not rem:
+                cases.append((p.divexact(q), quo))
+        for got, expected in cases:
+            _assert_canonical(got)
+            assert coeffs(got) == tuple(trim(expected))
+        assert p.eval(v) == sum((c * v**i for i, c in enumerate(ta) if c), Fraction(0))
+        assert p.to_str() == fraction_to_str(ta)
 
-def _fraction_power(a: list, n: int) -> list:
-    out = [Fraction(1)]
-    for _ in range(n):
-        out = _fraction_product(out, a)
-    return out
-
-
-def _fraction_divmod(a: list, b: list) -> tuple[list, list]:
-    """Schoolbook long division over Q (b trimmed and nonzero)."""
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        f = rem[-1] / b[-1]
-        quo[k] = f
-        for i, c in enumerate(b):
-            rem[k + i] -= f * c
-        rem = _trim(rem)
-    return quo, rem
+    def test_a_power_of_x_is_one_entry(self):
+        # a run of 800 zeros before the change
+        m = Poly.monomial(400)
+        assert ((m * m).ints, (m * m).val) == ((1,), 800)
+        p = (X + 1) * Poly.monomial(400, Fraction(-2, 3))
+        assert (p.ints, p.val, p.cn, p.cd) == ((1, 1), 400, -2, 3)
+        assert (p * m).ints is p.ints and (p * m).val == 800
+        assert p.divexact(m) == Fraction(-2, 3) * (X + 1)
+        assert divmod(p + 1, m) == (Fraction(-2, 3) * (X + 1), Poly.one())
+        assert poly_gcd(p, m * m) == m
+        assert squarefree_decompose(p * X**3) == [(X + 1, 1), (X, 403)]
+        assert rational_roots(p) == (Fraction(-1),) + (Fraction(0),) * 400
 
 
 def _assert_canonical(p: Poly) -> None:
-    """Primitive ints with a positive lead, content cn/cd in lowest terms
-    with cd > 0, and zero as ((), 0, 1)."""
+    """Primitive ints with a nonzero first entry and a positive last one,
+    val >= 0, content cn/cd in lowest terms with cd > 0, and zero as
+    ((), val 0, 0/1)."""
     from math import gcd
 
     assert all(type(v) is int for v in p.ints)
-    assert type(p.cn) is int and type(p.cd) is int
+    assert type(p.val) is int and type(p.cn) is int and type(p.cd) is int
     if not p.ints:
-        assert (p.ints, p.cn, p.cd) == ((), 0, 1)
+        assert (p.ints, p.val, p.cn, p.cd) == ((), 0, 0, 1)
         return
+    assert p.val >= 0 and p.ints[0] != 0
     assert p.cn != 0 and p.cd > 0 and gcd(p.cn, p.cd) == 1
     assert gcd(*p.ints) == 1 and p.ints[-1] > 0
 

@@ -286,9 +286,12 @@ class _Refused(Exception):
 def _row_bits(p: BivarPoly) -> int:
     """The parser's size estimate, written out: per row, cn*v has at most
     bits(cn) + bits(v) bits and at least one fewer, so bits(cn) + bits(max
-    |v|) - 1 for the numerators, and bits(cd) for the denominator."""
+    |v|) - 1 for the numerators, and bits(cd) for the denominator.  The
+    row's ints run from its lowest nonzero term (x**val holds the zeros
+    below it) to its highest, so every coefficient is some cn*v/cd."""
     out = 0
     for row in p.rows.values():
+        assert row.ints[0] and row.ints[-1] > 0
         big = max(abs(v) for v in row.ints)
         out = max(out, row.cn.bit_length() + big.bit_length() - 1, row.cd.bit_length())
     return out

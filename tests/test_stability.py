@@ -3,8 +3,10 @@
 Each digest is the sha256 of the canonical JSON report without its ``meta``
 block (which names the tool version), and of the text printed on stdout.
 The digests were recorded before the polynomial printer, the squarefree split
-and the scalar ``RatFunc`` products were rewritten for speed, so any change
-to a certificate byte shows here.
+and the scalar ``RatFunc`` products were rewritten for speed, and
+tower-kmax-60's before ``Poly`` held its power of x as ``val``, so any change
+to a certificate byte shows here.  tower-kmax-60 puts solutions over x**118
+and long x-power vectors under the gate.
 """
 
 import contextlib
@@ -29,6 +31,11 @@ PINNED = {
         ["analyze", "--p", "x^2 - (67/89)*y", "--q", "y*(x + 1)", "--kmax", "20"],
         "4902053307642445cf501bab84d768b4f47d572375cd7a391e2ee402174a78f8",
         "70fea6c59da3d93355e904835f55d1f33cff4994c5cf7498948172a7445149a3",
+    ),
+    "tower-kmax-60": (
+        ["analyze", "--p", "x^2 - (67/89)*y", "--q", "y*(x + 1)", "--kmax", "60"],
+        "ed2b16f5b31f3791c465add4d3f288adbe27c6b2fdd9ab61ea642e9f21d0af69",
+        "6c539bd15a1a7ceec0a552cb1600d93138f77d38a2302194a84f4a7ecf3c4679",
     ),
     "cubic-k2": (
         ["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)", "--kmax", "2"],
