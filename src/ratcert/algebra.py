@@ -1,9 +1,10 @@
 """Exact univariate arithmetic over the rationals.
 
 Dense polynomials, reduced rational functions, and the classical reduction
-algorithms (GCD, squarefree split, resultants by Euclid, Hermite reduction,
-Rothstein-Trager residue extraction) that every layer above consumes, plus
-the one exact linear-system routine (``solve_linear_system``).
+algorithms (GCD, squarefree split, resultants by Collins' subresultant
+remainder sequence, Hermite reduction, Rothstein-Trager residue extraction)
+that every layer above consumes, plus the one exact linear-system routine
+(``solve_linear_system``).
 
 Representation notes:
 
@@ -56,8 +57,16 @@ Representation notes:
     times its residues, so one report serves every order.  The order-k
     decider splits nothing else: it bounds den(beta_k)'s part of a
     solution's denominator with gcd(den, den') alone.
-  * Resultants run Euclid's remainder sequence on ``_pseudo_divmod``, so
-    no determinant is formed anywhere.
+  * For the simple-pole part N/D (D squarefree, deg N < deg D), every
+    residue is c exactly when N = c*D': the residue at a root of D is N/D'
+    there, and N - c*D', of degree below deg D, vanishes at all deg D roots
+    of D only when it is zero.  So when N and D' have the same ``ints`` and
+    ``val``, ``residues`` reads the report off and forms no resultant.  A D
+    of degree 1, as for the paper's alpha = A/x**k, always takes this exit.
+  * Resultants run Collins' subresultant remainder sequence on
+    ``_pseudo_divmod``: each exact pseudo-remainder is divided exactly by
+    a factor known in advance, so no gcd is taken per step and the entries
+    stay the size of subresultants; no determinant is formed anywhere.
     ``solve_linear_system`` is the one elimination: plain fraction-free
     integer elimination (Bareiss 1968), in which every division is exact.
 
@@ -537,7 +546,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
     """s with s*a = 1 modulo m, for a coprime to m: the first cofactor of
-    the extended Euclidean algorithm, divided by the last nonzero remainder."""
+    the extended Euclidean algorithm, divided by the last nonzero remainder.
+    A nonzero constant a modulo m of positive degree is that remainder
+    itself, so its inverse 1/a is returned without a division."""
+    if a.degree == 0 < m.degree:
+        return _make((1,), 0, *_ratio(a.cd, a.cn))
     r0, r1 = a, m
     s0, s1 = _ONE, _ZERO
     while not r1.is_zero:
@@ -662,53 +675,85 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> 
 
 
 def _resultant_std(a: Poly, b: Poly) -> Fraction:
-    """lc(a)**deg(b) * prod of b over the roots of a, by Euclid's remainder
-    sequence (Bronstein, Symbolic Integration I, ch. 1): for b of positive
-    degree and r = a mod b, res(a, b) is 0 when r vanishes and otherwise
-    (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * res(b, r); for a
-    nonzero constant c, res(a, c) = c**deg(a).  Each term is a content
-    pair times a primitive int vector: with scale*u = quo*w + r from
-    ``_pseudo_divmod``, a mod b is content(a)*(g/scale)*(r/g), g = cont(r)."""
+    """lc(a)**deg(b) * prod of b over the roots of a, by Collins'
+    subresultant remainder sequence (Collins 1967; Bronstein, Symbolic
+    Integration I, ch. 1) on the two int vectors, with x**val written out
+    as zeros.  The contents come out once: res(c*u, d*w) =
+    c**deg(w) * d**deg(u) * res(u, w), and res(u, w) = 1 when either is
+    a constant.  Each step takes the exact pseudo-remainder of u by w,
+    that is ``_pseudo_divmod``'s remainder times lc(w)**(delta+1)/scale
+    with delta = deg u - deg w, and divides it exactly by g*h**delta, with
+    g the previous divisor's leading entry and h Collins' running
+    subresultant coefficient; no gcd or content is taken per step.
+    res(u, w) is 0 when a remainder vanishes; when the sequence reaches a
+    nonzero constant c after a divisor of degree m, it is the sign times
+    c**m / h**(m-1)."""
     if a.is_zero:
         raise ValueError("resultant of the zero polynomial")
     if b.is_zero:
         return Fraction(0) if a.degree > 0 else Fraction(1)
-    # the signed product of the powers of lc(b), as num/den
-    num = den = 1
     m, n = a.degree, b.degree
-    u, (ucn, ucd) = (0,) * a.val + a.ints, (a.cn, a.cd)
-    w, (wcn, wcd) = (0,) * b.val + b.ints, (b.cn, b.cd)
-    while n:
+    num = a.cn**n * b.cn**m
+    den = a.cd**n * b.cd**m
+    if not m or not n:
+        return Fraction(num, den)
+    u = (0,) * a.val + a.ints
+    w = (0,) * b.val + b.ints
+    sign = 1
+    if m < n:
+        u, w, m, n = w, u, n, m
+        if m & n & 1:
+            sign = -sign
+    g = h = 1
+    while True:
+        delta = m - n
+        if m & n & 1:
+            sign = -sign
         _, r, scale = _pseudo_divmod(u, w)
         while r and not r[-1]:
             r.pop()
         if not r:
             return Fraction(0)
-        if m & n & 1:
-            num = -num
-        e = m - len(r) + 1
-        num *= (wcn * w[-1]) ** e
-        den *= wcd**e
-        g = gcd(*r)
-        rcn, rcd = _pair_mul(ucn, ucd, *_ratio(g, scale))
-        u, ucn, ucd = w, wcn, wcd
-        w, wcn, wcd = [v // g for v in r], rcn, rcd
-        m, n = n, len(w) - 1
-    return Fraction(num * (wcn * w[0]) ** m, den * wcd**m)
+        lead = w[-1]
+        f = lead ** (delta + 1) // scale
+        q = g * h**delta
+        u, w = w, [v * f // q for v in r]
+        m, n = n, len(r) - 1
+        g = lead
+        if delta:
+            h = g**delta // h ** (delta - 1)
+        if not n:
+            # w is a nonzero constant
+            return Fraction(sign * (w[0] ** m // h ** (m - 1)) * num, den)
 
 
-def _interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Newton interpolation through exact points."""
-    n = len(points)
-    xs = [pt[0] for pt in points]
-    dd = [pt[1] for pt in points]
+def _interpolate(values: Sequence[Fraction]) -> Poly:
+    """The polynomial of degree below n = len(values) that takes values[i]
+    at x = i.  At the nodes 0..n-1 Newton's divided differences are the
+    forward differences of the values divided by j!, so they run on ints
+    with one common denominator L: with c_j = (n-1)!/j! times the j-th
+    forward difference of L*values, the polynomial is
+    sum_j c_j * x*(x-1)*...*(x-j+1), over L*(n-1)!, and Horner's rule on
+    the int vector builds it."""
+    n = len(values)
+    den = lcm(*[v.denominator for v in values])
+    diffs = [v.numerator * (den // v.denominator) for v in values]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly([dd[n - 1]])
+            diffs[i] -= diffs[i - 1]
+    fact = 1  # (n-1)!/j!, then (n-1)!
+    for j in range(n - 1, 0, -1):
+        diffs[j] *= fact
+        fact *= j
+    diffs[0] *= fact
+    out = [diffs[n - 1]]
     for i in range(n - 2, -1, -1):
-        poly = poly * Poly([-xs[i], 1]) + Poly([dd[i]])
-    return poly
+        # out * (x - i) + c_i, in place from the top
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = out[k - 1] - i * out[k]
+        out[0] = diffs[i] - i * out[0]
+    return _from_ints(out, 0, 1, den * fact)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,19 +1078,27 @@ class ResidueReport:
 
 def residues(r: RatFunc) -> ResidueReport:
     """Rothstein-Trager residue computation (after Hermite reduction).  The
-    squarefree split of den(r) is made here, once, and kept in the report."""
+    squarefree split of den(r) is made here, once, and kept in the report.
+
+    With g = N/D the simple-pole part (D monic squarefree, deg N < deg D),
+    the residue at a root theta of D is N(theta)/D'(theta).  Every residue
+    is c exactly when N = c*D', since N - c*D' has degree below deg D and
+    vanishes at every root of D; the report is then read off at once, and
+    it is the one the general path gives, since gcd(D, N - c*D') = D.
+    Otherwise the residues are the roots of the Rothstein-Trager resultant
+    R(t) = res(D, N - t*D'), interpolated from its values at t = 0..deg D,
+    and the factor of D for a rational root c is gcd(D, N - c*D')."""
     split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
     g = hermite_reduce(r, split)
     if g.is_zero:
         return ResidueReport((), True, split)
     num, den = g.num, g.den
     dden = den.derivative()
+    if num.ints == dden.ints and num.val == dden.val:
+        c = Fraction(num.cn * dden.cd, num.cd * dden.cn)
+        return ResidueReport(((den, c),), c.denominator == 1, split)
     dd = den.degree
-    pts = []
-    for i in range(dd + 1):
-        t0 = Fraction(i)
-        pts.append((t0, _resultant_std(den, num - t0 * dden)))
-    rpoly = _interpolate(pts)
+    rpoly = _interpolate([_resultant_std(den, num - t * dden) for t in range(dd + 1)])
     assert rpoly.degree == dd
     rroots = rational_roots(rpoly)
     per: list[tuple[Poly, Fraction]] = []

@@ -26,9 +26,13 @@ degrees at infinity (the size of the elimination that
 ``risch.solve_undetermined`` is checked against), a coprime refinement of
 squarefree polynomials, over which the tests bound the poles of a
 candidate denominator one element at a time (checked against
-``risch._candidate_denominator``), the resultant as a Sylvester
-determinant (checked against ``algebra._resultant_std``), the gcd by
-Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``),
+``risch._candidate_denominator``), the resultant both as a Sylvester
+determinant and by Euclid's remainder sequence on primitive remainders
+(each checked against ``algebra._resultant_std``, which runs Collins'
+subresultant sequence), the residue report with no shortcut for equal
+residues, from Sylvester resultants interpolated by Newton's divided
+differences on ``Fraction``s (checked against ``algebra.residues``), the gcd
+by Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``),
 the power-pole system built from polynomial columns with one ``Fraction``
 per cell (checked against ``risch._specialized_system``), the power-pole
 case label from the gap k - lc(alpha_num) as a ``Fraction`` (checked
@@ -44,10 +48,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
-from ratcert.algebra import Poly, RatFunc, poly_gcd, residues, solve_linear_system
+from ratcert.algebra import (
+    Poly,
+    RatFunc,
+    ResidueReport,
+    _pair_mul,
+    _pseudo_divmod,
+    _ratio,
+    hermite_reduce,
+    poly_gcd,
+    rational_roots,
+    residues,
+    solve_linear_system,
+    squarefree_decompose,
+)
 from ratcert.planar import BivarPoly, InputError, PlanarField, _part_at_one
 from ratcert.risch import (
     REASON_DEGREE_MISMATCH,
@@ -495,7 +512,7 @@ def coprime_refinement(polys: Sequence[Poly]) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant
+# Resultants: the Sylvester determinant and Euclid's remainder sequence
 # ---------------------------------------------------------------------------
 
 
@@ -537,6 +554,85 @@ def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
     rows = [[0] * r + acs + [0] * (size - m - 1 - r) for r in range(n)]
     rows += [[0] * r + bcs + [0] * (size - n - 1 - r) for r in range(m)]
     return Fraction(a.cn**n * b.cn**m * bareiss_det(rows), a.cd**n * b.cd**m)
+
+
+def euclid_resultant(a: Poly, b: Poly) -> Fraction:
+    """lc(a)**deg(b) * prod of b over the roots of a, by Euclid's remainder
+    sequence (checked against ``algebra._resultant_std``, which runs
+    Collins' subresultant sequence): for b of positive degree and
+    r = a mod b, res(a, b) is 0 when r vanishes and otherwise
+    (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * res(b, r); for a
+    nonzero constant c, res(a, c) = c**deg(a).  Each term is a content
+    pair times a primitive int vector: with scale*u = quo*w + r from
+    ``_pseudo_divmod``, a mod b is content(a)*(g/scale)*(r/g), g = cont(r),
+    and the powers of lc(b) are multiplied into one num/den."""
+    if a.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    if b.is_zero:
+        return Fraction(0) if a.degree > 0 else Fraction(1)
+    num = den = 1
+    m, n = a.degree, b.degree
+    u, (ucn, ucd) = (0,) * a.val + a.ints, (a.cn, a.cd)
+    w, (wcn, wcd) = (0,) * b.val + b.ints, (b.cn, b.cd)
+    while n:
+        _, r, scale = _pseudo_divmod(u, w)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return Fraction(0)
+        if m & n & 1:
+            num = -num
+        e = m - len(r) + 1
+        num *= (wcn * w[-1]) ** e
+        den *= wcd**e
+        g = gcd(*r)
+        rcn, rcd = _pair_mul(ucn, ucd, *_ratio(g, scale))
+        u, ucn, ucd = w, wcn, wcd
+        w, wcn, wcd = [v // g for v in r], rcn, rcd
+        m, n = n, len(w) - 1
+    return Fraction(num * (wcn * w[0]) ** m, den * wcd**m)
+
+
+# ---------------------------------------------------------------------------
+# Residues with no shortcut
+# ---------------------------------------------------------------------------
+
+
+def newton_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
+    """The polynomial through exact points at distinct nodes, by Newton's
+    divided differences on ``Fraction``s (checked against
+    ``algebra._interpolate``, which runs on ints at the nodes 0..n-1)."""
+    n = len(points)
+    xs = [pt[0] for pt in points]
+    dd = [pt[1] for pt in points]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly([dd[n - 1]])
+    for i in range(n - 2, -1, -1):
+        poly = poly * Poly([-xs[i], 1]) + Poly([dd[i]])
+    return poly
+
+
+def rothstein_trager_report(r: RatFunc) -> ResidueReport:
+    """The residue report of r by Rothstein-Trager on every input (checked
+    against ``algebra.residues``, which reads the report off at once when
+    every residue is equal): R(t) = res(D, N - t*D') for the simple-pole
+    part N/D, from Sylvester determinants at t = 0..deg D and
+    ``newton_interpolate``; each rational root c of R gets the factor
+    gcd(D, N - c*D')."""
+    split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
+    g = hermite_reduce(r, split)
+    if g.is_zero:
+        return ResidueReport((), True, split)
+    num, den = g.num, g.den
+    dden = den.derivative()
+    dd = den.degree
+    pts = [(Fraction(t), sylvester_resultant(den, num - t * dden)) for t in range(dd + 1)]
+    rroots = rational_roots(newton_interpolate(pts))
+    per = tuple((poly_gcd(den, num - c * dden), c) for c in sorted(set(rroots)))
+    integer_roots = sum(1 for c in rroots if c.denominator == 1)
+    return ResidueReport(per, integer_roots == dd, split)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from ratcert import algebra
 from ratcert.algebra import (
     Poly,
     RatFunc,
     _gf_gcd_degree,
     _int_str,
+    _interpolate,
     _resultant_std,
     _terms_str,
     hermite_reduce,
@@ -30,13 +33,16 @@ from reference import (
     coeffs,
     coprime_refinement,
     divmod_gcd,
+    euclid_resultant,
     fraction_divmod,
     fraction_gcd,
     fraction_power,
     fraction_product,
     fraction_to_str,
     gf_gcd_degree,
+    newton_interpolate,
     padded,
+    rothstein_trager_report,
     sylvester_resultant,
     trim,
 )
@@ -64,6 +70,23 @@ def _schoolbook_product(p: Poly, q: Poly) -> Poly:
 sparse_polys_st = st.lists(
     st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions_st), min_size=0, max_size=12
 ).map(Poly)
+
+nonzero_fractions_st = fractions_st.filter(bool)
+_IRREDUCIBLE_QUADRATICS = (X**2 + 1, X**2 - 2, X**2 + X + 1, 2 * X**2 - 6 * X + 7)
+
+
+@st.composite
+def squarefree_denominators(draw):
+    """A squarefree polynomial of degree 1..5: a nonzero rational times
+    distinct linear factors x - r (r = 0 gives x) and irreducible
+    quadratics."""
+    quads = draw(st.lists(st.sampled_from(_IRREDUCIBLE_QUADRATICS), max_size=2, unique=True))
+    n = draw(st.integers(0 if quads else 1, 5 - 2 * len(quads)))
+    roots = draw(st.lists(fractions_st, min_size=n, max_size=n, unique=True))
+    p = Poly.const(draw(nonzero_fractions_st))
+    for f in [X - r for r in roots] + quads:
+        p = p * f
+    return p
 
 
 class TestPolyMul:
@@ -253,6 +276,50 @@ class TestResidues:
             digest.update(f"{rep.all_integer}|".encode())
         assert digest.hexdigest() == "e905a89997d7e65a40c8ee164f2a84172fde406dc82c4075c7c89586dbb7f12e"
 
+    @given(squarefree_denominators(), nonzero_fractions_st, polys_st, st.integers(0, 2))
+    @example(X, Fraction(3), Poly.zero(), 0)
+    @example(X * (X**2 + 1), Fraction(-5, 2), X + 1, 2)
+    @settings(deadline=None, max_examples=150)
+    def test_equal_residues_are_read_off(self, den, c, h_num, j):
+        # r = h' + c*D'/D: every residue is c, and no resultant is formed
+        r = RatFunc(h_num, den**j).derivative() + RatFunc(c * den.derivative(), den)
+        with mock.patch.object(algebra, "_interpolate", wraps=_interpolate) as spy:
+            rep = residues(r)
+        assert not spy.called
+        assert rep.per_factor == ((den.monic(), c),)
+        assert rep.all_integer == (c.denominator == 1)
+        assert rep == rothstein_trager_report(r)
+
+    @given(
+        squarefree_denominators(),
+        nonzero_fractions_st,
+        polys_st.filter(lambda e: not e.is_zero),
+        polys_st,
+        st.integers(0, 2),
+    )
+    @example(X * (X - 1), Fraction(1), Poly.const(1), Poly.zero(), 0)
+    @settings(deadline=None, max_examples=150)
+    def test_unequal_residues_take_the_resultant(self, den, c, e, h_num, j):
+        # N = c*D' + e with e a nonzero remainder modulo D, not a multiple
+        # of D', and N coprime to D: the residues are not all equal
+        dden = den.derivative()
+        e = e % den
+        assume(not e.is_zero and e.monic() != dden.monic())
+        num = c * dden + e
+        assume(poly_gcd(num, den).degree == 0)
+        r = RatFunc(h_num, den**j).derivative() + RatFunc(num, den)
+        with mock.patch.object(algebra, "_interpolate", wraps=_interpolate) as spy:
+            rep = residues(r)
+        assert spy.called
+        assert rep == rothstein_trager_report(r)
+
+    @given(st.lists(st.one_of(fractions_st, large_rationals_st), min_size=1, max_size=12))
+    @settings(deadline=None)
+    def test_interpolation_on_ints_matches_newton(self, values):
+        p = _interpolate(values)
+        assert p == newton_interpolate([(Fraction(i), v) for i, v in enumerate(values)])
+        assert [p.eval(i) for i in range(len(values))] == values
+
 
 @st.composite
 def resultant_pairs(draw):
@@ -271,6 +338,27 @@ def resultant_pairs(draw):
         f = of_degree(draw(st.integers(1, 2)))
         q, p = q * f, p * f
     return q.shift(draw(st.integers(0, 4))), p.shift(draw(st.integers(0, 4)))
+
+
+@st.composite
+def prs_pairs(draw):
+    """(a, b), each nonzero of degree 0..7 with rational entries, many of
+    them zero so that remainders often drop two or more degrees (delta > 1
+    in the subresultant sequence), and leading entries of either sign; half
+    the pairs share a factor of degree 1 or 2, so the resultant is 0, and
+    each side may take a factor x**j, j <= 3."""
+    entries = st.one_of(st.just(Fraction(0)), fractions_st)
+
+    def of_degree(n):
+        low = draw(st.lists(entries, min_size=n, max_size=n))
+        return Poly(low + [draw(nonzero_fractions_st)])
+
+    a = of_degree(draw(st.integers(0, 7)))
+    b = of_degree(draw(st.integers(0, 7)))
+    if draw(st.booleans()):
+        f = of_degree(draw(st.integers(1, 2)))
+        a, b = a * f, b * f
+    return a.shift(draw(st.integers(0, 3))), b.shift(draw(st.integers(0, 3)))
 
 
 class TestResultant:
@@ -310,6 +398,44 @@ class TestResultant:
     def test_matches_sylvester_determinant(self, pair):
         q, p = pair
         assert _resultant_std(q, p) == sylvester_resultant(q, p)
+
+    @given(prs_pairs())
+    @example((X**6 - 4 * X**3 + 1, Poly.const(-7)))
+    @example((Poly.const(Fraction(-2, 3)), X**3 + X))
+    @example((X**3 * (X**2 - 2), X**2 * (X + 1)))  # x shared: zero
+    @example(((X**2 + 1) * (X**5 - 3), (X**2 + 1) * (2 * X**3 + 1)))
+    @settings(deadline=None, max_examples=300)
+    def test_subresultant_sequence_matches_references(self, pair):
+        a, b = pair
+        for u, w in ((a, b), (b, a)):
+            expected = sylvester_resultant(u, w)
+            assert euclid_resultant(u, w) == expected
+            assert _resultant_std(u, w) == expected
+
+    def test_defective_steps(self):
+        # each pair's first remainder drops at least two degrees below the
+        # divisor's, so the next step has delta > 1
+        pairs = [
+            (X**4 + 1, X**3 - 2),
+            (X**7 + X + 5, X**5 - 3),
+            (-3 * X**9 + 2 * X**4 - X, -(X**6) + 2 * X - 1),
+            (Fraction(5, 2) * X**8 - 1, 3 * X**4 + 7),
+        ]
+        for a, b in pairs:
+            assert (a % b).degree < b.degree - 1
+            for u, w in ((a, b), (b, a)):
+                assert _resultant_std(u, w) == sylvester_resultant(u, w) == euclid_resultant(u, w)
+
+    def test_integer_operands_of_higher_degree(self):
+        rng = random.Random(1967)
+
+        def sparse():
+            low = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 14))]
+            return Poly(low + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+
+        for _ in range(40):
+            a, b = sparse(), sparse()
+            assert _resultant_std(a, b) == sylvester_resultant(a, b) == euclid_resultant(a, b)
 
 
 class TestRationalRoots:
@@ -1002,6 +1128,21 @@ def _hermite_by_passes(r: RatFunc) -> tuple[RatFunc, RatFunc]:
 factor_st = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(Poly).filter(
     lambda p: p.degree >= 1
 )
+
+
+class TestInverseMod:
+    @given(nonzero_fractions_st, polys_st.filter(lambda m: m.degree > 0))
+    @settings(deadline=None)
+    def test_constant_is_inverted_directly(self, a, m):
+        inv = inverse_mod(Poly.const(a), m)
+        assert inv == Poly.const(1 / a)
+        assert (inv * a) % m == Poly.one()
+
+    def test_zero_constant_is_not_invertible(self):
+        with pytest.raises(ValueError, match="not invertible"):
+            inverse_mod(Poly.zero(), X**2 + 1)
+        with pytest.raises(ValueError, match="not invertible"):
+            inverse_mod(Poly.const(0), X - 3)
 
 
 class TestHermiteOneSplit:
