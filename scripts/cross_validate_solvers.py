@@ -40,7 +40,7 @@ def random_instance(rng: random.Random) -> KaltofenInstance:
         cs[-1] = Fraction(rng.choice([1, -1, 2]))
     if rng.random() < 0.2 and n >= 1:
         cs[-1] = Fraction(rng.randint(1, 9), rng.choice([2, 3, 4]))
-    shift = None
+    shift = Poly.zero()
     if rng.random() >= 0.3:
         m = rng.randint(0, k - 1)
         bs = [Fraction(rng.randint(-4, 4)) for _ in range(m + 1)]

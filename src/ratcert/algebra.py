@@ -24,10 +24,8 @@ Representation notes:
     int vectors, ``_pseudo_divmod``, which scales only where a leading
     entry is not a multiple of the divisor's: ``divmod`` applies the two
     contents to its quotient and remainder; ``divexact`` divides the
-    ``ints`` alone;
-    ``poly_gcd`` is x**min(val) times the primitive Euclid gcd of the
-    ``ints``, which builds no ``Poly`` per step; the gcd modulo a prime of
-    the rational-root search reduces each remainder mod p.  A
+    ``ints`` alone; the gcd modulo a prime of the rational-root search
+    reduces each remainder mod p.  A
     ``fractions.Fraction`` is built only where a rational leaves the
     kernel: ``coeff``, ``lc``, ``eval``, resultants, roots and residues.
   * Printing runs on ints too: ``Poly.to_str`` and ``planar.BivarPoly``'s
@@ -63,10 +61,16 @@ Representation notes:
     of D only when it is zero.  So when N and D' have the same ``ints`` and
     ``val``, ``residues`` reads the report off and forms no resultant.  A D
     of degree 1, as for the paper's alpha = A/x**k, always takes this exit.
-  * Resultants run Collins' subresultant remainder sequence on
-    ``_pseudo_divmod``: each exact pseudo-remainder is divided exactly by
-    a factor known in advance, so no gcd is taken per step and the entries
-    stay the size of subresultants; no determinant is formed anywhere.
+  * D squarefree makes R(t) = res(D, N - t*D') a constant times the product
+    of N/D' - t over the roots of D, so a rational root c of R has
+    multiplicity deg gcd(D, N - c*D'): ``rational_roots`` gives distinct roots.
+  * ``_subresultant_prs`` is the one remainder sequence over Z: Collins'
+    subresultant sequence on ``_pseudo_divmod``, with no gcd per step.  A
+    resultant reads its last element, and ``poly_gcd`` is x**min(val) times
+    the primitive part of its last nonzero element on the ``ints``.  Two
+    loops stay apart: the gcd degree modulo a prime divides by inverses
+    mod p, and ``inverse_mod`` needs the cofactor, which the sequence does
+    not carry.  No determinant is formed anywhere.
     ``solve_linear_system`` is the one elimination: plain fraction-free
     integer elimination (Bareiss 1968), in which every division is exact.
 
@@ -522,26 +526,22 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p), gcd(0, 0) = 0.
 
     x**min(val) times the gcd of the int vectors, which x does not divide:
-    primitive Euclid from the longer vector, each step keeping only the
-    primitive part, with a positive leading entry, of the remainder of
-    ``_pseudo_divmod``, since a gcd over Q does not see contents."""
+    the primitive part of the last nonzero element of their subresultant
+    remainder sequence (``_subresultant_prs``), or 1 when that element is a
+    constant, since a gcd over Q does not see contents."""
     if len(p.ints) < len(q.ints):
         p, q = q, p
     if q.is_zero:
         return p.monic()
-    a, b = p.ints, q.ints
-    while len(b) > 1:
-        rem = _pseudo_divmod(a, b)[1]
-        while rem and not rem[-1]:
-            rem.pop()
-        if rem:
-            g = gcd(*rem)
-            if rem[-1] < 0:
-                g = -g
-            rem = tuple(v // g for v in rem)
-        a, b = b, rem
-    # a nonzero constant b: the int vectors are coprime
-    return _make((1,) if b else a, min(p.val, q.val), 1, 1 if b else a[-1])
+    # a constant q.ints is the last element of its own sequence
+    last = _subresultant_prs(p.ints, q.ints)[0] if len(q.ints) > 1 else q.ints
+    val = min(p.val, q.val)
+    if len(last) == 1:
+        return _make((1,), val, 1, 1)
+    g = gcd(*last)
+    if last[-1] < 0:
+        g = -g
+    return _make(tuple(v // g for v in last), val, 1, last[-1] // g)
 
 
 def inverse_mod(a: Poly, m: Poly) -> Poly:
@@ -674,19 +674,46 @@ def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> 
     return solution
 
 
+def _subresultant_prs(u: Sequence[int], w: Sequence[int]) -> tuple[Sequence[int], int, int, int]:
+    """Collins' subresultant remainder sequence of two int vectors with
+    nonzero last entries and len(u) >= len(w) (Collins 1967; Bronstein,
+    Symbolic Integration I, ch. 1): (last, m, sign, h), with last the last
+    nonzero element, m the degree of the element before it, sign the sign
+    that res(u, w) picks up and h Collins' running subresultant coefficient.
+    Each step takes the exact pseudo-remainder of u by w, that is
+    ``_pseudo_divmod``'s remainder times lc(w)**(delta+1)/scale with
+    delta = deg u - deg w, and divides it exactly by g*h**delta, with g the
+    previous divisor's leading entry; no gcd or content is taken per step.
+    The sequence stops at a zero remainder or at a constant."""
+    m, n = len(u) - 1, len(w) - 1
+    sign = g = h = 1
+    while n:
+        delta = m - n
+        if m & n & 1:
+            sign = -sign
+        _, r, scale = _pseudo_divmod(u, w)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        lead = w[-1]
+        f = lead ** (delta + 1) // scale
+        q = g * h**delta
+        u, w = w, [v * f // q for v in r]
+        m, n = n, len(r) - 1
+        g = lead
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    return w, m, sign, h
+
+
 def _resultant_std(a: Poly, b: Poly) -> Fraction:
-    """lc(a)**deg(b) * prod of b over the roots of a, by Collins'
-    subresultant remainder sequence (Collins 1967; Bronstein, Symbolic
-    Integration I, ch. 1) on the two int vectors, with x**val written out
-    as zeros.  The contents come out once: res(c*u, d*w) =
-    c**deg(w) * d**deg(u) * res(u, w), and res(u, w) = 1 when either is
-    a constant.  Each step takes the exact pseudo-remainder of u by w,
-    that is ``_pseudo_divmod``'s remainder times lc(w)**(delta+1)/scale
-    with delta = deg u - deg w, and divides it exactly by g*h**delta, with
-    g the previous divisor's leading entry and h Collins' running
-    subresultant coefficient; no gcd or content is taken per step.
-    res(u, w) is 0 when a remainder vanishes; when the sequence reaches a
-    nonzero constant c after a divisor of degree m, it is the sign times
+    """lc(a)**deg(b) * prod of b over the roots of a, by ``_subresultant_prs``
+    on the two int vectors, with x**val written out as zeros.  The contents
+    come out once: res(c*u, d*w) = c**deg(w) * d**deg(u) * res(u, w), and
+    res(u, w) = 1 when either is a constant.  res(u, w) is 0 when the last
+    nonzero element of the sequence is not a constant; when it is a
+    constant c after an element of degree m, res(u, w) is the sign times
     c**m / h**(m-1)."""
     if a.is_zero:
         raise ValueError("resultant of the zero polynomial")
@@ -701,30 +728,13 @@ def _resultant_std(a: Poly, b: Poly) -> Fraction:
     w = (0,) * b.val + b.ints
     sign = 1
     if m < n:
-        u, w, m, n = w, u, n, m
+        u, w = w, u
         if m & n & 1:
-            sign = -sign
-    g = h = 1
-    while True:
-        delta = m - n
-        if m & n & 1:
-            sign = -sign
-        _, r, scale = _pseudo_divmod(u, w)
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return Fraction(0)
-        lead = w[-1]
-        f = lead ** (delta + 1) // scale
-        q = g * h**delta
-        u, w = w, [v * f // q for v in r]
-        m, n = n, len(r) - 1
-        g = lead
-        if delta:
-            h = g**delta // h ** (delta - 1)
-        if not n:
-            # w is a nonzero constant
-            return Fraction(sign * (w[0] ** m // h ** (m - 1)) * num, den)
+            sign = -1
+    last, m, s, h = _subresultant_prs(u, w)
+    if len(last) > 1:
+        return Fraction(0)
+    return Fraction(sign * s * (last[0] ** m // h ** (m - 1)) * num, den)
 
 
 def _interpolate(values: Sequence[Fraction]) -> Poly:
@@ -812,17 +822,21 @@ def _rational_reconstruct(residue: int, modulus: int, num_bound: int, den_bound:
     return Fraction(n, d)
 
 
-def _candidate_rational_roots(poly: Poly) -> set[Fraction]:
-    """Verified rational roots (without multiplicity) of a polynomial with
-    nonzero trailing coefficient.
+def rational_roots(p: Poly) -> tuple[Fraction, ...]:
+    """The distinct rational roots of p, in increasing order.
 
-    The roots are lifted from a prime p that does not divide the leading
-    coefficient and modulo which the polynomial is squarefree.  A factor
-    repeated over Q stays repeated modulo such a p, so finding one shows
-    that poly is squarefree over Q; the squarefree part is taken by a gcd
-    over Q only after three primes fail."""
-    square = poly
-    s_ints = poly.ints
+    x**val(p) gives the root 0.  The other roots are lifted from a prime
+    that does not divide the leading entry of p's ints and modulo which
+    they are squarefree, rationally reconstructed against the rational-root
+    bounds and verified exactly.  A factor repeated over Q stays repeated
+    modulo such a prime, so finding one shows that the ints are squarefree
+    over Q; their squarefree part is taken by a gcd over Q only after three
+    primes fail."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has every root")
+    found = {_FRACTION_ZERO} if p.val else set()
+    square = _make(p.ints, 0, 1, 1)
+    s_ints = p.ints
     deriv = [c * i for i, c in enumerate(s_ints)][1:]
     misses = 0
     prime = 2
@@ -834,57 +848,35 @@ def _candidate_rational_roots(poly: Poly) -> set[Fraction]:
             break
         misses += 1
         if misses == 3:
-            square = poly.divexact(poly_gcd(poly, poly.derivative()))
+            square = square.divexact(poly_gcd(square, square.derivative()))
             s_ints = square.ints
             deriv = [c * i for i, c in enumerate(s_ints)][1:]
     if len(s_ints) == 2:  # linear: read the root off directly
-        return {Fraction(-s_ints[0], s_ints[1])}
-    num_bound = abs(s_ints[0])
-    den_bound = abs(s_ints[-1])
+        found.add(Fraction(-s_ints[0], s_ints[1]))
+    elif len(s_ints) > 2:
+        num_bound = abs(s_ints[0])
+        den_bound = abs(s_ints[-1])
 
-    def eval_mod(cs: list[int], at: int, modulus: int) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * at + c) % modulus
-        return acc
+        def eval_mod(cs: list[int], at: int, modulus: int) -> int:
+            acc = 0
+            for c in reversed(cs):
+                acc = (acc * at + c) % modulus
+            return acc
 
-    mod_roots = [r for r in range(prime) if eval_mod(s_ints, r, prime) == 0]
-    target = 2 * num_bound * den_bound + 1
-    found: set[Fraction] = set()
-    for root in mod_roots:
-        modulus = prime
-        lifted = root
-        while modulus < target:
-            modulus = modulus * modulus
-            inv = pow(eval_mod(deriv, lifted, modulus), -1, modulus)
-            lifted = (lifted - eval_mod(s_ints, lifted, modulus) * inv) % modulus
-        candidate = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
-        if candidate is not None and square.eval(candidate) == 0:
-            found.add(candidate)
-    return found
-
-
-def rational_roots(p: Poly) -> tuple[Fraction, ...]:
-    """All rational roots with multiplicity.
-
-    Numerators divide the trailing integer coefficient and denominators the
-    leading one; the roots themselves are located modularly and verified
-    exactly, so large composite coefficients cost nothing extra.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    roots = [Fraction(0)] * p.val
-    work = _make(p.ints, 0, p.cn, p.cd)
-    if work.degree == 0:
-        return tuple(sorted(roots))
-    for cand in sorted(_candidate_rational_roots(work)):
-        # x - n/d is (1/d) * (d*x - n), already canonical
-        n, d = cand.numerator, cand.denominator
-        linear = _make((-n, d), 0, 1, d)
-        while work.degree >= 1 and work.eval(cand) == 0:
-            work = work.divexact(linear)
-            roots.append(cand)
-    return tuple(sorted(roots))
+        target = 2 * num_bound * den_bound + 1
+        for root in range(prime):
+            if eval_mod(s_ints, root, prime):
+                continue
+            modulus = prime
+            lifted = root
+            while modulus < target:
+                modulus = modulus * modulus
+                inv = pow(eval_mod(deriv, lifted, modulus), -1, modulus)
+                lifted = (lifted - eval_mod(s_ints, lifted, modulus) * inv) % modulus
+            candidate = _rational_reconstruct(lifted, modulus, num_bound, den_bound)
+            if candidate is not None and square.eval(candidate) == 0:
+                found.add(candidate)
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1079,8 @@ def residues(r: RatFunc) -> ResidueReport:
     it is the one the general path gives, since gcd(D, N - c*D') = D.
     Otherwise the residues are the roots of the Rothstein-Trager resultant
     R(t) = res(D, N - t*D'), interpolated from its values at t = 0..deg D,
-    and the factor of D for a rational root c is gcd(D, N - c*D')."""
+    and the factor of D for a rational root c is gcd(D, N - c*D'), whose
+    degree is c's multiplicity as a root of R (see the module docstring)."""
     split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
     g = hermite_reduce(r, split)
     if g.is_zero:
@@ -1100,13 +1093,7 @@ def residues(r: RatFunc) -> ResidueReport:
     dd = den.degree
     rpoly = _interpolate([_resultant_std(den, num - t * dden) for t in range(dd + 1)])
     assert rpoly.degree == dd
-    rroots = rational_roots(rpoly)
-    per: list[tuple[Poly, Fraction]] = []
-    int_count = 0
-    for c in sorted(set(rroots)):
-        q = poly_gcd(den, num - c * dden)
-        assert q.degree == rroots.count(c)
-        per.append((q, c))
-        if c.denominator == 1:
-            int_count += rroots.count(c)
-    return ResidueReport(tuple(per), int_count == dd, split)
+    per = tuple((poly_gcd(den, num - c * dden), c) for c in rational_roots(rpoly))
+    assert sum(q.degree for q, _ in per) <= dd
+    int_degree = sum(q.degree for q, c in per if c.denominator == 1)
+    return ResidueReport(per, int_degree == dd, split)

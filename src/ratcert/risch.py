@@ -105,10 +105,15 @@ from .algebra import (
     residues,
     solve_linear_system,
 )
+from .planar import InputError
 
 
 REASON_DEGREE_MISMATCH = "degree-mismatch"
 REASON_INCONSISTENT = "inconsistent-linear-system"
+
+# the largest candidate denominator formed: an integer residue c at a simple
+# pole asks for (x - r)**c (README: calibration)
+MAX_CANDIDATE_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,11 @@ def verify_solution(eq: RischEquation, h: RatFunc) -> bool:
 
 def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: int) -> Poly:
     """The candidate denominator from gcds (see the module docstring) for
-    a = scale*alpha.  ``rep`` is the residue report of alpha, which carries
-    den(a)'s split; each residue of a is ``scale`` times alpha's."""
+    a = scale*alpha at order scale + 1.  ``rep`` is the residue report of
+    alpha, which carries den(a)'s split; each residue of a is ``scale``
+    times alpha's.  Before any power is formed, its degree is bounded by
+    the sum of the degrees of its parts, which the lcms can only lower; over
+    MAX_CANDIDATE_DEGREE the order is refused with an ``InputError``."""
     qb = b.den
     h_b = poly_gcd(qb, qb.derivative())
     h_a = a_1 = Poly.one()
@@ -180,18 +188,31 @@ def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: in
         else:
             h_a = h_a * q ** (m - 1)
     den = h_b.divexact(poly_gcd(h_b, h_a))
+    bound = den.degree
+    poles = []  # (factor, order): a positive integer residue of a at a_1
     if a_1.degree > 0:
         for q, c in rep.per_factor:
             c *= scale
             if c > 0 and c.denominator == 1:
                 g = poly_gcd(q, a_1)
                 if g.degree > 0:
-                    g = g ** int(c)
-                    den = den * g.divexact(poly_gcd(den, g))
+                    poles.append((g, int(c)))
+                    bound += int(c) * g.degree
     if slack:
         rad_a = prod((q for q, _ in rep.split), start=Poly.one())
         rad_b = qb.divexact(h_b)
-        den = den * (rad_a * rad_b.divexact(poly_gcd(rad_a, rad_b))) ** slack
+        rad = rad_a * rad_b.divexact(poly_gcd(rad_a, rad_b))
+        bound += slack * rad.degree
+    if bound > MAX_CANDIDATE_DEGREE:
+        raise InputError(
+            f"order {scale + 1}: the candidate denominator may reach degree {bound}, "
+            f"above the limit of {MAX_CANDIDATE_DEGREE}"
+        )
+    for g, c in poles:
+        g = g**c
+        den = den * g.divexact(poly_gcd(den, g))
+    if slack:
+        den = den * rad**slack
     return den
 
 
@@ -352,11 +373,11 @@ class KaltofenInstance:
     alpha = alpha_num/x**pole_order and
     beta = (2*alpha_num + 2*x**pole_order*beta_shift)/x**(2*pole_order),
     with pole_order > 1, deg alpha_num < pole_order, alpha_num(0) != 0, and
-    beta_shift either None (identically zero) or with nonzero constant term.
+    beta_shift zero or with nonzero constant term.
     """
 
     alpha_num: Poly
-    beta_shift: Poly | None
+    beta_shift: Poly
     pole_order: int
 
     def __post_init__(self):
@@ -368,11 +389,8 @@ class KaltofenInstance:
             raise ValueError("numerator degree must be smaller than the pole order")
         if a.val:
             raise ValueError("constant coefficient of the numerator must be nonzero")
-        if self.beta_shift is not None:
-            if self.beta_shift.is_zero:
-                raise ValueError("encode an identically zero shift as None")
-            if self.beta_shift.val:
-                raise ValueError("shift polynomial must have nonzero constant term")
+        if self.beta_shift.val:
+            raise ValueError("shift polynomial must have nonzero constant term")
 
     # derived data -----------------------------------------------------------
 
@@ -383,10 +401,7 @@ class KaltofenInstance:
     @property
     def beta(self) -> RatFunc:
         k = self.pole_order
-        w = 2 * self.alpha_num
-        if self.beta_shift is not None:
-            w = w + 2 * self.beta_shift.shift(k)
-        return RatFunc(w, Poly.monomial(2 * k))
+        return RatFunc(2 * self.alpha_num + 2 * self.beta_shift.shift(k), Poly.monomial(2 * k))
 
     def equation(self) -> RischEquation:
         return RischEquation(self.alpha, self.beta)
@@ -410,11 +425,10 @@ class KaltofenInstance:
 
         Leading-coefficient matching at degree deg(Y) + k - 1 forces
         deg Y in {deg w - k + 1, rho}, so the cap is max(deg w - k + 1, rho):
-        max(m + 1, rho) with a shift present and rho without one.
+        max(m + 1, rho) with m = deg beta_shift, which is rho for a zero
+        shift (degree -1).
         """
-        if self.beta_shift is not None:
-            return max(self.beta_shift.degree + 1, self.rho)
-        return self.rho
+        return max(self.beta_shift.degree + 1, self.rho)
 
     @property
     def case(self) -> str:
@@ -424,10 +438,10 @@ class KaltofenInstance:
         if self.alpha_num.degree < self.pole_order - 1:
             return "1"
         rho = self.rho
-        m = self.beta_shift.degree if self.beta_shift is not None else None
+        m = self.beta_shift.degree  # -1 for a zero shift
         if not rho:
-            return "2a" if m is None or m == 0 else "2b"
-        if m is not None and m >= rho:
+            return "2a" if m <= 0 else "2b"
+        if m >= rho:
             return "2c"
         return "2d"
 
@@ -446,13 +460,10 @@ def match_kaltofen(eq: RischEquation) -> KaltofenInstance | None:
         return None
     w = eq.b.num.shift(2 * k - jb)
     rem_poly = w - 2 * a_num
-    if rem_poly.is_zero:
-        return KaltofenInstance(a_num, None, k)
-    # rem_poly = 2*x**k*beta_shift, with beta_shift(0) != 0
-    if rem_poly.val != k:
+    # rem_poly = 2*x**k*beta_shift, with beta_shift zero or beta_shift(0) != 0
+    if rem_poly.val != k and not rem_poly.is_zero:
         return None
-    shift = _times(rem_poly, 1, 2).shift(-k)
-    return KaltofenInstance(a_num, shift, k)
+    return KaltofenInstance(a_num, _times(rem_poly, 1, 2).shift(-k), k)
 
 
 def _specialized_system(inst: KaltofenInstance) -> tuple[list[list[int]], list[int], int]:
@@ -471,10 +482,9 @@ def _specialized_system(inst: KaltofenInstance) -> tuple[list[list[int]], list[i
     k = inst.pole_order
     cap = inst.degree_cap
     a, shift = inst.alpha_num, inst.beta_shift
-    bd = shift.cd if shift is not None else 1
-    scale = a.cd * bd
-    an = a.cn * bd  # scale*alpha_num = an*ints
-    deg_rhs = k + shift.degree if shift is not None else k - 1
+    scale = a.cd * shift.cd
+    an = a.cn * shift.cd  # scale*alpha_num = an*ints
+    deg_rhs = k + shift.degree  # k - 1 for a zero shift
     nrows = max(cap + k - 1, deg_rhs) + 1
     rows = [[0] * cap for _ in range(nrows)]
     for i in range(1, cap + 1):
@@ -484,10 +494,9 @@ def _specialized_system(inst: KaltofenInstance) -> tuple[list[list[int]], list[i
                 rows[i + j][i - 1] += an * c
     rhs = [0] * nrows
     rhs[k - 1] = 2 * k * scale
-    if shift is not None:
-        sn = 2 * shift.cn * a.cd  # scale*2*beta_shift = sn*ints
-        for j, c in enumerate(shift.ints, shift.val):
-            rhs[k + j] = sn * c
+    sn = 2 * shift.cn * a.cd  # scale*2*beta_shift = sn*ints
+    for j, c in enumerate(shift.ints, shift.val):
+        rhs[k + j] = sn * c
     return rows, rhs, deg_rhs
 
 

@@ -31,9 +31,12 @@ determinant and by Euclid's remainder sequence on primitive remainders
 (each checked against ``algebra._resultant_std``, which runs Collins'
 subresultant sequence), the residue report with no shortcut for equal
 residues, from Sylvester resultants interpolated by Newton's divided
-differences on ``Fraction``s (checked against ``algebra.residues``), the gcd
-by Euclid on the kernel's own ``%`` (checked against ``algebra.poly_gcd``),
-the power-pole system built from polynomial columns with one ``Fraction``
+differences on ``Fraction``s, each root's multiplicity counted by dividing
+by t - c (checked against ``algebra.residues``, which reads it off the
+root's factor), the gcd by Euclid on the kernel's own ``%`` and by
+primitive Euclid on the int vectors (each checked against
+``algebra.poly_gcd``, which reads the subresultant sequence), the
+power-pole system built from polynomial columns with one ``Fraction``
 per cell (checked against ``risch._specialized_system``), the power-pole
 case label from the gap k - lc(alpha_num) as a ``Fraction`` (checked
 against ``KaltofenInstance.case``), the gcd degree modulo a prime by long
@@ -617,10 +620,11 @@ def newton_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 def rothstein_trager_report(r: RatFunc) -> ResidueReport:
     """The residue report of r by Rothstein-Trager on every input (checked
     against ``algebra.residues``, which reads the report off at once when
-    every residue is equal): R(t) = res(D, N - t*D') for the simple-pole
-    part N/D, from Sylvester determinants at t = 0..deg D and
-    ``newton_interpolate``; each rational root c of R gets the factor
-    gcd(D, N - c*D')."""
+    every residue is equal, and reads each root's multiplicity off its
+    factor): R(t) = res(D, N - t*D') for the simple-pole part N/D, from
+    Sylvester determinants at t = 0..deg D and ``newton_interpolate``; each
+    rational root c of R gets the factor gcd(D, N - c*D'), and its
+    multiplicity is counted by dividing R by t - c while c is a root."""
     split = tuple(squarefree_decompose(r.den)) if r.den.degree > 0 else ()
     g = hermite_reduce(r, split)
     if g.is_zero:
@@ -629,10 +633,15 @@ def rothstein_trager_report(r: RatFunc) -> ResidueReport:
     dden = den.derivative()
     dd = den.degree
     pts = [(Fraction(t), sylvester_resultant(den, num - t * dden)) for t in range(dd + 1)]
-    rroots = rational_roots(newton_interpolate(pts))
-    per = tuple((poly_gcd(den, num - c * dden), c) for c in sorted(set(rroots)))
-    integer_roots = sum(1 for c in rroots if c.denominator == 1)
-    return ResidueReport(per, integer_roots == dd, split)
+    rpoly = newton_interpolate(pts)
+    per = []
+    integer_roots = 0
+    for c in rational_roots(rpoly):
+        per.append((poly_gcd(den, num - c * dden), c))
+        while rpoly.eval(c) == 0:
+            rpoly = rpoly.divexact(Poly([-c, 1]))
+            integer_roots += c.denominator == 1
+    return ResidueReport(tuple(per), integer_roots == dd, split)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +652,7 @@ def rothstein_trager_report(r: RatFunc) -> ResidueReport:
 def divmod_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd by Euclid on ``Poly.__mod__``, which forms each quotient
     and reduces each remainder's rational content (checked against
-    ``algebra.poly_gcd``, which keeps only primitive pseudo-remainders)."""
+    ``algebra.poly_gcd``, which reads the subresultant sequence)."""
     if p.degree < q.degree:
         p, q = q, p
     if q.is_zero:
@@ -651,6 +660,28 @@ def divmod_gcd(p: Poly, q: Poly) -> Poly:
     while q.degree > 0:
         p, q = q, p % q
     return p.monic() if q.is_zero else Poly.one()
+
+
+def primitive_euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd as x**min(val) times Euclid on the two int vectors, each
+    remainder of ``_pseudo_divmod`` cut to its primitive part (checked
+    against ``algebra.poly_gcd``, which reads the subresultant sequence, on
+    pairs of degree 70 and more, where ``divmod_gcd`` takes seconds)."""
+    if len(p.ints) < len(q.ints):
+        p, q = q, p
+    if q.is_zero:
+        return p.monic()
+    a, b = p.ints, q.ints
+    while len(b) > 1:
+        rem = _pseudo_divmod(a, b)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        if rem:
+            g = gcd(*rem)
+            rem = [v // g for v in rem]
+        a, b = b, rem
+    g = Poly(a) if not b else Poly.one()
+    return g.monic().shift(min(p.val, q.val))
 
 
 def gf_mod(a: list[int], b: list[int], q: int) -> list[int]:
@@ -778,9 +809,7 @@ def specialized_columns_system(
         Poly.monomial(i + k - 1, i - k) + inst.alpha_num.shift(i)
         for i in range(1, inst.degree_cap + 1)
     ]
-    rhs = Poly.monomial(k - 1, 2 * k)
-    if inst.beta_shift is not None:
-        rhs = rhs + 2 * inst.beta_shift.shift(k)
+    rhs = Poly.monomial(k - 1, 2 * k) + 2 * inst.beta_shift.shift(k)
     top = max([rhs.degree] + [c.degree for c in columns])
     rows = [[c.coeff(d) for c in columns] for d in range(top + 1)]
     return rows, [rhs.coeff(d) for d in range(top + 1)]
@@ -812,10 +841,10 @@ def kaltofen_case_by_gap(inst: KaltofenInstance) -> str:
         return "1"
     a_n = inst.alpha_num.lc
     gap_positive = a_n.denominator == 1 and (k - a_n) >= 1
-    m = inst.beta_shift.degree if inst.beta_shift is not None else None
+    m = inst.beta_shift.degree  # -1 for a zero shift
     if not gap_positive:
-        return "2a" if (m is None or m == 0) else "2b"
-    if m is not None and m >= int(k - a_n):
+        return "2a" if m <= 0 else "2b"
+    if m >= int(k - a_n):
         return "2c"
     return "2d"
 

@@ -127,15 +127,15 @@ def test_criterion_04_linear_profile_dichotomy():
     """A = a1*x + 1, B = 0, pole exponent 2: solutions exist exactly for
     a1 in {-2, -1, 0, 1}; a1 in {2, 3, 7} falls in case 2a with none."""
     for a1 in (-2, -1, 0, 1):
-        inst = KaltofenInstance(Poly([1, a1]), None, 2)
+        inst = KaltofenInstance(Poly([1, a1]), Poly.zero(), 2)
         out = solve_xk_specialized(inst)
         assert out.has_rational_solution, a1
         assert verify_solution(inst.equation(), out.solution)
         assert solve_general(inst.equation()).has_rational_solution
-    exact = solve_xk_specialized(KaltofenInstance(X + 1, None, 2))
+    exact = solve_xk_specialized(KaltofenInstance(X + 1, Poly.zero(), 2))
     assert exact.solution == RatFunc(4 * X + 2, X**2)
     for a1 in (2, 3, 7):
-        inst = KaltofenInstance(Poly([1, a1]), None, 2)
+        inst = KaltofenInstance(Poly([1, a1]), Poly.zero(), 2)
         out = solve_xk_specialized(inst)
         assert out.case == "2a" and not out.has_rational_solution, a1
         assert not solve_general(inst.equation()).has_rational_solution
@@ -175,7 +175,7 @@ def _random_kaltofen_instance(rng: random.Random) -> KaltofenInstance:
         cs[-1] = Fraction(k)
     alpha_num = Poly(cs)
     if rng.random() < 0.3:
-        shift = None
+        shift = Poly.zero()
     else:
         m = rng.randint(0, k - 1)
         bs = [Fraction(rng.randint(-4, 4)) for _ in range(m + 1)]

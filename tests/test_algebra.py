@@ -27,6 +27,7 @@ from ratcert.algebra import (
     solve_linear_system,
     squarefree_decompose,
 )
+from ratcert.risch import RischEquation, solve_general
 from conftest import make_poly, rand_poly, rand_ratfunc
 from reference import (
     bareiss_det,
@@ -42,6 +43,7 @@ from reference import (
     gf_gcd_degree,
     newton_interpolate,
     padded,
+    primitive_euclid_gcd,
     rothstein_trager_report,
     sylvester_resultant,
     trim,
@@ -313,6 +315,27 @@ class TestResidues:
         assert spy.called
         assert rep == rothstein_trager_report(r)
 
+    @given(
+        st.lists(fractions_st, min_size=3, max_size=6, unique=True),
+        st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3)]), min_size=6, max_size=6),
+        polys_st,
+    )
+    @example([Fraction(0), Fraction(1), Fraction(-2)], [Fraction(1)] * 2 + [Fraction(2)] * 4, Poly.zero())
+    @example([Fraction(0), Fraction(1), Fraction(3)], [Fraction(1, 2)] * 2 + [Fraction(3)] * 4, X)
+    @settings(deadline=None, max_examples=60)
+    def test_repeated_unequal_residues(self, poles, values, h_num):
+        # sum of c_i/(x - x_i) with the c_i drawn from four values, so that
+        # some residue sits at several poles and R(t) is not squarefree
+        cs = values[: len(poles)]
+        assume(len(set(cs)) > 1)
+        r = RatFunc(h_num).derivative()
+        for x0, c in zip(poles, cs):
+            r = r + RatFunc(c, X - x0)
+        rep = residues(r)
+        assert rep == rothstein_trager_report(r)
+        assert {c: q.degree for q, c in rep.per_factor} == {c: cs.count(c) for c in cs}
+        assert rep.all_integer == all(c.denominator == 1 for c in cs)
+
     @given(st.lists(st.one_of(fractions_st, large_rationals_st), min_size=1, max_size=12))
     @settings(deadline=None)
     def test_interpolation_on_ints_matches_newton(self, values):
@@ -341,12 +364,12 @@ def resultant_pairs(draw):
 
 
 @st.composite
-def prs_pairs(draw):
+def prs_pairs(draw, max_shared=2):
     """(a, b), each nonzero of degree 0..7 with rational entries, many of
     them zero so that remainders often drop two or more degrees (delta > 1
     in the subresultant sequence), and leading entries of either sign; half
-    the pairs share a factor of degree 1 or 2, so the resultant is 0, and
-    each side may take a factor x**j, j <= 3."""
+    the pairs share a factor of degree 1..max_shared, so the resultant is 0,
+    and each side may take a factor x**j, j <= 3."""
     entries = st.one_of(st.just(Fraction(0)), fractions_st)
 
     def of_degree(n):
@@ -356,7 +379,7 @@ def prs_pairs(draw):
     a = of_degree(draw(st.integers(0, 7)))
     b = of_degree(draw(st.integers(0, 7)))
     if draw(st.booleans()):
-        f = of_degree(draw(st.integers(1, 2)))
+        f = of_degree(draw(st.integers(1, max_shared)))
         a, b = a * f, b * f
     return a.shift(draw(st.integers(0, 3))), b.shift(draw(st.integers(0, 3)))
 
@@ -438,6 +461,51 @@ class TestResultant:
             assert _resultant_std(a, b) == sylvester_resultant(a, b) == euclid_resultant(a, b)
 
 
+def _eight_pole_pair() -> tuple[Poly, Poly]:
+    """The largest pair that poly_gcd meets on the order-10 equation with
+    alpha = sum of 1/(x - i), i = 1..8, and beta = 1/(x - 1)**2: the
+    solution's numerator, of degree 71, and its denominator
+    prod (x - i)**9, of degree 72, in ``RatFunc(N, den)``."""
+    alpha = sum((RatFunc(1, X - i) for i in range(1, 9)), RatFunc.zero())
+    eq = RischEquation(alpha, RatFunc(1, (X - 1) ** 2), 10)
+    with mock.patch.object(algebra, "poly_gcd", wraps=poly_gcd) as spy:
+        assert solve_general(eq).has_rational_solution
+    return max((c.args for c in spy.call_args_list), key=lambda pq: pq[0].degree + pq[1].degree)
+
+
+class TestGcdBySubresultants:
+    """poly_gcd reads the subresultant sequence that resultants run; Euclid
+    on ``Poly.__mod__`` is the reference."""
+
+    @given(prs_pairs(max_shared=4), st.sampled_from(["neither", "left", "right"]))
+    @example(((X**4 + 1) * (X - 2), (X**3 - 2) * (X - 2)), "neither")  # delta > 1
+    @example(((-3 * X**9 + 2 * X**4 - X) * (X**2 + 1), -(X**6) + 2 * X - 1), "neither")
+    @example((X**3 * (X + 1) ** 4, X * (X + 1) ** 2 * (X - 3)), "neither")
+    # a step with delta = 1 makes Collins' h a leading entry, and a
+    # defective step after it divides by a power of that h
+    @example(((3 * X**5 - 2) * (4 * X**2 + 3), (-2 * X**5 - 4 * X**4 - 5 * X + 2) * (4 * X**2 + 3)), "neither")
+    @example((Fraction(-5, 2) * X**2, Poly.const(Fraction(-3, 4))), "left")
+    @settings(deadline=None, max_examples=300)
+    def test_sparse_pairs_match_euclid(self, pair, zero):
+        # shared factors of degree 1..4, sparse entries (defective steps),
+        # x**j on either side, constants, negative leads, and a zero side
+        p, q = pair
+        if zero == "left":
+            p = Poly.zero()
+        elif zero == "right":
+            q = Poly.zero()
+        assert poly_gcd(p, q) == divmod_gcd(p, q)
+        assert poly_gcd(q, p) == divmod_gcd(q, p)
+
+    def test_eight_pole_pair(self):
+        # Euclid over Q takes seconds here: primitive Euclid is the reference
+        p, q = _eight_pole_pair()
+        assert (p.degree, q.degree) == (71, 72)
+        f = (X - 1) * (X**2 + 3)
+        assert poly_gcd(p, q) == primitive_euclid_gcd(p, q) == Poly.one()
+        assert poly_gcd(q * f, p * f) == primitive_euclid_gcd(q * f, p * f) == f.monic()
+
+
 class TestRationalRoots:
     def test_examples(self):
         assert rational_roots(X**2 - 1) == (Fraction(-1), Fraction(1))
@@ -445,8 +513,10 @@ class TestRationalRoots:
         assert rational_roots(X**2 + 1) == ()
 
     def test_multiplicities(self):
+        # a repeated root is one entry
         p = (X - 1) ** 2 * (2 * X - 1) * (X**2 + 3)
-        assert rational_roots(p) == (Fraction(1, 2), Fraction(1), Fraction(1))
+        assert rational_roots(p) == (Fraction(1, 2), Fraction(1))
+        assert rational_roots(X**3 * (X + 2) ** 4) == (Fraction(-2), Fraction(0))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -477,13 +547,11 @@ class TestRationalRoots:
     @settings(deadline=None, max_examples=80)
     def test_planted_roots_recovered(self, planted, add_irreducible):
         p = Poly.const(2)
-        expected = []
         for root, mult in planted:
             p = p * Poly([-root, 1]) ** mult
-            expected.extend([root] * mult)
         if add_irreducible:
             p = p * Poly([1, 0, 1])  # no rational roots
-        assert rational_roots(p) == tuple(sorted(expected))
+        assert rational_roots(p) == tuple(sorted({root for root, _ in planted}))
 
 
 small_primes_st = st.sampled_from([2, 3, 5, 7, 13])
@@ -964,7 +1032,7 @@ class TestPowersOfXInVal:
         assert divmod(p + 1, m) == (Fraction(-2, 3) * (X + 1), Poly.one())
         assert poly_gcd(p, m * m) == m
         assert squarefree_decompose(p * X**3) == [(X + 1, 1), (X, 403)]
-        assert rational_roots(p) == (Fraction(-1),) + (Fraction(0),) * 400
+        assert rational_roots(p) == (Fraction(-1), Fraction(0))
 
 
 def _assert_canonical(p: Poly) -> None:
