@@ -44,8 +44,9 @@ Representation notes:
     i + s (reduce modulo each q_j), and then (c, i + s) is the last entry
     the full loop would give.  On a high power such as (x - 1)**40 the
     loop ends at its first step instead of after forty.
-  * ``hermite_reduce`` takes the split that ``residues`` makes and lowers
-    each multiple factor one power at a time against it (Bronstein's
+  * ``hermite_reduce`` lowers the pole at x = 0, the paper's, by one
+    truncated power-series division on ints, and each other multiple factor
+    of the split that ``residues`` makes one power at a time (Bronstein's
     quadratic Hermite reduction); it returns only the simple-pole part g,
     as one reduced ``RatFunc``, and builds no integral.
   * ``residues`` owns the squarefree split of its argument's denominator:
@@ -1025,8 +1026,14 @@ def hermite_reduce(r: RatFunc, split: Sequence[tuple[Poly, int]]) -> RatFunc:
 
     ``split`` is the squarefree split of den(r), which ``residues`` makes:
     the proper part a/d of r keeps r's denominator, since num and den of r
-    are coprime.  Hermite reduction (Bronstein, Symbolic Integration I,
-    sec. 2.2, quadratic version) then lowers each factor v of multiplicity
+    are coprime.  The pole at x = 0 goes first, by one power-series
+    division: with d = u*x**m, m >= 2 and t = a/u mod x**m,
+    a/d = t/x**m + a_new/u with a_new = (a - u*t)/x**m, and every term of
+    t/x**m but t[m-1]/x is a derivative, so a becomes t[m-1]*u + x*a_new
+    and d becomes x*u.  The series runs on the ints of a and u: s*t, with
+    s = u(0)**m, is an int vector, and 1/s joins a's content once.
+    Hermite reduction (Bronstein, Symbolic Integration I, sec. 2.2,
+    quadratic version) then lowers each other factor v of multiplicity
     i >= 2, with u = d/v**i: step j = i-1, ..., 1 solves b*u*v' + c*v = -a/j
     with deg b < deg v, and a/(u*v**(j+1)) = (b/v**j)' + a_new/(u*v**j) with
     a_new = -j*c - u*b'.  The inverse of u*v' modulo v serves every step."""
@@ -1034,8 +1041,38 @@ def hermite_reduce(r: RatFunc, split: Sequence[tuple[Poly, int]]) -> RatFunc:
     if a.is_zero:
         return _RATFUNC_ZERO
     d = r.den
+    m = d.val
+    if m > 1:
+        # x does not divide a, since a and d are coprime: a.ints are a's
+        # coefficients from x**0 up.  On the ints A of a and U of u, w is
+        # s*(A/U mod x**m): u0**(k+1) times its k-th entry is an int, so
+        # each // is exact; the contents of a and u cancel in t*u
+        A, U = a.ints, d.ints
+        u0 = U[0]
+        s = u0**m
+        low = [(j, c) for j, c in enumerate(U) if c and j]
+        w: list[int] = []
+        for k in range(m):
+            acc = s * A[k] if k < len(A) else 0
+            for j, c in low:
+                if j > k:
+                    break
+                acc -= c * w[k - j]
+            w.append(acc // u0)
+        # e: the entries from x**m up of s*A - U*w, of degree below deg u
+        e = [s * c for c in A[m:]]
+        e += [0] * (len(U) - 1 - len(e))
+        for j, c in low:
+            for k in range(max(m - j, 0), m):
+                e[j + k - m] -= c * w[k]
+        top = w[-1]
+        a = _from_ints([top * U[0]] + [top * c + v for c, v in zip(U[1:], e)], 0, a.cn, a.cd * s)
+        d = d.shift(1 - m)
     for v, i in split:
-        if i < 2:
+        if v.val:
+            # x, lowered above, leaves w = v/x of the same multiplicity
+            v = v.shift(-1)
+        if i < 2 or not v.degree:
             continue
         u = d.divexact(v**i)
         uv = u * v.derivative()

@@ -111,8 +111,9 @@ from .planar import InputError
 REASON_DEGREE_MISMATCH = "degree-mismatch"
 REASON_INCONSISTENT = "inconsistent-linear-system"
 
-# the largest candidate denominator formed: an integer residue c at a simple
-# pole asks for (x - r)**c (README: calibration)
+# the largest candidate denominator formed, and the largest recurrence cap
+# run: an integer residue c at a simple pole asks for (x - r)**c, and rho
+# can be as large as an input coefficient (README: calibration)
 MAX_CANDIDATE_DEGREE = 1024
 
 
@@ -241,7 +242,8 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
     lc_i/g only.  At rho, where lc_rho = 0, n_rho is a parameter t carried
     as a second residual; the rows that fix no unknown pin t, leave it free
     (t = 0), or show that no solution exists.  With t = 0 the solution is the particular one that
-    elimination with increasing pivot columns gives.
+    elimination with increasing pivot columns gives.  A cap above
+    MAX_CANDIDATE_DEGREE is refused with an ``InputError`` before the loop.
     """
     qa, pa = a.den, a.num
     qb, pb = b.den, b.num
@@ -263,6 +265,10 @@ def solve_undetermined(a: RatFunc, b: RatFunc, den: Poly) -> RatFunc | None:
         rho = -lead_b // lead_a
     # above Bronstein's cap every n_i is 0 (see the module docstring)
     cap = R.degree - s if rho is None else max(R.degree - s, rho)
+    if cap > MAX_CANDIDATE_DEGREE:
+        raise InputError(
+            f"the numerator may reach degree {cap}, above the limit of {MAX_CANDIDATE_DEGREE}"
+        )
     s -= v
     r0 = [0] * (R.val - v) + list(R.ints)
     r0 += [0] * (cap + s + 1 - len(r0))
@@ -353,7 +359,10 @@ def solve_general(
         return RischOutcome(RatFunc.zero(), "general")
     rep = alpha_residues if alpha_residues is not None else residues(eq.alpha)
     den = _candidate_denominator(b, rep, eq.order - 1, pole_slack)
-    solution = solve_undetermined(a, b, den)
+    try:
+        solution = solve_undetermined(a, b, den)
+    except InputError as exc:
+        raise InputError(f"order {eq.order}: {exc}") from None
     if solution is None:
         return RischOutcome(None, "general", reason=REASON_INCONSISTENT)
     if not verify_solution(eq, solution):

@@ -1246,6 +1246,62 @@ class TestHermiteOneSplit:
         assert residues(r).per_factor == residues(g).per_factor
 
 
+# u(0) = content * u_ints[0] * w(0)**m: neither of the first two is a unit,
+# and no draw makes u(0) = ±1
+_U0_ST = st.sampled_from([2, -2, 3, -3, 4, 6, -9])
+_CONTENT_ST = st.sampled_from([2, -3, Fraction(3, 2), Fraction(-5, 4), Fraction(1, 5)])
+# (m, w): x**m alone, or with a factor w of multiplicity m in u, so that x*w
+# is one entry of the split; the reference re-splits a denominator of degree
+# about 2m on each of its m passes, so m stays lower there
+_POLE_ST = st.tuples(st.integers(2, 40), st.none()) | st.tuples(
+    st.integers(2, 12), st.tuples(st.sampled_from([-3, -1, 2, 5]), st.sampled_from([1, 2, 3]))
+)
+
+
+class TestHermitePoleAtZero:
+    """The factor x**m of den(r) is lowered by one power-series division."""
+
+    @given(
+        pole=_POLE_ST,
+        u_ints=st.tuples(_U0_ST, st.lists(st.integers(-4, 4), max_size=4)),
+        content=_CONTENT_ST,
+        num=st.tuples(fractions_st.filter(bool), st.lists(fractions_st, max_size=50)),
+    )
+    @example(pole=(3, (2, 1)), u_ints=(3, [0, 2]), content=2, num=(Fraction(1), [Fraction(-2), 5]))
+    @example(pole=(40, None), u_ints=(2, []), content=Fraction(3, 2), num=(Fraction(5), [1] * 45))
+    @settings(deadline=None, max_examples=80)
+    def test_equals_pass_by_pass_reduction(self, pole, u_ints, content, num):
+        # r = num/(x**m*u) with num(0) != 0, so x**m stays in den(r)
+        m, w = pole
+        u = content * Poly([u_ints[0], *u_ints[1]])
+        if w is not None:
+            u = u * Poly(list(w)) ** m
+        r = RatFunc(Poly([num[0], *num[1]]), X**m * u)
+        assert r.den.val == m
+        h, g = _hermite_by_passes(r)
+        assert _simple_part(r) == g
+        assert r - g == h.derivative()
+
+    def test_no_inverse_modulo_x(self):
+        # in the second denominator x*(x + 2) is one entry of multiplicity 4:
+        # only its cofactor x + 2 is inverted modulo
+        moduli = []
+
+        def spy(a, mod):
+            moduli.append(mod)
+            return inverse_mod(a, mod)
+
+        shared = X**4 * (X + 2) ** 4 * (2 * X**2 + 3)
+        assert (X * (X + 2), 4) in squarefree_decompose(shared)
+        for den, inverted in ((X**9 * (2 * X**2 + 3), []), (shared, [X + 2])):
+            r = RatFunc(3 * X**7 - X + 5, den)
+            moduli.clear()
+            with mock.patch.object(algebra, "inverse_mod", spy):
+                g = _simple_part(r)
+            assert moduli == inverted
+            assert g == _hermite_by_passes(r)[1]
+
+
 @st.composite
 def squarefree_families(draw):
     """Squarefree polynomials that share factors: each is a nonzero rational

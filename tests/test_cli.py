@@ -731,6 +731,29 @@ class TestInputSizeBound:
 
 
 
+def _assert_refused_between_good_lines(tmp_path, task: dict, error: str) -> None:
+    """A batch file with ``task`` between two good lines: the run exits 2,
+    and ``task``'s line is an ``{"error": ...}`` line in its place."""
+    good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
+    other = {"p": "x^2 - y", "q": "y*(x + 1)", "kmax": 2}
+    infile = tmp_path / "tasks.jsonl"
+    infile.write_text("\n".join(json.dumps(t) for t in (good, task, other)) + "\n", encoding="utf-8")
+    outfile = tmp_path / "out.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratcert.cli", "batch", "--input", str(infile),
+         "--output", str(outfile)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 3
+    assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
+    assert lines[1] == {"error": error}
+    assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
+
 class TestCandidateDegreeBound:
     """An integer residue c at a simple pole asks for the candidate
     denominator (x - r)**c: over the bound the order is refused before any
@@ -756,28 +779,46 @@ class TestCandidateDegreeBound:
         )
 
     def test_batch_line_keeps_its_neighbours(self, tmp_path):
-        good = {"p": "x^3-y", "q": "y*(x^2-x-1-y)", "kmax": 2}
-        other = {"p": "x^2 - y", "q": "y*(x + 1)", "kmax": 2}
-        tasks = [good, {"p": "x-1", "q": "100000*y+y^2", "kmax": 2}, other]
-        infile = tmp_path / "tasks.jsonl"
-        infile.write_text("\n".join(json.dumps(t) for t in tasks) + "\n", encoding="utf-8")
-        outfile = tmp_path / "out.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ratcert.cli", "batch", "--input", str(infile),
-             "--output", str(outfile)],
-            capture_output=True,
-            text=True,
-            timeout=5,
+        _assert_refused_between_good_lines(
+            tmp_path,
+            {"p": "x-1", "q": "100000*y+y^2", "kmax": 2},
+            "order 2: the candidate denominator may reach degree 100000, "
+            f"above the limit of {MAX_CANDIDATE_DEGREE}",
         )
-        assert proc.returncode == 2, proc.stderr
-        lines = [json.loads(line) for line in outfile.read_text(encoding="utf-8").splitlines()]
-        assert len(lines) == 3
-        assert lines[0]["verdict"] == {"status": "NotRationallyIntegrable", "k": 2}
-        assert lines[1] == {
-            "error": "order 2: the candidate denominator may reach degree 100000, "
-            f"above the limit of {MAX_CANDIDATE_DEGREE}"
-        }
-        assert lines[2]["field"] == {"p": "x^2 - y", "q": "x*y + y"}
+
+
+class TestRecurrenceCapBound:
+    """A negative integer residue leaves the candidate denominator small,
+    but rho, and with it the recurrence's cap, can be as large as an input
+    coefficient: over the bound the order is refused before the loop, where
+    it used to run for minutes."""
+
+    @pytest.mark.parametrize(
+        "args, degree",
+        [
+            (["risch", "--alpha", "(-100000*x+1)/x^2", "--beta", "1/x^2", "--order", "2"], 100000),
+            (["analyze", "--p", "x^2 - y", "--q", "y*(-100000*x + 1 - y)", "--kmax", "2"], 100002),
+        ],
+        ids=["risch", "analyze"],
+    )
+    def test_large_rho_is_input_error(self, args, degree):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratcert.cli", *args], capture_output=True, text=True, timeout=5
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: order 2: the numerator may reach degree {degree}, "
+            f"above the limit of {MAX_CANDIDATE_DEGREE}\n"
+        )
+
+    def test_batch_line_keeps_its_neighbours(self, tmp_path):
+        _assert_refused_between_good_lines(
+            tmp_path,
+            {"p": "x^2 - y", "q": "y*(-100000*x + 1 - y)", "kmax": 2},
+            "order 2: the numerator may reach degree 100002, "
+            f"above the limit of {MAX_CANDIDATE_DEGREE}",
+        )
 
 def _write_batch(path: Path, kinds) -> None:
     path.write_text("".join(_BATCH_LINES[k] + "\n" for k in kinds), encoding="utf-8")

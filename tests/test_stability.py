@@ -6,7 +6,9 @@ The digests were recorded before the polynomial printer, the squarefree split
 and the scalar ``RatFunc`` products were rewritten for speed, and
 tower-kmax-60's before ``Poly`` held its power of x as ``val``, so any change
 to a certificate byte shows here.  tower-kmax-60 puts solutions over x**118
-and long x-power vectors under the gate.
+and long x-power vectors under the gate.  analyze-x4-pole and risch-x40-pole
+were recorded before Hermite reduction read the pole at x = 0 off one
+power-series division: alpha lies over x**4*(2*x**2 + 3) and over x**40.
 """
 
 import contextlib
@@ -23,6 +25,11 @@ RISCH_ALPHA = "(3/2*x^2 - x + 5)/x^3 + 2/(x - 1)"
 RISCH_BETA = (
     "(42/5*x^6 - 17/5*x^5 + 59/5*x^4 - 3*x^3 - 9*x^2 - 4*x + 10/3)"
     "/(x^8 - 3*x^7 + 3*x^6 - x^5)"
+)
+# beta = h' + alpha*h for h = (x^2 + 1)/(x - 2)^2
+X40_BETA = (
+    "(3*x^42 - 10*x^41 + x^40 - 6*x^39 - 2*x^20 + 4*x^19 - 2*x^18 + 4*x^17"
+    " + 5*x^3 - 10*x^2 + 5*x - 10)/(x^43 - 6*x^42 + 12*x^41 - 8*x^40)"
 )
 
 # name: (argv, sha256 of the canonical report, sha256 of stdout)
@@ -56,6 +63,16 @@ PINNED = {
         ["risch", "--alpha", RISCH_ALPHA, "--beta", RISCH_BETA, "--order", "3"],
         "857c46bc4d926c6de9686311d2de6fa2ff9732fd8ed82aafdeb30bd8f02c6a5e",
         "7e2fbdb7ce373eb82872e6b4d854d5bed05030019c446fbe81389734c818f4a7",
+    ),
+    "analyze-x4-pole": (
+        ["analyze", "--p", "x^4*(2*x^2+3) - y", "--q", "y*(x^2 - x - 1 - y)"],
+        "e8c589ce691794727f75abeb661a361583b0fbcede3cb276586db1c2abfa9ff6",
+        "8ab2b175c5c9013873dadef3907bce45b0b0a51af3a737452c5af1ef61ee338a",
+    ),
+    "risch-x40-pole": (
+        ["risch", "--alpha", "(3*x^39 - 2*x^17 + 5)/x^40", "--beta", X40_BETA, "--order", "2"],
+        "6618ec288e6ae2b88e7564eb2e21991e8f2ffbef43f56ce32cd99d3868129b95",
+        "15ea85d089e86e3cee46d3d53db20de520148d52b8b3d65eef0ed0dbd2ad0e1a",
     ),
 }
 
