@@ -223,6 +223,21 @@ def _times(p: "Poly", n: int, d: int) -> "Poly":
     return _make(p.ints, p.val, *_pair_mul(p.cn, p.cd, n, d))
 
 
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for a Poly or a BivarPoly; ``one`` is
+    base**0."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = base if result is one else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _pseudo_divmod(a: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Pseudo-division of the int vector a by d, whose last entry is
     nonzero: (quo, rem, scale) with scale*a = quo*d + rem and rem shorter
@@ -400,17 +415,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, _ONE)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         """Quotient and remainder over Q: ``_pseudo_divmod`` of the two int

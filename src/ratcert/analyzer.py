@@ -117,16 +117,21 @@ class OrderRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable transcript of an analysis run."""
+    """Machine-checkable transcript of an analysis run.  ``transformed`` is
+    the field in the infinity chart, or None when the original chart was
+    used; ``chart`` names which."""
 
     field: PlanarField
     transformed: PlanarField | None
     curve: RatFunc
-    chart: str  # "original" | "infinity"
     swapped: bool
     h1: H1Report
     orders: tuple[OrderRecord, ...]
     verdict: Verdict
+
+    @property
+    def chart(self) -> str:
+        return "original" if self.transformed is None else "infinity"
 
     def to_dict(self) -> dict:
         # every order's equation holds the one alpha
@@ -230,12 +235,11 @@ def check_hk(
     internal error.
 
     ``alpha_residues`` is ``residues(alpha)`` when the caller already has
-    it.  The residues of the order-k coefficient (k-1)*alpha are alpha's
-    scaled by k-1 and its denominator is alpha's, so one report, with its
-    one split, serves every order."""
+    it; otherwise ``solve_general`` computes it.  The residues of the
+    order-k coefficient (k-1)*alpha are alpha's scaled by k-1 and its
+    denominator is alpha's, so one report, with its one split, serves every
+    order."""
     eq = build_risch(alpha, beta_k, k)
-    if alpha_residues is None:
-        alpha_residues = residues(alpha)
     general = solve_general(eq, alpha_residues=alpha_residues)
     outcome = general
     inst = match_kaltofen(eq)
@@ -264,7 +268,6 @@ def analyze(
         raise InputError("k_max must be >= 2")
     if k_max > MAX_KMAX:
         raise InputError(f"k_max must be <= {MAX_KMAX}, got {k_max}")
-    chart = "original"
     swapped = False
     transformed: PlanarField | None = None
     work = field
@@ -274,7 +277,6 @@ def analyze(
             swapped = True
         work = infinity_transform(work)
         transformed = work
-        chart = "infinity"
     # raises InputError when the curve is not invariant for the field
     betas = foliation_derivatives(work, phi, k_max)
     alpha = betas[0]
@@ -295,7 +297,6 @@ def analyze(
         field=field,
         transformed=transformed,
         curve=phi,
-        chart=chart,
         swapped=swapped,
         h1=h1,
         orders=tuple(orders),

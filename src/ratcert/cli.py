@@ -25,12 +25,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
-from typing import Mapping
 
 from . import __version__
-from .algebra import RatFunc
 from .analyzer import (
     INTERPRETATIONS,
     MAX_KMAX,
@@ -48,34 +44,15 @@ from .planar import InputError, PlanarField, infinity_transform
 _INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Source-level description of one analysis task."""
-
-    p_text: str
-    q_text: str
-    phi_text: str = "0"
-    k_max: int = 2
-    at_infinity: bool = False
-    interpretation: str = "literal"
-    variables: tuple[str, str] = ("x", "y")
-    lets: Mapping[str, Fraction] = dataclass_field(default_factory=dict)
-
-    def build(self) -> tuple[PlanarField, RatFunc]:
-        p = parse_poly(self.p_text, self.variables, self.lets)
-        q = parse_poly(self.q_text, self.variables, self.lets)
-        phi = parse_univar_ratfunc(self.phi_text, self.variables[0], self.lets)
-        return PlanarField(p, q), phi
-
-    def run(self) -> Certificate:
-        field, phi = self.build()
-        return analyze(
-            field,
-            phi,
-            self.k_max,
-            at_infinity=self.at_infinity,
-            interpretation=self.interpretation,
-        )
+def _analyze_texts(
+    p_text: str, q_text: str, phi_text: str, variables: tuple[str, str], lets, **options
+) -> Certificate:
+    """Parse the field's two components and the curve, then ``analyze`` them
+    with ``options`` (k_max, at_infinity, interpretation)."""
+    p = parse_poly(p_text, variables, lets)
+    q = parse_poly(q_text, variables, lets)
+    phi = parse_univar_ratfunc(phi_text, variables[0], lets)
+    return analyze(PlanarField(p, q), phi, **options)
 
 
 def _meta(options: dict) -> dict:
@@ -98,19 +75,6 @@ def _variables(text: str) -> tuple[str, str]:
     ):
         raise InputError(f"--vars must name two distinct variables, got {text!r}")
     return variables
-
-
-def _spec_from_args(args) -> FieldSpec:
-    return FieldSpec(
-        p_text=args.p,
-        q_text=args.q,
-        phi_text=args.phi,
-        k_max=args.kmax,
-        at_infinity=args.at_infinity,
-        interpretation=args.h1,
-        variables=_variables(args.vars),
-        lets=parse_lets(args.let),
-    )
 
 
 def _print_certificate(report: dict, out) -> None:
@@ -142,18 +106,22 @@ def _print_certificate(report: dict, out) -> None:
 
 
 def _cmd_analyze(args) -> tuple[int, dict]:
-    spec = _spec_from_args(args)
+    variables = _variables(args.vars)
+    lets = parse_lets(args.let)
     started = time.perf_counter()
-    cert = spec.run()
+    cert = _analyze_texts(
+        args.p, args.q, args.phi, variables, lets,
+        k_max=args.kmax, at_infinity=args.at_infinity, interpretation=args.h1,
+    )
     elapsed = time.perf_counter() - started
-    report = dict(cert.to_dict())
+    report = cert.to_dict()
     report["meta"] = _meta(
         {
             "command": "analyze",
-            "kmax": spec.k_max,
-            "at_infinity": spec.at_infinity,
-            "h1": spec.interpretation,
-            "vars": list(spec.variables),
+            "kmax": args.kmax,
+            "at_infinity": args.at_infinity,
+            "h1": args.h1,
+            "vars": list(variables),
         }
     )
     _print_certificate(report, sys.stdout)
@@ -260,16 +228,16 @@ def _batch_line(line: str) -> dict:
             raise InputError(
                 f'"h1" must be {" or ".join(map(json.dumps, INTERPRETATIONS))}, got {json.dumps(h1)}'
             )
-        spec = FieldSpec(
-            p_text=_typed(_required(payload, "p"), "p", str),
-            q_text=_typed(_required(payload, "q"), "q", str),
-            phi_text=_typed(payload.get("phi", "0"), "phi", str),
+        return _analyze_texts(
+            _typed(_required(payload, "p"), "p", str),
+            _typed(_required(payload, "q"), "q", str),
+            _typed(payload.get("phi", "0"), "phi", str),
+            ("x", "y"),
+            lets,
             k_max=_typed(kmax, "kmax", int),
             at_infinity=_typed(payload.get("at_infinity", False), "at_infinity", bool),
             interpretation=h1,
-            lets=lets,
-        )
-        return spec.run().to_dict()
+        ).to_dict()
     except _INPUT_ERRORS as exc:
         return {"error": str(exc)}
     except Exception as exc:
@@ -325,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kmax", type=int, default=2, help=f"highest variational order to test (2..{MAX_KMAX})"
     )
     pa.add_argument("--at-infinity", action="store_true", help="analyse along the line at infinity")
-    pa.add_argument("--h1", choices=("literal", "corrected"), default="literal")
+    pa.add_argument("--h1", choices=INTERPRETATIONS, default="literal")
     pa.add_argument("--json", default=None, help="write the canonical JSON report to PATH")
     pa.add_argument("--let", action="append", default=[], metavar="NAME=VALUE")
     pa.add_argument("--vars", default="x,y", help="variable names, comma separated")

@@ -512,7 +512,8 @@ def parse_poly(
         return value
     if value.den.total_degree > 0:
         raise ParseError("expression is not a polynomial", len(text))
-    return value.num * (1 / value.den.coeff(0, 0))
+    # BivarRatFunc scales a constant denominator to 1
+    return value.num
 
 
 def parse_univar_ratfunc(

@@ -37,7 +37,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFunc, _from_ints, _inverse_lc, _power_str, _terms_str, _times
+from .algebra import (
+    Poly, RatFunc, _from_ints, _inverse_lc, _power, _power_str, _terms_str, _times
+)
 
 
 class InputError(ValueError):
@@ -179,23 +181,11 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BivarPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if n == 0:
-            return BivarPoly.const(1)
         if len(self.rows) == 1:
             # a single row, monomials such as x**7 included: one Poly power
             ((j, row),) = self.rows.items()
             return _from_rows({j * n: row**n})
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n, BivarPoly.const(1))
 
     # -- calculus and substitution -------------------------------------------
 

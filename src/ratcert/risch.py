@@ -179,7 +179,8 @@ def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: in
     alpha, which carries den(a)'s split; each residue of a is ``scale``
     times alpha's.  Before any power is formed, its degree is bounded by
     the sum of the degrees of its parts, which the lcms can only lower; over
-    MAX_CANDIDATE_DEGREE the order is refused with an ``InputError``."""
+    MAX_CANDIDATE_DEGREE it is refused with an ``InputError``, to which
+    ``solve_general`` adds the order."""
     qb = b.den
     h_b = poly_gcd(qb, qb.derivative())
     h_a = a_1 = Poly.one()
@@ -206,7 +207,7 @@ def _candidate_denominator(b: RatFunc, rep: ResidueReport, scale: int, slack: in
         bound += slack * rad.degree
     if bound > MAX_CANDIDATE_DEGREE:
         raise InputError(
-            f"order {scale + 1}: the candidate denominator may reach degree {bound}, "
+            f"the candidate denominator may reach degree {bound}, "
             f"above the limit of {MAX_CANDIDATE_DEGREE}"
         )
     for g, c in poles:
@@ -351,15 +352,17 @@ def solve_general(
     absence verdict can be re-checked under a strictly larger search space.
     ``alpha_residues`` is the residue report of ``eq.alpha``, with the
     squarefree split of its denominator, when the caller already has it
-    (``check_hk`` passes one report to every order); otherwise it is
-    computed here.
+    (``analyze`` passes one report, through ``check_hk``, to every order);
+    otherwise, as for the ``risch`` command, it is computed here.  A refusal, by the candidate denominator's degree bound
+    or by the recurrence's cap, is an ``InputError`` that names the order:
+    "order k: ...".
     """
     a, b = eq.a, eq.b
     if b.is_zero:
         return RischOutcome(RatFunc.zero(), "general")
     rep = alpha_residues if alpha_residues is not None else residues(eq.alpha)
-    den = _candidate_denominator(b, rep, eq.order - 1, pole_slack)
     try:
+        den = _candidate_denominator(b, rep, eq.order - 1, pole_slack)
         solution = solve_undetermined(a, b, den)
     except InputError as exc:
         raise InputError(f"order {eq.order}: {exc}") from None

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratcert import analyzer, cli
+from ratcert import analyzer, cli, risch
 from ratcert.algebra import Poly, RatFunc
 from ratcert.analyzer import MAX_KMAX, SolverDisagreementError
 from ratcert.cli import run
@@ -558,7 +558,9 @@ class TestInternalErrors:
         def residues(*args):
             raise error("deep fault")
 
+        # analyze builds alpha's report in analyzer, risch in solve_general
         monkeypatch.setattr(analyzer, "residues", residues)
+        monkeypatch.setattr(risch, "residues", residues)
         argv = {
             "analyze": ["analyze", "--p", "x^3-y", "--q", "y*(x^2-x-1-y)"],
             "risch": ["risch", "--alpha", "(x+1)/x^2", "--beta", "(2*x+2)/x^4", "--order", "2"],

@@ -377,8 +377,12 @@ class TestSolveUndetermined:
             rep = residues(RatFunc(c, X - 1))
             den = risch._candidate_denominator(RatFunc.one(), rep, 1, slack)
             assert den == (X - 1) ** (c + slack)
-            with pytest.raises(InputError, match=f"order 3: .* degree {2 * c + slack},"):
+            with pytest.raises(InputError, match=f"^the candidate .* degree {2 * c + slack},"):
                 risch._candidate_denominator(RatFunc.one(), rep, 2, slack)
+            with pytest.raises(
+                InputError, match=f"^order 3: the candidate denominator .* degree {2 * c + slack},"
+            ):
+                solve_general(RischEquation(RatFunc(c, X - 1), RatFunc.one(), 3), pole_slack=slack)
         with mock.patch.object(Poly, "__pow__", side_effect=AssertionError("a power was formed")):
             with pytest.raises(InputError):
                 risch._candidate_denominator(RatFunc.one(), residues(RatFunc(10**6, X - 1)), 1, 0)

@@ -4,6 +4,7 @@ does not count.  References that only
 tests compare against live in ``tests/reference.py``."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -120,3 +121,23 @@ def test_cli_import_loads_no_variational_and_root_defines_only_version():
     assert isinstance(seen["version"], str)
     assert "ratcert.cli" in seen["loaded"]
     assert not seen["variational"]
+
+
+def test_every_traced_target_exists():
+    # the traced benchmark run reports a target it cannot find as absent and
+    # drops every metric that depends on it; resolved as Tracer._resolve does
+    perfbench = str(ROOT / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import tracing
+    finally:
+        sys.path.remove(perfbench)
+    missing = []
+    for module, attr in [*tracing.SPANNED.values(), *tracing.COUNTED.values()]:
+        owner_name, _, name = attr.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_name:
+            owner = vars(owner).get(owner_name)
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{module}:{attr}")
+    assert missing == []
